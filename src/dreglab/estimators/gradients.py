@@ -13,9 +13,11 @@ with coefficients built from the normalized weights:
     jvi1-dreg   phi: path(c2)                  theta: theta(c)
 
 where wt are normalized weights, wt^2 their squares computed in log
-space, and (c, c2) the jackknife combination coefficients.  The two
-wake-sleep rows return gradients to descend (they drive a KL
-minimization); everything else is an ascent direction on its bound.
+space, and (c, c2) the jackknife combination coefficients.  All of them
+come from the context's `ChunkWeights`, so the recipes run against one
+context normalize its log weights once.  The two wake-sleep rows return
+gradients to descend (they drive a KL minimization); everything else is
+an ascent direction on its bound.
 The contraction interface is served by both the closed-form model
 contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
 (reference); tests pin the routes against each other.
@@ -25,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (
-    LogWeightBatch,
-    jvi1_coefficients,
-    normalized_weights,
-    squared_normalized_weights,
-)
+from .weights import LogWeightBatch, context_weights, normalized_weights
 
 ESTIMATOR_IDS = (
     "iwae",
@@ -66,39 +63,36 @@ class GradEstimate:
 
 def phi_rows(kind, ctx, alpha=None):
     """Inference-network gradient rows for one weight context."""
-    lw = np.asarray(ctx.lw, dtype=np.float64)
+    w = context_weights(ctx)
     if kind == "iwae":
-        wt = normalized_weights(lw)
-        return ctx.path(wt) - ctx.score(wt)
+        return ctx.path(w.wt) - ctx.score(w.wt)
     if kind == "stl":
-        return ctx.path(normalized_weights(lw))
+        return ctx.path(w.wt)
     if kind == "iwae-dreg":
-        return ctx.path(squared_normalized_weights(lw))
+        return ctx.path(w.wt2)
     if kind == "rws-wake":
-        return -ctx.score(normalized_weights(lw))
+        return -ctx.score(w.wt)
     if kind == "rws-dreg":
-        return ctx.path(squared_normalized_weights(lw) - normalized_weights(lw))
+        return ctx.path(w.wt2 - w.wt)
     if kind == "dreg-alpha":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("dreg-alpha needs alpha in [0, 1]")
-        wt = normalized_weights(lw)
-        wt2 = squared_normalized_weights(lw)
-        return ctx.path(alpha * wt + (1.0 - 2.0 * alpha) * wt2)
+        return ctx.path(alpha * w.wt + (1.0 - 2.0 * alpha) * w.wt2)
     if kind == "jvi1":
-        c, _ = jvi1_coefficients(lw)
+        c, _ = w.jvi1
         return ctx.path(c) - ctx.score(c)
     if kind == "jvi1-dreg":
-        _, c2 = jvi1_coefficients(lw)
+        _, c2 = w.jvi1
         return ctx.path(c2)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
 def theta_rows(kind, ctx):
-    lw = np.asarray(ctx.lw, dtype=np.float64)
+    w = context_weights(ctx)
     if kind in ("jvi1", "jvi1-dreg"):
-        c, _ = jvi1_coefficients(lw)
+        c, _ = w.jvi1
         return ctx.theta(c)
-    return ctx.theta(normalized_weights(lw))
+    return ctx.theta(w.wt)
 
 
 def _single(model, params, x, eps, kind, alpha=None):

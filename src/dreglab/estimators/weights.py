@@ -8,11 +8,14 @@ the tests hold the two routes together at near machine precision.
 
 Normalized weights are always softmax of log-weights with the max
 subtracted; squared normalized weights are exp(2 (log w - log sum w)).
-Raw weights are never exponentiated on their own.
+Raw weights are never exponentiated on their own.  `ChunkWeights` holds
+these kernels for one context so that every estimator recipe run on it
+shares one normalization and one set of jackknife coefficients.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,16 +29,24 @@ def _raw(lw):
 
 
 def _check_batch(lw):
-    m = lw.max(axis=-1)
+    m = lw.max(axis=-1)  # NaN wins the max, then +inf, and -inf only if all are
     if not np.all(np.isfinite(m)):
-        raise ValueError("degenerate weight batch: no finite log-weight")
+        if np.any(np.isnan(m)):
+            raise ValueError("degenerate weight batch: NaN log-weight")
+        if np.any(m == np.inf):
+            raise ValueError("degenerate weight batch: +inf log-weight")
+        raise ValueError("degenerate weight batch: every log-weight is -inf")
     return lw
+
+
+def _log_total(lw):
+    m = lw.max(axis=-1, keepdims=True)
+    return m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True))
 
 
 def normalized_log_weights(lw):
     lw = _check_batch(_raw(lw))
-    m = lw.max(axis=-1, keepdims=True)
-    return lw - (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))
+    return lw - _log_total(lw)
 
 
 def normalized_weights(lw):
@@ -50,9 +61,7 @@ def squared_normalized_weights(lw):
 def iwae_bound(lw):
     """log-sum-exp(log w) - log K, along the sample axis."""
     lw = _check_batch(_raw(lw))
-    k = lw.shape[-1]
-    m = lw.max(axis=-1)
-    out = m + np.log(np.sum(np.exp(lw - m[..., None]), axis=-1)) - math.log(k)
+    out = _log_total(lw)[..., 0] - math.log(lw.shape[-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -117,21 +126,65 @@ def jvi1_coefficients(lw):
     c contracts total derivatives (the linear combination applied to the
     standard per-term gradients); c2 contracts the path term only (the
     same combination with each term's squared-weight substitution).
+    With T_i the complement sum of sample i (log T_i from
+    `loo_logsumexp`):
+
+        c_j  = K wt_j   - ((K-1)/K) sum_{i != j} w_j / T_i
+        c2_j = K wt_j^2 - ((K-1)/K) sum_{i != j} (w_j / T_i)^2
+
+    Each inner sum is a leave-one-out sum over i, so it is taken in log
+    space by `loo_logsumexp` as well; every ratio w_j / T_i (i != j) is
+    at most 1, and nothing is subtracted from a huge 1/T_i.
     """
     lw = _check_batch(_raw(lw))
     k = lw.shape[-1]
     if k < 2:
         raise ValueError("jackknife needs K >= 2")
-    m = lw.max(axis=-1, keepdims=True)
-    a = np.exp(lw - m)
-    s = a.sum(axis=-1, keepdims=True)
-    t = np.exp(loo_logsumexp(lw) - m)  # complement sums in max-shifted units
-    inv = 1.0 / t
-    q1 = inv.sum(axis=-1, keepdims=True)
-    q2 = (inv * inv).sum(axis=-1, keepdims=True)
-    c = k * a / s - (k - 1) / k * a * (q1 - inv)
-    c2 = k * (a / s) ** 2 - (k - 1) / k * a * a * (q2 - inv * inv)
+    log_wt = lw - _log_total(lw)
+    log_t = loo_logsumexp(lw)
+    loo1 = np.exp(lw + loo_logsumexp(-log_t))
+    loo2 = np.exp(2.0 * lw + loo_logsumexp(-2.0 * log_t))
+    c = k * np.exp(log_wt) - (k - 1) / k * loo1
+    c2 = k * np.exp(2.0 * log_wt) - (k - 1) / k * loo2
     return c, c2
+
+
+class ChunkWeights:
+    """The weight kernels of one context's log weights, each built once.
+
+    wt, wt^2 and the jackknife pair are computed on first use and kept,
+    so the estimator recipes run against one context share a single
+    normalization and a single `jvi1_coefficients` call.
+    """
+
+    def __init__(self, lw):
+        self.lw = lw
+
+    @cached_property
+    def log_wt(self):
+        return normalized_log_weights(self.lw)
+
+    @cached_property
+    def wt(self):
+        return np.exp(self.log_wt)
+
+    @cached_property
+    def wt2(self):
+        wt2 = 2.0 * self.log_wt
+        return np.exp(wt2, out=wt2)  # in place: one (n, K) array less at peak
+
+    @cached_property
+    def jvi1(self):
+        return jvi1_coefficients(self.lw)
+
+
+def context_weights(ctx):
+    """The `ChunkWeights` of a weight context, built on first request and
+    kept on the context."""
+    weights = getattr(ctx, "chunk_weights", None)
+    if weights is None:
+        weights = ctx.chunk_weights = ChunkWeights(ctx.lw)
+    return weights
 
 
 @dataclass

@@ -7,11 +7,13 @@ tests can exercise the zero-variance collapse).
 
 Everything about this family is closed-form: the marginal is
 N(x; theta, 2I), the optimal inference map is A* = I/2, b* = theta/2,
-and the per-sample weight partials have short expressions.  The closed
-forms power `weight_context`, the vectorized bulk route used for
-measurement; the tape route goes through `log_joint`/`inference` with
-lifted parameters and must agree with the closed forms to near machine
-precision (the tests pin this).
+and with z = mu + s eps the log weight is quadratic in eps and its
+z-partial affine in eps.  So `weight_context`, the vectorized bulk route
+used for measurement, reduces every gradient contraction with
+per-sample coefficients c to two primitives, sum_i c_i and
+sum_i c_i eps_i (see `ToyContext`).  The tape route goes through
+`log_joint`/`inference` with lifted parameters and must agree with the
+closed forms to near machine precision (the tests pin this).
 
 The shared mode ties the inference map to the generative mean by
 A = diag(theta) with a free bias, giving every theta coordinate both
@@ -166,16 +168,26 @@ def toy_log_marginal(m, x):
 
 
 class ToyContext:
-    """Vectorized weight context: log weights plus contraction closures.
+    """Vectorized weight context in two-primitive form.
 
-    eps has shape (n, K, d); lw is (n, K).  Contractions take per-sample
-    coefficients c of shape (n, K) and return per-draw gradient rows:
+    eps has shape (n, K, d); lw is (n, K).  With z = mu + s eps (mu the q
+    mean, v = s^2 the q variance) and g = theta + x - 2 mu, the log weight
+    is quadratic in eps and its z-partial is affine in eps:
 
-        path(c)  = sum_i c_i (dlog w_i / dz_i)(dz_i / dphi)   -> (n, P_phi)
-        score(c) = sum_i c_i dlog q(z_i|x) / dphi             -> (n, P_phi)
-        theta(c) = sum_i c_i dlog w_i / dtheta                -> (n, P_theta)
+        lw_i        = c0 + s (eps_i . g) + (1/2 - v) |eps_i|^2
+        dlog w_i/dz = g + s (1/v - 2) eps_i
+        z_i - theta = (mu - theta) + s eps_i
 
-    phi rows follow the layout order (A row-major, then b).
+    so every contraction with per-sample coefficients c of shape (n, K)
+    needs only S0 = sum_i c_i and S1 = sum_i c_i eps_i:
+
+        path(c)  = Phi(S0 g + s (1/v - 2) S1)   -> (n, P_phi)
+        score(c) = Phi(S1 / s)                  -> (n, P_phi)
+        theta(c) = S0 (mu - theta) + s S1       -> (n, P_theta)
+
+    Phi turns a seed u at the q mean into phi rows in layout order: the
+    outer product u x^T for A (row-major), then u itself for b.  The
+    context keeps eps and lw; no other (n, K, d) array is built.
     """
 
     def __init__(self, family, p, x, eps):
@@ -189,24 +201,25 @@ class ToyContext:
         a = p.view("a").reshape(d, d)
         b = p.view("b")
         x = np.asarray(x, dtype=np.float64)
-        s = math.sqrt(family.q_variance)
+        v = family.q_variance
+        s = math.sqrt(v)
         mean = a @ x + b
-        z = mean[None, None, :] + s * eps
-        sq = lambda u: np.sum(u * u, axis=-1)
-        self.lw = (
-            -0.5 * sq(z - theta)
-            - 0.5 * sq(x[None, None, :] - z)
+        g = theta + x - 2.0 * mean
+        c0 = (
+            -0.5 * np.sum((mean - theta) ** 2)
+            - 0.5 * np.sum((x - mean) ** 2)
             - 0.5 * d * LOG_TWO_PI
             + d * math.log(s)
-            + 0.5 * sq(eps)
         )
+        self.lw = eps @ (s * g)
+        self.lw += (0.5 - v) * np.einsum("nkd,nkd->nk", eps, eps)
+        self.lw += c0
+        self.eps = eps
         self._x = x
         self._s = s
-        self._eps = eps
-        self._z = z
-        self._theta = theta
-        self._mean = mean
-        self._dlw_dz = (theta[None, None, :] - z) + (x[None, None, :] - z) + (z - mean[None, None, :]) / family.q_variance
+        self._g = g
+        self._path_eps = s * (1.0 / v - 2.0)
+        self._mean_offset = mean - theta
 
     @property
     def n(self):
@@ -216,18 +229,22 @@ class ToyContext:
     def k(self):
         return self.lw.shape[1]
 
+    def _s1(self, c):
+        # S1 = sum_i c_i eps_i, (n, d); S0 is c.sum(axis=1, keepdims=True)
+        return np.matmul(c[:, None, :], self.eps)[:, 0, :]
+
     def _phi_rows(self, u):
         # u: (n, d) seed at the q mean; A gets the outer product with x
         da = u[:, :, None] * self._x[None, None, :]
         return np.concatenate([da.reshape(u.shape[0], -1), u], axis=1)
 
     def path(self, c):
-        u = np.einsum("nk,nkd->nd", c, self._dlw_dz)
-        return self._phi_rows(u)
+        s0 = c.sum(axis=1, keepdims=True)
+        return self._phi_rows(s0 * self._g + self._path_eps * self._s1(c))
 
     def score(self, c):
-        u = np.einsum("nk,nkd->nd", c, self._eps) / self._s
-        return self._phi_rows(u)
+        return self._phi_rows(self._s1(c) / self._s)
 
     def theta(self, c):
-        return np.einsum("nk,nkd->nd", c, self._z - self._theta[None, None, :])
+        s0 = c.sum(axis=1, keepdims=True)
+        return s0 * self._mean_offset + self._s * self._s1(c)

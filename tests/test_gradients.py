@@ -22,6 +22,7 @@ from dreglab.estimators import (
     rws_theta_grad,
     rws_wake_phi_grad,
     squared_normalized_weights,
+    theta_rows,
 )
 from dreglab.gaussian import Streams, log_prob, noise_batch, noise_block, sample_reparam
 from dreglab.models import Toy, lift, perturb_params
@@ -230,3 +231,32 @@ def test_jvi_grad_matches_tape_backward():
     est = jvi1_grad(fam, p, x, nb)
     assert np.allclose(flat[p.phi_indices], est.phi_grad, rtol=1e-9, atol=1e-11)
     assert np.allclose(flat[p.theta_indices], est.theta_grad, rtol=1e-9, atol=1e-11)
+
+
+def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
+    from dreglab.estimators import weights
+
+    calls = {"normalized_log_weights": 0, "jvi1_coefficients": 0}
+
+    def counting(name):
+        original = getattr(weights, name)
+
+        def counted(lw):
+            calls[name] += 1
+            return original(lw)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(weights, name, counting(name))
+    fam, p, x = toy_fixture()
+    eps = noise_block(13, Streams.MEASURE, 8, (5, 8, 3))
+    ctx = fam.weight_context(p, x, eps)
+    alphas = {kind: 0.3 if kind == "dreg-alpha" else None for kind in ESTIMATOR_IDS}
+    rows = {kind: (phi_rows(kind, ctx, alpha=alphas[kind]), theta_rows(kind, ctx))
+            for kind in ESTIMATOR_IDS}
+    assert calls == {"normalized_log_weights": 1, "jvi1_coefficients": 1}
+    # the shared weights change no bit: each recipe alone on a fresh context
+    for kind, (phi, theta) in rows.items():
+        assert np.array_equal(phi, phi_rows(kind, fam.weight_context(p, x, eps), alpha=alphas[kind]))
+        assert np.array_equal(theta, theta_rows(kind, fam.weight_context(p, x, eps)))

@@ -115,6 +115,49 @@ def test_context_lw_matches_generic_route():
             assert ctx.lw[n, i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
+def _direct_toy_context(fam, p, x, eps, c):
+    """lw, path, score, theta rows from the (n, K, d) per-draw arrays."""
+    d = fam.d
+    theta = p.view("theta")
+    a = p.view("a").reshape(d, d)
+    x = np.asarray(x, dtype=np.float64)
+    s = math.sqrt(fam.q_variance)
+    mean = a @ x + p.view("b")
+    z = mean + s * eps
+    lw = (-0.5 * np.sum((z - theta) ** 2, axis=-1) - 0.5 * np.sum((x - z) ** 2, axis=-1)
+          - 0.5 * d * LOG_2PI + d * math.log(s) + 0.5 * np.sum(eps**2, axis=-1))
+    dlw_dz = (theta - z) + (x - z) + (z - mean) / fam.q_variance
+
+    def phi(u):
+        return np.concatenate([(u[:, :, None] * x).reshape(u.shape[0], -1), u], axis=1)
+
+    path = phi(np.einsum("nk,nkd->nd", c, dlw_dz))
+    score = phi(np.einsum("nk,nkd->nd", c, eps) / s)
+    theta_rows = np.einsum("nk,nkd->nd", c, z - theta)
+    return lw, path, score, theta_rows
+
+
+@pytest.mark.parametrize("q_variance", [0.5, 2.0 / 3.0, 2.0])
+@pytest.mark.parametrize("k", [1, 8, 512])
+def test_collapsed_context_matches_direct_formulas(k, q_variance):
+    fam, p, x = toy_fixture(d=3, seed=11, q_variance=q_variance, sigma=0.3)
+    eps = noise_block(11, 50, k, (6, k, 3))
+    c = np.random.default_rng(k).standard_normal((6, k))
+
+    def close(got, want):
+        # relative to the array's scale: single entries may cancel to ~0
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for e, cc in ((eps, c), (eps[2], c[2:3])):  # (n, K, d) and (K, d) input
+        ctx = fam.weight_context(p, x, e)
+        lw, path, score, theta_rows = _direct_toy_context(fam, p, x, e.reshape(-1, k, 3), cc)
+        close(ctx.lw, lw)
+        close(ctx.path(cc), path)
+        close(ctx.score(cc), score)
+        close(ctx.theta(cc), theta_rows)
+
+
 def test_perturb_zero_sigma_is_identity():
     fam = Toy(2)
     p = fam.init_params([0.1, 0.2])

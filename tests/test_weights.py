@@ -251,3 +251,55 @@ def test_log_weights_deterministic():
     assert np.array_equal(a.log_w, b.log_w)
     assert np.array_equal(a.dlogw_dz, b.dlogw_dz)
     assert np.array_equal(a.dlogq_dphi, b.dlogq_dphi)
+
+
+@pytest.mark.parametrize("gap", [15.0, 20.0, 40.0, 100.0, 355.0, 400.0, 700.0])
+def test_jvi_coefficients_match_tape_across_gaps(gap):
+    # one dominant sample; the complement sum of the dominant one is tiny
+    vals = np.array([0.0, -gap, -gap - 1.0])
+    g = TapeGraph()
+    nodes = g.input_vector(vals)
+    grads = g.backward(jvi1_estimate(nodes))
+    c, c2 = jvi1_coefficients(vals[None, :])
+    want = np.array([grads[node.idx] for node in nodes])
+    assert np.allclose(c[0], want, rtol=1e-12, atol=1e-14)
+    if gap >= 40.0:  # the limit K - 2 (K-1)/K once e^-gap is below rounding
+        assert c[0, 0] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-12)
+    assert np.all(np.isfinite(c2))
+
+
+def test_jvi_coefficients_sum_to_one():
+    # jvi1(lw + a) = jvi1(lw) + a, so the gradient coefficients sum to 1
+    rng = np.random.default_rng(15)
+    for k in (2, 5, 64):
+        for spread in (1.0, 30.0, 700.0, 1e4):
+            lw = rng.uniform(-spread, 0.0, size=(4, k))
+            c, _ = jvi1_coefficients(lw)
+            # lw is only resolved to its own rounding, ~eps * spread
+            tol = 1e-15 * k * (1.0 + spread)
+            assert np.max(np.abs(c.sum(axis=-1) - 1.0)) <= tol
+
+
+@pytest.mark.parametrize("spread", [10.0, 355.0, 745.0, 1e3, 1e4])
+def test_jvi_coefficients_finite_at_wide_spreads(spread):
+    rng = np.random.default_rng(16)
+    lw = rng.uniform(-spread, 0.0, size=(8, 16))
+    lw[:, 0] = 0.0
+    lw[:, 1] = -spread  # a sample at the far end of every row
+    c, c2 = jvi1_coefficients(lw)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(c2))
+
+
+def test_nan_log_weight_is_named():
+    with pytest.raises(ValueError, match="NaN log-weight"):
+        normalized_weights(np.array([[0.0, -1.0], [np.nan, 0.0]]))
+
+
+def test_positive_infinite_log_weight_is_named():
+    with pytest.raises(ValueError, match=r"\+inf log-weight"):
+        normalized_weights(np.array([[0.0, -1.0], [np.inf, 0.0]]))
+
+
+def test_all_negative_infinite_row_is_named():
+    with pytest.raises(ValueError, match="every log-weight is -inf"):
+        normalized_weights(np.array([[0.0, -1.0], [-np.inf, -np.inf]]))
