@@ -31,10 +31,10 @@ from .diagnostics import (
     stats_from_moments,
     t_test_from_moments,
 )
-from .estimators import ESTIMATOR_IDS, phi_rows
+from .estimators import ESTIMATOR_IDS, JACKKNIFE_IDS, phi_rows
 from .gaussian import Streams, noise_block, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
-from .training import JVI_IDS, train_model
+from .training import train_model
 
 EXPERIMENTS = ("toy-snr", "train", "bias-test")
 
@@ -229,6 +229,11 @@ def _validate(cfg):
         for est in cfg.estimators:
             _require(est in REFERENCE_PAIR,
                      f"{est!r} has no unbiased reference to test against")
+            _require(cfg.k >= 2 or est not in JACKKNIFE_IDS,
+                     f"{est!r} is a jackknife estimator and needs k >= 2")
+    if cfg.experiment == "train":
+        _require(cfg.k >= 2 or cfg.estimator not in JACKKNIFE_IDS,
+                 f"{cfg.estimator!r} is a jackknife estimator and needs k >= 2")
     _require(0.0 <= cfg.alpha <= 1.0, "alpha must lie in [0, 1]")
     _require(cfg.d >= 1, "d must be positive")
     _require(cfg.q_variance > 0.0, "q_variance must be positive")
@@ -380,7 +385,7 @@ def run_toy_snr(cfg):
                                  seed=cfg.seed, chunk_size=cfg.chunk_size,
                                  draw_prefix=(trial, k))
             live = [est for est in cfg.estimators
-                    if not (est in JVI_IDS and k < 2)]
+                    if not (est in JACKKNIFE_IDS and k < 2)]
             moments, diffs = _measure_trial(cfg, fam, p, x, trial, k, live)
             for est, mom in moments.items():
                 st = stats_from_moments(mom, ref.mean, k=k, estimator_id=est)

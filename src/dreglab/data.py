@@ -33,6 +33,8 @@ class Dataset:
         img = self.images
         if img.ndim != 2 or img.shape[0] == 0:
             raise ValueError("images must be a non-empty (n, obs) matrix")
+        if not np.all(np.isfinite(img)):
+            raise ValueError("pixel intensities must be finite")
         if img.min() < 0.0 or img.max() > 1.0:
             raise ValueError("pixel intensities must lie in [0, 1]")
         if self.split_id is not None and self.split_id not in SPLIT_IDS:

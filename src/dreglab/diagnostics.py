@@ -66,6 +66,12 @@ class EstimatorStats:
 
 
 def stats_from_moments(moments, reference_mean, k=None, estimator_id=None):
+    """Summary statistics of one estimator's folded gradient samples.
+
+    Variance is the unbiased sample variance; SNR_j = |mean_j| / sd_j,
+    undefined (NaN, flagged) where the variance is exactly zero; bias
+    is squared distance to the declared reference mean.
+    """
     reference_mean = np.asarray(reference_mean, dtype=np.float64)
     variance = moments.variance
     defined = variance > 0.0
@@ -80,21 +86,6 @@ def stats_from_moments(moments, reference_mean, k=None, estimator_id=None):
         bias_sq=(moments.mean - reference_mean) ** 2,
         snr=snr,
         snr_defined=defined,
-    )
-
-
-def estimator_stats(grad_samples, reference_mean, k=None, estimator_id=None):
-    """Summary statistics of an (n, d) gradient sample matrix.
-
-    Variance is the unbiased sample variance; SNR_j = |mean_j| / sd_j,
-    undefined (NaN, flagged) where the variance is exactly zero; bias
-    is squared distance to the declared reference mean.
-    """
-    grad_samples = np.asarray(grad_samples, dtype=np.float64)
-    if grad_samples.ndim != 2 or grad_samples.shape[0] < 2:
-        raise ValueError("need an (n >= 2, d) sample matrix")
-    return stats_from_moments(
-        RunningMoments.from_samples(grad_samples), reference_mean, k=k, estimator_id=estimator_id
     )
 
 
@@ -129,25 +120,6 @@ def t_test_from_moments(mean, variance, n, coordinate=None):
     else:
         p = math.erfc(abs(t) / math.sqrt(2.0))
     return TTestResult(t, min(p, 1.0), n, coordinate)
-
-
-def paired_t_test(a, b, coordinate=None):
-    """Two-sided paired t-test on common-random-number sample pairs.
-
-    Degenerate difference vectors do not raise: identical inputs give
-    (t=0, p=1), and a zero-variance nonzero mean gives p=0 with an
-    infinite statistic.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("paired test needs two equal-length vectors")
-    n = a.size
-    if n < 2:
-        raise ValueError("paired test needs n >= 2")
-    diff = a - b
-    return t_test_from_moments(
-        float(diff.mean()), float(diff.var(ddof=1)), n, coordinate)
 
 
 @dataclass
@@ -214,17 +186,6 @@ class VarianceTraceEma:
         m2 = self._m2 / corr
         # nonnegative in exact arithmetic; clip rounding residue
         return max(0.0, float(np.mean(m2 - m1 * m1)))
-
-
-def variance_trace_ema(grad_stream, decay):
-    """Fold a whole gradient stream; returns the final debiased trace."""
-    ema = VarianceTraceEma(decay)
-    out = None
-    for g in grad_stream:
-        out = ema.update(g)
-    if out is None:
-        raise ValueError("empty gradient stream")
-    return out
 
 
 @dataclass

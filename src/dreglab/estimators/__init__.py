@@ -1,21 +1,13 @@
 from .gradients import (
     DESCENT_IDS,
     ESTIMATOR_IDS,
-    GradEstimate,
-    decompose_total_derivative,
-    dreg_alpha_phi_grad,
-    iwae_grad_dreg,
-    iwae_grad_standard,
-    iwae_grad_stl,
-    jvi1_dreg_grad,
-    jvi1_grad,
+    ESTIMATORS,
+    JACKKNIFE_IDS,
     phi_rows,
-    rws_dreg_phi_grad,
-    rws_theta_grad,
-    rws_wake_phi_grad,
+    recipe,
     theta_rows,
 )
-from .surrogates import SURROGATE_KINDS, SurrogateLoss, surrogate_gradient_split, surrogate_loss
+from .surrogates import SurrogateLoss, surrogate_loss
 from .weights import (
     LogWeightBatch,
     iwae_bound,
@@ -30,31 +22,21 @@ from .weights import (
 
 __all__ = [
     "DESCENT_IDS",
+    "ESTIMATORS",
     "ESTIMATOR_IDS",
-    "GradEstimate",
+    "JACKKNIFE_IDS",
     "LogWeightBatch",
-    "SURROGATE_KINDS",
     "SurrogateLoss",
-    "decompose_total_derivative",
-    "dreg_alpha_phi_grad",
     "iwae_bound",
-    "iwae_grad_dreg",
-    "iwae_grad_standard",
-    "iwae_grad_stl",
     "jvi1_coefficients",
-    "jvi1_dreg_grad",
     "jvi1_estimate",
-    "jvi1_grad",
     "log_weights",
     "loo_logsumexp",
     "normalized_log_weights",
     "normalized_weights",
     "phi_rows",
-    "rws_dreg_phi_grad",
-    "rws_theta_grad",
-    "rws_wake_phi_grad",
+    "recipe",
     "squared_normalized_weights",
-    "surrogate_gradient_split",
     "surrogate_loss",
     "theta_rows",
 ]

@@ -2,17 +2,28 @@
 
 Each surrogate is one TapeScalar built from K reparameterized samples,
 with the gradient-stopped quantities entering as plain numbers instead
-of tape nodes.  Three freeze channels cover all six kinds:
+of tape nodes.  The estimator table in `gradients` supplies the
+coefficients, and three freeze channels carry its three terms:
 
-  weight coefficients   exp(log w_i - log sum w) and powers, computed
-                        numerically; the coefficient never contributes
-                        a gradient
+  weight coefficients   c_path, c_score and c_theta, computed
+                        numerically from the frozen log weights; a
+                        coefficient never contributes a gradient
   z frozen              densities evaluated at numeric z: only the
-                        direct parameter channel survives (score / wake
-                        terms)
+                        direct parameter channel survives (theta and
+                        score terms)
   parameters frozen     densities evaluated with numeric parameters but
                         live z: only the sample channel survives (path
                         terms)
+
+so the objective of estimator id ``kind`` is
+
+    sum_i c_theta_i log p(x, z*_i)
+      + sigma [sum_i c_path_i lw_frozen(z_i) - sum_i c_score_i log q(z*_i)]
+
+with sigma = -1 for the descent ids and +1 otherwise.  The score term
+enters as log q(z*) - log q_frozen(z*), which is zero in value, so
+estimators that differ only in their score coefficients (iwae and stl)
+have equal surrogate values.
 
 The frozen quantities are evaluated from `stops_from`, which defaults
 to the live parameter vector.  Because the density code is generic over
@@ -23,10 +34,8 @@ makes every surrogate an ordinary smooth function of its live
 parameters, so central finite differences of `.value` are a valid
 oracle for `.gradient()`.
 
-All six objectives are ascent objectives.  For the two wake-sleep kinds
-the direct estimators follow the descent convention, so their surrogate
-gradient is exactly the negated direct gradient; the equivalence tests
-carry that sign.
+Every surrogate is an ascent objective: its gradient is sigma times the
+direct phi rows and exactly the direct theta rows.
 """
 
 import numpy as np
@@ -34,9 +43,8 @@ import numpy as np
 from ..gaussian import DiagGaussian, NoiseBatch, log_prob, sample_reparam
 from ..models.params import lift
 from ..tape import TapeGraph, tape_sum
-from .weights import normalized_log_weights
-
-SURROGATE_KINDS = ("iwae", "dreg-iwae", "rws", "dreg-rws", "stl", "dreg-alpha")
+from .gradients import recipe
+from .weights import ChunkWeights
 
 
 class SurrogateLoss:
@@ -59,20 +67,14 @@ class SurrogateLoss:
 
 
 def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
-    """Build one surrogate objective on a fresh tape.
+    """Build the surrogate objective of estimator id ``kind`` on a fresh tape.
 
     Returns a SurrogateLoss; its `.gradient()` is the estimator for all
     parameters at once.  Works for disjoint and shared role masks alike,
     which is the point: the freeze placements, not the role bookkeeping,
     decide where gradients flow.
     """
-    if kind not in SURROGATE_KINDS:
-        raise ValueError(f"unknown surrogate kind {kind!r}")
-    if kind == "dreg-alpha":
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ValueError("dreg-alpha needs alpha in [0, 1]")
-    elif alpha is not None:
-        raise ValueError(f"alpha is meaningless for kind {kind!r}")
+    r = recipe(kind, alpha)
     if not isinstance(eps, NoiseBatch):
         raise TypeError("eps must be a NoiseBatch")
     frozen = params if stops_from is None else stops_from
@@ -87,9 +89,8 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
             for z in z_star
         ]
     )
-    log_wt = normalized_log_weights(lw_star)
-    wt = np.exp(log_wt)
-    wt_sq = np.exp(2.0 * log_wt)
+    w = ChunkWeights(lw_star)
+    sigma = -1.0 if r.descent else 1.0
     q_frozen = DiagGaussian(mean=list(q_star.mean), log_scale=list(q_star.log_scale))
 
     # live side
@@ -97,46 +98,20 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
     lifted = lift(graph, params)
     q = model.inference(lifted, x)
 
-    def z_live(i):
-        return sample_reparam(q, eps.eps[i])
+    def theta_term(i):
+        return model.log_joint(lifted, x, z_star[i])
 
-    def lw_params_frozen(i):
+    def path_term(i):
         # parameter channels frozen, the sample channel live
-        z = z_live(i)
-        return model.log_joint(frozen, x, z) - log_prob(q_frozen, z)
+        z = sample_reparam(q, eps.eps[i])
+        return sigma * (model.log_joint(frozen, x, z) - log_prob(q_frozen, z))
 
-    if kind == "iwae":
-        terms = []
-        for i in range(k):
-            z = z_live(i)
-            terms.append(wt[i] * (model.log_joint(lifted, x, z) - log_prob(q, z)))
-    elif kind == "stl":
-        terms = []
-        for i in range(k):
-            z = z_live(i)
-            terms.append(wt[i] * (model.log_joint(lifted, x, z) - log_prob(q_frozen, z)))
-    elif kind == "rws":
-        terms = [
-            wt[i] * (model.log_joint(lifted, x, z_star[i]) + log_prob(q, z_star[i]))
-            for i in range(k)
-        ]
-    elif kind == "dreg-iwae":
-        terms = [wt[i] * model.log_joint(lifted, x, z_star[i]) for i in range(k)]
-        terms += [wt_sq[i] * lw_params_frozen(i) for i in range(k)]
-    elif kind == "dreg-rws":
-        terms = [wt[i] * model.log_joint(lifted, x, z_star[i]) for i in range(k)]
-        terms += [-(wt_sq[i] - wt[i]) * lw_params_frozen(i) for i in range(k)]
-    else:  # dreg-alpha
-        terms = [wt[i] * model.log_joint(lifted, x, z_star[i]) for i in range(k)]
-        terms += [
-            (alpha * wt[i] + (1.0 - 2.0 * alpha) * wt_sq[i]) * lw_params_frozen(i)
-            for i in range(k)
-        ]
+    def score_term(i):
+        return -sigma * (log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i]))
 
+    terms = []
+    for make, term in ((r.theta, theta_term), (r.path, path_term), (r.score, score_term)):
+        if make is not None:
+            c = make(w, alpha)
+            terms += [c[i] * term(i) for i in range(k)]
     return SurrogateLoss(kind, tape_sum(terms), lifted, alpha=alpha)
-
-
-def surrogate_gradient_split(loss, params):
-    """Convenience split of a flat surrogate gradient into (phi, theta)."""
-    flat = loss.gradient()
-    return flat[params.phi_indices], flat[params.theta_indices]

@@ -219,9 +219,6 @@ class LogWeightBatch:
     def k(self):
         return self.log_w.shape[0]
 
-    def dz_dphi(self, i):
-        return self.jac_mean + (self.z[i] - self.mean)[:, None] * self.jac_log_scale
-
     def path(self, c):
         u = c[:, None] * self.dlogw_dz  # (K, d)
         left = u.sum(axis=0) @ self.jac_mean

@@ -162,5 +162,10 @@ def load_checkpoint(path, roles):
     for line in blob[:sep].decode("ascii").splitlines():
         name, off, length = line.split()
         layout[name] = (int(off), int(length))
-    flat = np.frombuffer(blob[sep + 2 :], dtype="<f8").astype(np.float64)
+    payload = blob[sep + 2 :]
+    expected = 8 * sum(length for _, length in layout.values())
+    if len(payload) != expected:
+        raise ValueError(f"{path}: checkpoint payload should hold {expected} "
+                         f"bytes, found {len(payload)}")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return ParamVector(flat, layout, dict(roles))

@@ -19,16 +19,14 @@ import numpy as np
 from .data import Dataset, dynamic_binarize
 from .diagnostics import VarianceTraceEma
 from .estimators import (
-    DESCENT_IDS,
     ESTIMATOR_IDS,
     iwae_bound,
     jvi1_estimate,
     phi_rows,
+    recipe,
     theta_rows,
 )
 from .gaussian import Streams, noise_block, stream_rng
-
-JVI_IDS = ("jvi1", "jvi1-dreg")
 
 # draw indices under Streams.EVAL_NOISE
 _EVAL_BINARIZE_DRAW = 0
@@ -82,8 +80,8 @@ class TrainResult:
     failed_step: int = -1
 
 
-def _batch_objective(mode, lw):
-    if mode in JVI_IDS:
+def _batch_objective(jackknife, lw):
+    if jackknife:
         return float(np.mean(jvi1_estimate(lw)))
     return float(np.mean(iwae_bound(lw)))
 
@@ -105,8 +103,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     """
     if mode not in ESTIMATOR_IDS:
         raise ValueError(f"unknown training mode {mode!r}")
-    if mode != "dreg-alpha" and alpha is not None:
-        raise ValueError(f"alpha is not a parameter of {mode!r}")
+    entry = recipe(mode, alpha)
     if not isinstance(train, Dataset) or not isinstance(valid, Dataset):
         raise ValueError("train and valid must be Datasets")
     if train.obs != fam.obs or valid.obs != fam.obs:
@@ -115,6 +112,8 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         raise ValueError("steps, batch_size, eval_every must be positive")
     if k < 1:
         raise ValueError("k must be positive")
+    if entry.jackknife and k < 2:
+        raise ValueError(f"{mode} is a jackknife estimator and needs k >= 2")
     eval_k = k if eval_k is None else eval_k
 
     p = fam.init_params(seed) if init_params is None else init_params
@@ -123,7 +122,6 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     theta_idx = p.theta_indices
     trace_phi = VarianceTraceEma(trace_decay)
     trace_theta = VarianceTraceEma(trace_decay)
-    descent_phi = mode in DESCENT_IDS
 
     # held-out set: one fixed binarization, one fixed noise block
     u = stream_rng(seed, Streams.EVAL_NOISE, _EVAL_BINARIZE_DRAW)
@@ -157,7 +155,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
                 ctx = fam.weight_context(p, xb, eps)
                 phi_mean = phi_rows(mode, ctx, alpha).mean(axis=0)
                 theta_mean = theta_rows(mode, ctx).mean(axis=0)
-                objective = _batch_objective(mode, ctx.lw)
+                objective = _batch_objective(entry.jackknife, ctx.lw)
             if not (np.isfinite(phi_mean).all()
                     and np.isfinite(theta_mean).all()
                     and math.isfinite(objective)):
@@ -173,7 +171,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         if step == steps:
             break
         grad = np.zeros(p.size)
-        grad[phi_idx] = phi_mean if descent_phi else -phi_mean
+        grad[phi_idx] = phi_mean if entry.descent else -phi_mean
         grad[theta_idx] = -theta_mean
         p = p.with_flat(opt.update(p.flat, grad))
         step += 1

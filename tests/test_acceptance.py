@@ -22,18 +22,11 @@ from dreglab.diagnostics import (
     t_test_from_moments,
 )
 from dreglab.estimators import (
-    SURROGATE_KINDS,
-    dreg_alpha_phi_grad,
+    DESCENT_IDS,
+    ESTIMATOR_IDS,
     iwae_bound,
-    iwae_grad_dreg,
-    iwae_grad_standard,
-    iwae_grad_stl,
     jvi1_estimate,
     phi_rows,
-    rws_dreg_phi_grad,
-    rws_theta_grad,
-    rws_wake_phi_grad,
-    surrogate_gradient_split,
     surrogate_loss,
     theta_rows,
 )
@@ -188,26 +181,16 @@ def test_criterion_3_exact_identities():
     checks.append("theta rws==iwae")
 
     # surrogate backward pass against the direct vectorized estimators,
-    # disjoint parameter layout
+    # disjoint parameter layout, every id (descent ids flip their sign)
     nb = noise_batch(2, Streams.MEASURE, 1, k=5, d=3)
-    std_theta = iwae_grad_standard(fam, p, x, nb).theta_grad
-    direct = [
-        ("iwae", iwae_grad_standard(fam, p, x, nb).phi_grad, std_theta, None),
-        ("stl", iwae_grad_stl(fam, p, x, nb).phi_grad, std_theta, None),
-        ("dreg-iwae", iwae_grad_dreg(fam, p, x, nb).phi_grad, std_theta, None),
-        ("rws", -rws_wake_phi_grad(fam, p, x, nb).phi_grad,
-         rws_theta_grad(fam, p, x, nb).theta_grad, None),
-        ("dreg-rws", -rws_dreg_phi_grad(fam, p, x, nb).phi_grad, std_theta, None),
-        ("dreg-alpha", dreg_alpha_phi_grad(0.3, fam, p, x, nb).phi_grad, std_theta, 0.3),
-    ]
-    assert sorted(kind for kind, *_ in direct) == sorted(SURROGATE_KINDS)
-    for kind, want_phi, want_theta, alpha in direct:
-        phi, theta = surrogate_gradient_split(
-            surrogate_loss(kind, fam, p, x, nb, alpha=alpha), p
-        )
-        assert agree(phi, want_phi, tol), kind
-        assert agree(theta, want_theta, tol), kind
-    checks.append("surrogate backward == direct (6 kinds)")
+    ctx_nb = fam.weight_context(p, x, nb.eps)
+    for kind in ESTIMATOR_IDS:
+        alpha = 0.3 if kind == "dreg-alpha" else None
+        sign = -1.0 if kind in DESCENT_IDS else 1.0
+        flat = surrogate_loss(kind, fam, p, x, nb, alpha=alpha).gradient()
+        assert agree(flat[p.phi_indices], sign * phi_rows(kind, ctx_nb, alpha)[0], tol), kind
+        assert agree(flat[p.theta_indices], theta_rows(kind, ctx_nb)[0], tol), kind
+    checks.append("surrogate backward == direct (%d kinds)" % len(ESTIMATOR_IDS))
 
     # when the proposal equals the exact posterior, every per-sample
     # doubly reparameterized phi row vanishes
@@ -247,7 +230,7 @@ def test_criterion_4_oracle_checks():
     p = perturb_params(fam.init_params(rng.standard_normal(2)), 0.05, 21)
     x = p.view("theta") + rng.standard_normal(2)
     nb = noise_batch(21, Streams.MEASURE, 0, k=4, d=2)
-    for kind in SURROGATE_KINDS:
+    for kind in ESTIMATOR_IDS:
         alpha = 0.35 if kind == "dreg-alpha" else None
         grad = surrogate_loss(kind, fam, p, x, nb, alpha=alpha).gradient()
         for j in range(p.size):
@@ -289,9 +272,10 @@ def test_criterion_4_oracle_checks():
     assert abs(quad - exact) <= 1e-5 * (1.0 + abs(exact)), (quad, exact)
 
     print(
-        "criterion 4 PASS: finite differences (6 surrogate kinds, rel 1e-5), "
+        "criterion 4 PASS: finite differences (%d surrogate kinds, rel 1e-5), "
         "exchange identity under 151-node quadrature (abs 1e-6), "
-        "log marginal vs trapezoid quadrature (|diff| %.1e)" % abs(quad - exact)
+        "log marginal vs trapezoid quadrature (|diff| %.1e)"
+        % (len(ESTIMATOR_IDS), abs(quad - exact))
     )
 
 

@@ -201,6 +201,12 @@ class TestBiasTestCommand:
         assert main(["bias-test", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_jackknife_at_single_sample_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BIAS_SMOKE.replace("k = 8", "k = 1"))
+        assert main(["bias-test", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "jvi1-dreg" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_outputs_and_replay(self, tmp_path):
@@ -234,6 +240,14 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", out]) == 2
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
         assert os.path.exists(os.path.join(out, "train.csv"))
+
+    def test_jackknife_at_single_sample_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRAIN_SMOKE.replace("k = 4", "k = 1")
+                           + "estimator = jvi1\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert "jackknife" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path,

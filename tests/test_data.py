@@ -101,6 +101,12 @@ def test_dataset_validation():
         Dataset(images=np.array([[0.5]]), source_tag="t", split_id="holdout")
 
 
+def test_dataset_rejects_non_finite_intensities():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(images=np.array([[0.2, bad]]), source_tag="t")
+
+
 def test_binarize_endpoints():
     d = Dataset(images=np.array([[0.0, 1.0, 0.3]]), source_tag="t")
     for epoch in range(20):

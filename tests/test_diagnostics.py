@@ -8,18 +8,36 @@ from dreglab.diagnostics import (
     EXACT_T_CUTOFF,
     RunningMoments,
     VarianceTraceEma,
-    estimator_stats,
     loglog_slope,
-    paired_t_test,
     reference_mean,
-    variance_trace_ema,
+    stats_from_moments,
+    t_test_from_moments,
 )
 from dreglab.models import Toy, Vae, perturb_params
 
 
+def stats(rows, reference, k=None, estimator_id=None):
+    return stats_from_moments(RunningMoments.from_samples(rows), reference,
+                              k=k, estimator_id=estimator_id)
+
+
+def paired(a, b, coordinate=None):
+    """Paired t-test of a against b on their per-pair differences."""
+    diff = a - b
+    return t_test_from_moments(diff.mean(), diff.var(ddof=1), diff.size, coordinate)
+
+
+def fold(stream, decay):
+    """Final debiased trace of a whole gradient stream."""
+    ema = VarianceTraceEma(decay)
+    for g in stream:
+        ema.update(g)
+    return ema.value
+
+
 def test_stats_constant_samples():
     rows = np.full((5, 3), 2.0)
-    st = estimator_stats(rows, [1.5, 2.0, 2.5], k=8, estimator_id="iwae")
+    st = stats(rows, [1.5, 2.0, 2.5], k=8, estimator_id="iwae")
     assert np.array_equal(st.variance, np.zeros(3))
     assert not st.snr_defined.any()
     assert np.all(np.isnan(st.snr))
@@ -29,27 +47,27 @@ def test_stats_constant_samples():
 
 def test_stats_unit_snr():
     rows = np.random.default_rng(0).normal(1.0, 1.0, size=(100_000, 4))
-    st = estimator_stats(rows, np.ones(4))
+    st = stats(rows, np.ones(4))
     assert st.snr_defined.all()
     assert np.all(np.abs(st.snr - 1.0) < 0.05)
 
 
 def test_stats_zero_bias_at_own_mean():
     rows = np.random.default_rng(1).standard_normal((50, 2))
-    st = estimator_stats(rows, rows.mean(axis=0))
+    st = stats(rows, rows.mean(axis=0))
     assert np.allclose(st.bias_sq, 0.0, atol=1e-28)
 
 
 def test_stats_needs_two_samples():
     with pytest.raises(ValueError):
-        estimator_stats(np.ones((1, 3)), np.zeros(3))
+        stats(np.ones((1, 3)), np.zeros(3))
 
 
 def test_stats_permutation_invariant():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((500, 3))
-    a = estimator_stats(rows, np.zeros(3))
-    b = estimator_stats(rows[rng.permutation(500)], np.zeros(3))
+    a = stats(rows, np.zeros(3))
+    b = stats(rows[rng.permutation(500)], np.zeros(3))
     assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=1e-15)
     assert np.allclose(a.variance, b.variance, rtol=1e-12)
     assert np.allclose(a.snr, b.snr, rtol=1e-12)
@@ -57,8 +75,8 @@ def test_stats_permutation_invariant():
 
 def test_stats_halves_agree():
     rows = np.random.default_rng(3).standard_normal((20_000, 3))
-    a = estimator_stats(rows[:10_000], np.zeros(3))
-    b = estimator_stats(rows[10_000:], np.zeros(3))
+    a = stats(rows[:10_000], np.zeros(3))
+    b = stats(rows[10_000:], np.zeros(3))
     se = np.sqrt(a.variance / 10_000 + b.variance / 10_000)
     assert np.all(np.abs(a.mean - b.mean) < 5 * se)
 
@@ -76,24 +94,24 @@ def test_running_moments_merge_matches_whole():
 
 def test_paired_t_identical_inputs():
     a = np.random.default_rng(5).standard_normal(64)
-    res = paired_t_test(a, a.copy())
+    res = paired(a, a.copy())
     assert res.t_statistic == 0.0 and res.p_value == 1.0
 
 
 def test_paired_t_degenerate_offset():
-    res = paired_t_test(np.full(32, 2.5), np.full(32, 1.5))
+    res = paired(np.full(32, 2.5), np.full(32, 1.5))
     assert math.isinf(res.t_statistic) and res.t_statistic > 0
     assert res.p_value == 0.0
     # near-degenerate float differences still collapse to p ~ 0
     a = np.random.default_rng(6).standard_normal(32)
-    assert paired_t_test(a + 1.0, a).p_value == 0.0
+    assert paired(a + 1.0, a).p_value == 0.0
 
 
 def test_paired_t_matches_library_small_n():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(50)
     b = rng.standard_normal(50)
-    mine = paired_t_test(a, b, coordinate=3)
+    mine = paired(a, b, coordinate=3)
     ref = sps.ttest_rel(a, b)
     assert mine.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
     assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
@@ -105,7 +123,7 @@ def test_paired_t_normal_approx_large_n():
     n = 2 * EXACT_T_CUTOFF
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)
-    mine = paired_t_test(a, b)
+    mine = paired(a, b)
     ref = sps.ttest_rel(a, b)
     assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-4)
 
@@ -114,7 +132,7 @@ def test_paired_t_power_at_ten_se():
     rng = np.random.default_rng(9)
     n = 10_000
     b = rng.standard_normal(n)
-    res = paired_t_test(b + 0.1 + rng.standard_normal(n), b)
+    res = paired(b + 0.1 + rng.standard_normal(n), b)
     assert res.p_value < 1e-3
 
 
@@ -122,8 +140,8 @@ def test_paired_t_shift_invariance():
     rng = np.random.default_rng(10)
     a = rng.standard_normal(200)
     b = rng.standard_normal(200)
-    base = paired_t_test(a, b)
-    shifted = paired_t_test(a + 3.7, b + 3.7)
+    base = paired(a, b)
+    shifted = paired(a + 3.7, b + 3.7)
     assert shifted.t_statistic == pytest.approx(base.t_statistic, rel=1e-9)
 
 
@@ -133,7 +151,7 @@ def test_paired_t_null_calibration():
     for _ in range(300):
         a = rng.standard_normal(400)
         b = rng.standard_normal(400)
-        ps.append(paired_t_test(a, b).p_value)
+        ps.append(paired(a, b).p_value)
     assert sps.kstest(ps, "uniform").pvalue > 0.01
 
 
@@ -192,7 +210,7 @@ def test_trace_validation():
     with pytest.raises(ValueError):
         VarianceTraceEma(0.5).value
     with pytest.raises(ValueError):
-        variance_trace_ema(iter(()), 0.5)
+        fold(iter(()), 0.5)
 
 
 def test_trace_fold_matches_class():
@@ -202,7 +220,7 @@ def test_trace_fold_matches_class():
     last = None
     for r in rows:
         last = ema.update(r)
-    assert variance_trace_ema(iter(rows), 0.9) == last
+    assert fold(iter(rows), 0.9) == last
 
 
 def test_reference_mean_zero_at_posterior():

@@ -6,21 +6,10 @@ import pytest
 from dreglab.estimators import (
     DESCENT_IDS,
     ESTIMATOR_IDS,
-    GradEstimate,
-    decompose_total_derivative,
-    dreg_alpha_phi_grad,
-    iwae_grad_dreg,
-    iwae_grad_standard,
-    iwae_grad_stl,
-    jvi1_dreg_grad,
     jvi1_estimate,
-    jvi1_grad,
     log_weights,
     normalized_weights,
     phi_rows,
-    rws_dreg_phi_grad,
-    rws_theta_grad,
-    rws_wake_phi_grad,
     squared_normalized_weights,
     theta_rows,
 )
@@ -38,78 +27,83 @@ def toy_fixture(d=3, seed=9):
     return fam, p, x
 
 
+def one_draw(fam, p, x, nb, kind, alpha=None):
+    """(phi, theta) gradient of ``kind`` on the single draw ``nb``."""
+    ctx = fam.weight_context(p, x, nb.eps)
+    return phi_rows(kind, ctx, alpha)[0], theta_rows(kind, ctx)[0]
+
+
 def test_registry_contents():
     assert set(DESCENT_IDS) <= set(ESTIMATOR_IDS)
     assert len(ESTIMATOR_IDS) == 8
 
 
 def test_grad_estimate_validation():
-    ok = np.zeros(3)
+    fam, p, x = toy_fixture()
+    ctx = fam.weight_context(p, x, noise_batch(1, Streams.MEASURE, 9, k=4, d=3).eps)
     with pytest.raises(ValueError):
-        GradEstimate("nope", 4, ok, ok)
+        phi_rows("nope", ctx)
     with pytest.raises(ValueError):
-        GradEstimate("iwae", 4, ok, ok, alpha=0.5)
+        phi_rows("iwae", ctx, alpha=0.5)
     with pytest.raises(ValueError):
-        GradEstimate("dreg-alpha", 4, ok, ok)
+        phi_rows("dreg-alpha", ctx)
     with pytest.raises(ValueError):
-        GradEstimate("iwae", 4, np.array([np.nan]), ok)
-    GradEstimate("rws-wake", 4, None, ok)  # theta-only estimate is legal
+        phi_rows("iwae", fam.weight_context(p, [np.nan, 0.0, 0.0], ctx.eps))
+    theta_rows("rws-wake", ctx)  # theta rows take no alpha
 
 
 def test_k1_dreg_collapses_to_stl():
     fam, p, x = toy_fixture()
     nb = noise_batch(3, Streams.MEASURE, 0, k=1, d=3)
-    dreg = iwae_grad_dreg(fam, p, x, nb)
-    stl = iwae_grad_stl(fam, p, x, nb)
-    assert np.array_equal(dreg.phi_grad, stl.phi_grad)
-    assert np.array_equal(dreg.theta_grad, stl.theta_grad)
+    dreg = one_draw(fam, p, x, nb, "iwae-dreg")
+    stl = one_draw(fam, p, x, nb, "stl")
+    assert np.array_equal(dreg[0], stl[0])
+    assert np.array_equal(dreg[1], stl[1])
 
 
 def test_k1_rws_dreg_is_exact_zero():
     fam, p, x = toy_fixture()
     nb = noise_batch(4, Streams.MEASURE, 1, k=1, d=3)
-    est = rws_dreg_phi_grad(fam, p, x, nb)
-    assert np.array_equal(est.phi_grad, np.zeros_like(est.phi_grad))
+    phi, _ = one_draw(fam, p, x, nb, "rws-dreg")
+    assert np.array_equal(phi, np.zeros_like(phi))
 
 
 def test_alpha_family_endpoints():
     fam, p, x = toy_fixture()
     nb = noise_batch(5, Streams.MEASURE, 2, k=6, d=3)
-    at0 = dreg_alpha_phi_grad(0.0, fam, p, x, nb)
-    at1 = dreg_alpha_phi_grad(1.0, fam, p, x, nb)
-    assert np.array_equal(at0.phi_grad, iwae_grad_dreg(fam, p, x, nb).phi_grad)
-    assert np.array_equal(at1.phi_grad, -rws_dreg_phi_grad(fam, p, x, nb).phi_grad)
-    assert at0.alpha == 0.0 and at1.alpha == 1.0
+    at0, _ = one_draw(fam, p, x, nb, "dreg-alpha", alpha=0.0)
+    at1, _ = one_draw(fam, p, x, nb, "dreg-alpha", alpha=1.0)
+    assert np.array_equal(at0, one_draw(fam, p, x, nb, "iwae-dreg")[0])
+    assert np.array_equal(at1, -one_draw(fam, p, x, nb, "rws-dreg")[0])
 
 
 def test_alpha_half_is_half_the_stl_path():
     fam, p, x = toy_fixture()
     nb = noise_batch(6, Streams.MEASURE, 3, k=5, d=3)
-    half = dreg_alpha_phi_grad(0.5, fam, p, x, nb)
-    stl = iwae_grad_stl(fam, p, x, nb)
-    assert np.array_equal(half.phi_grad, 0.5 * stl.phi_grad)
+    half, _ = one_draw(fam, p, x, nb, "dreg-alpha", alpha=0.5)
+    stl, _ = one_draw(fam, p, x, nb, "stl")
+    assert np.array_equal(half, 0.5 * stl)
 
 
 def test_alpha_out_of_range_rejected():
     fam, p, x = toy_fixture()
     nb = noise_batch(6, Streams.MEASURE, 4, k=2, d=3)
     with pytest.raises(ValueError):
-        dreg_alpha_phi_grad(1.5, fam, p, x, nb)
+        one_draw(fam, p, x, nb, "dreg-alpha", alpha=1.5)
 
 
 def test_rws_theta_equals_iwae_theta():
     fam, p, x = toy_fixture()
     nb = noise_batch(7, Streams.MEASURE, 5, k=9, d=3)
-    wake = rws_theta_grad(fam, p, x, nb)
-    assert wake.phi_grad is None
-    assert np.array_equal(wake.theta_grad, iwae_grad_standard(fam, p, x, nb).theta_grad)
+    _, wake = one_draw(fam, p, x, nb, "rws-wake")
+    assert np.array_equal(wake, one_draw(fam, p, x, nb, "iwae")[1])
 
 
 def test_jvi_variants_share_theta():
     fam, p, x = toy_fixture()
     nb = noise_batch(8, Streams.MEASURE, 6, k=7, d=3)
     assert np.array_equal(
-        jvi1_grad(fam, p, x, nb).theta_grad, jvi1_dreg_grad(fam, p, x, nb).theta_grad
+        one_draw(fam, p, x, nb, "jvi1")[1], one_draw(fam, p, x, nb, "jvi1-dreg")[1]
     )
 
 
@@ -120,33 +114,27 @@ def test_path_only_estimators_vanish_at_posterior():
     x = [1.3, 0.0, -0.7]
     for draw in range(3):
         nb = noise_batch(11, Streams.MEASURE, draw, k=8, d=3)
-        for est in (
-            iwae_grad_stl(fam, p, x, nb),
-            iwae_grad_dreg(fam, p, x, nb),
-            rws_dreg_phi_grad(fam, p, x, nb),
-            dreg_alpha_phi_grad(0.3, fam, p, x, nb),
-            jvi1_dreg_grad(fam, p, x, nb),
-        ):
-            assert np.max(np.abs(est.phi_grad)) < 1e-12
+        for kind, alpha in (("stl", None), ("iwae-dreg", None), ("rws-dreg", None),
+                            ("dreg-alpha", 0.3), ("jvi1-dreg", None)):
+            phi, _ = one_draw(fam, p, x, nb, kind, alpha)
+            assert np.max(np.abs(phi)) < 1e-12
 
 
 def test_decompose_sums_to_standard_grad():
+    # per-sample split of the standard phi gradient on the tape route:
+    # score term -wt_i dlog q_i/dphi, path term the path contraction of
+    # wt_i alone
     fam, p, x = toy_fixture()
     nb = noise_batch(12, Streams.MEASURE, 7, k=6, d=3)
     lwb = log_weights(fam, p, x, nb)
-    score_terms, path_terms = decompose_total_derivative(lwb)
+    wt = normalized_weights(lwb.log_w)
+    score_terms = -(wt[:, None] * lwb.dlogq_dphi)
+    path_terms = np.array([lwb.path(wt * (np.arange(6) == i)) for i in range(6)])
     assert score_terms.shape == path_terms.shape == (6, p.phi_indices.size)
     total = score_terms.sum(axis=0) + path_terms.sum(axis=0)
     assert np.allclose(total, phi_rows("iwae", lwb), rtol=1e-12, atol=1e-12)
-    cross = iwae_grad_standard(fam, p, x, nb).phi_grad
+    cross, _ = one_draw(fam, p, x, nb, "iwae")
     assert np.allclose(total, cross, rtol=1e-9, atol=1e-11)
-
-
-def test_decompose_rejects_bulk_context():
-    fam, p, x = toy_fixture()
-    ctx = fam.weight_context(p, x, noise_batch(1, Streams.MEASURE, 8, k=3, d=3).eps)
-    with pytest.raises(TypeError):
-        decompose_total_derivative(ctx)
 
 
 def test_score_term_mean_zero_at_k1():
@@ -206,12 +194,12 @@ def test_common_noise_determinism():
     fam, p, x = toy_fixture()
     nb = noise_batch(21, Streams.MEASURE, 0, k=5, d=3)
     again = noise_batch(21, Streams.MEASURE, 0, k=5, d=3)
-    a = iwae_grad_dreg(fam, p, x, nb)
-    b = iwae_grad_dreg(fam, p, x, again)
-    assert np.array_equal(a.phi_grad, b.phi_grad)
-    assert np.array_equal(a.theta_grad, b.theta_grad)
-    other = iwae_grad_dreg(fam, p, x, noise_batch(21, Streams.MEASURE, 1, k=5, d=3))
-    assert not np.array_equal(a.phi_grad, other.phi_grad)
+    a = one_draw(fam, p, x, nb, "iwae-dreg")
+    b = one_draw(fam, p, x, again, "iwae-dreg")
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+    other = one_draw(fam, p, x, noise_batch(21, Streams.MEASURE, 1, k=5, d=3), "iwae-dreg")
+    assert not np.array_equal(a[0], other[0])
 
 
 def test_jvi_grad_matches_tape_backward():
@@ -228,9 +216,9 @@ def test_jvi_grad_matches_tape_backward():
         lws.append(fam.log_joint(lifted, x, z) - log_prob(q, z))
     grads = g.backward(jvi1_estimate(lws))
     flat = lifted.grad_vector(grads)
-    est = jvi1_grad(fam, p, x, nb)
-    assert np.allclose(flat[p.phi_indices], est.phi_grad, rtol=1e-9, atol=1e-11)
-    assert np.allclose(flat[p.theta_indices], est.theta_grad, rtol=1e-9, atol=1e-11)
+    phi, theta = one_draw(fam, p, x, nb, "jvi1")
+    assert np.allclose(flat[p.phi_indices], phi, rtol=1e-9, atol=1e-11)
+    assert np.allclose(flat[p.theta_indices], theta, rtol=1e-9, atol=1e-11)
 
 
 def test_one_context_normalizes_once_for_every_recipe(monkeypatch):

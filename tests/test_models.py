@@ -234,6 +234,18 @@ def test_checkpoint_bytes_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("cut", [3, 8])
+def test_truncated_checkpoint_is_named(tmp_path, cut):
+    fam, p, _ = toy_fixture(d=4)
+    path = tmp_path / "params.ckpt"
+    save_checkpoint(p, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-cut])
+    expected = 8 * p.size
+    with pytest.raises(ValueError, match=f"params.ckpt.*{expected} bytes, found {expected - cut}"):
+        load_checkpoint(path, fam.roles())
+
+
 def test_vae_dead_network_log_joint():
     fam = Vae(latent=3, hidden=4, obs=6)
     p = fam.init_params(seed=0)

@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from dreglab.estimators import (
-    dreg_alpha_phi_grad,
-    iwae_grad_dreg,
-    iwae_grad_standard,
-    iwae_grad_stl,
-    rws_dreg_phi_grad,
-    rws_theta_grad,
-    rws_wake_phi_grad,
-    surrogate_gradient_split,
+    DESCENT_IDS,
+    ESTIMATOR_IDS,
+    phi_rows,
     surrogate_loss,
-    SURROGATE_KINDS,
+    theta_rows,
 )
 from dreglab.gaussian import Streams, noise_batch
 from dreglab.models import Toy, Vae, perturb_params
@@ -40,17 +35,21 @@ def vae_fixture():
     return fam, p, x
 
 
+def split(loss, p):
+    """A flat surrogate gradient as its (phi, theta) parts."""
+    flat = loss.gradient()
+    return flat[p.phi_indices], flat[p.theta_indices]
+
+
 def direct_pairs(fam, p, x, nb):
-    """(surrogate kind, expected phi, expected theta) with signs resolved."""
-    std_theta = iwae_grad_standard(fam, p, x, nb).theta_grad
-    return [
-        ("iwae", iwae_grad_standard(fam, p, x, nb).phi_grad, std_theta, None),
-        ("stl", iwae_grad_stl(fam, p, x, nb).phi_grad, std_theta, None),
-        ("dreg-iwae", iwae_grad_dreg(fam, p, x, nb).phi_grad, std_theta, None),
-        ("rws", -rws_wake_phi_grad(fam, p, x, nb).phi_grad, rws_theta_grad(fam, p, x, nb).theta_grad, None),
-        ("dreg-rws", -rws_dreg_phi_grad(fam, p, x, nb).phi_grad, std_theta, None),
-        ("dreg-alpha", dreg_alpha_phi_grad(0.3, fam, p, x, nb).phi_grad, std_theta, 0.3),
-    ]
+    """(kind, expected phi, expected theta, alpha) with signs resolved."""
+    ctx = fam.weight_context(p, x, nb.eps)
+    out = []
+    for kind in ESTIMATOR_IDS:
+        alpha = 0.3 if kind == "dreg-alpha" else None
+        sign = -1.0 if kind in DESCENT_IDS else 1.0
+        out.append((kind, sign * phi_rows(kind, ctx, alpha)[0], theta_rows(kind, ctx)[0], alpha))
+    return out
 
 
 def test_kind_validation():
@@ -73,7 +72,7 @@ def test_toy_surrogates_match_direct_estimators():
     nb = noise_batch(2, Streams.MEASURE, 1, k=5, d=3)
     for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, nb):
         loss = surrogate_loss(kind, fam, p, x, nb, alpha=alpha)
-        phi, theta = surrogate_gradient_split(loss, p)
+        phi, theta = split(loss, p)
         assert agree(phi, want_phi, 1e-12), kind
         assert agree(theta, want_theta, 1e-12), kind
 
@@ -83,7 +82,7 @@ def test_vae_surrogates_match_direct_estimators():
     nb = noise_batch(3, Streams.MEASURE, 2, k=3, d=2)
     for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, nb):
         loss = surrogate_loss(kind, fam, p, x, nb, alpha=alpha)
-        phi, theta = surrogate_gradient_split(loss, p)
+        phi, theta = split(loss, p)
         assert agree(phi, want_phi, 1e-12), kind
         assert agree(theta, want_theta, 1e-12), kind
 
@@ -91,8 +90,8 @@ def test_vae_surrogates_match_direct_estimators():
 def test_alpha_half_is_half_the_stl_phi():
     fam, p, x = toy_fixture()
     nb = noise_batch(4, Streams.MEASURE, 3, k=4, d=3)
-    half, _ = surrogate_gradient_split(surrogate_loss("dreg-alpha", fam, p, x, nb, alpha=0.5), p)
-    stl, _ = surrogate_gradient_split(surrogate_loss("stl", fam, p, x, nb), p)
+    half, _ = split(surrogate_loss("dreg-alpha", fam, p, x, nb, alpha=0.5), p)
+    stl, _ = split(surrogate_loss("stl", fam, p, x, nb), p)
     assert agree(half, 0.5 * stl, 1e-12)
 
 
@@ -108,7 +107,7 @@ def test_iwae_and_stl_values_coincide():
 def test_base_point_freeze_is_the_default():
     fam, p, x = toy_fixture()
     nb = noise_batch(6, Streams.MEASURE, 5, k=3, d=3)
-    for kind in SURROGATE_KINDS:
+    for kind in ESTIMATOR_IDS:
         alpha = 0.4 if kind == "dreg-alpha" else None
         plain = surrogate_loss(kind, fam, p, x, nb, alpha=alpha)
         pinned = surrogate_loss(kind, fam, p, x, nb, alpha=alpha, stops_from=p)
@@ -130,7 +129,7 @@ def fd_gradient(kind, fam, base, x, nb, coords, alpha=None, step=1e-5):
     return out
 
 
-@pytest.mark.parametrize("kind", SURROGATE_KINDS)
+@pytest.mark.parametrize("kind", ESTIMATOR_IDS)
 def test_shared_parameter_gradients_match_finite_differences(kind):
     fam = Toy(2, shared=True)
     p = perturb_params(fam.init_params([0.7, -0.4]), 0.05, 11)
@@ -143,7 +142,7 @@ def test_shared_parameter_gradients_match_finite_differences(kind):
         assert grad[j] == pytest.approx(want, rel=1e-5, abs=1e-8), (kind, j)
 
 
-@pytest.mark.parametrize("kind", SURROGATE_KINDS)
+@pytest.mark.parametrize("kind", ESTIMATOR_IDS)
 def test_disjoint_gradients_match_finite_differences(kind):
     fam, p, x = toy_fixture()
     nb = noise_batch(8, Streams.MEASURE, 7, k=3, d=3)
@@ -157,7 +156,7 @@ def test_disjoint_gradients_match_finite_differences(kind):
 def test_vae_gradients_match_finite_differences():
     fam, p, x = vae_fixture()
     nb = noise_batch(9, Streams.MEASURE, 8, k=3, d=2)
-    for kind in ("iwae", "dreg-iwae"):
+    for kind in ("iwae", "iwae-dreg"):
         grad = surrogate_loss(kind, fam, p, x, nb).gradient()
         coords = np.random.default_rng(17).choice(p.size, size=5, replace=False)
         for j, want in fd_gradient(kind, fam, p, x, nb, coords).items():
@@ -167,6 +166,6 @@ def test_vae_gradients_match_finite_differences():
 def test_surrogate_gradient_deterministic():
     fam, p, x = toy_fixture()
     nb = noise_batch(10, Streams.MEASURE, 9, k=4, d=3)
-    a = surrogate_loss("dreg-iwae", fam, p, x, nb).gradient()
-    b = surrogate_loss("dreg-iwae", fam, p, x, nb).gradient()
+    a = surrogate_loss("iwae-dreg", fam, p, x, nb).gradient()
+    b = surrogate_loss("iwae-dreg", fam, p, x, nb).gradient()
     assert np.array_equal(a, b)

@@ -91,6 +91,13 @@ class TestTrainModel:
             train_model(fam, train, valid, "iwae", 4, steps=30,
                         batch_size=8, seed=5, alpha=0.3)
 
+    def test_jackknife_mode_needs_two_samples(self):
+        fam, train, valid = tiny_problem()
+        for mode in ("jvi1", "jvi1-dreg"):
+            with pytest.raises(ValueError, match="k >= 2"):
+                train_model(fam, train, valid, mode, 1, steps=10,
+                            batch_size=8, seed=5)
+
     def test_deterministic(self):
         fam, train, valid = tiny_problem()
         a = train_model(fam, train, valid, "iwae-dreg", 4, steps=80,
