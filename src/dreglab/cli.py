@@ -25,14 +25,14 @@ import numpy as np
 from . import __version__
 from .data import load_idx, split, synthetic_dataset
 from .diagnostics import (
-    RunningMoments,
     TTestResult,
+    fold_rows,
     reference_mean,
     stats_from_moments,
     t_test_from_moments,
 )
 from .estimators import ESTIMATOR_IDS, JACKKNIFE_IDS, phi_rows
-from .gaussian import Streams, noise_block, stream_rng
+from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
 from .training import train_model
 
@@ -189,7 +189,10 @@ def resolve_config(raw, experiment, seed=None, out=None):
     values = _defaults(experiment)
     for key, text in raw.items():
         if key == "code_version":
-            continue  # informational manifest entry
+            if text != __version__:
+                raise ConfigError(f"manifest is from code version {text}, "
+                                  f"this is {__version__}")
+            continue
         if key not in values:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _cast(key, text)
@@ -336,34 +339,26 @@ def _trial_point(cfg, fam, trial):
 
 
 def _measure_trial(cfg, fam, p, x, trial, k, estimators):
-    """Chunked phi-gradient moments per estimator, plus paired diffs.
+    """Folded phi-gradient moments per estimator, plus paired diffs.
 
     Every estimator reads the same noise chunk, so per-row differences
     against the standard recipe are common-random-number pairs.
     """
-    moments = {est: None for est in estimators}
-    diffs = {est: None for est in estimators if est != "iwae"}
-    done = 0
-    chunk = 0
-    while done < cfg.samples:
-        m = min(cfg.chunk_size, cfg.samples - done)
-        eps = noise_block(cfg.seed, Streams.MEASURE, (trial, k, chunk),
-                          (m, k, cfg.d))
-        ctx = fam.weight_context(p, x, eps)
+    def rows_of(ctx):
         base = phi_rows("iwae", ctx)
         for est in estimators:
-            rows = base if est == "iwae" else phi_rows(
-                est, ctx, _phi_alpha(cfg, est))
-            part = RunningMoments.from_samples(rows)
-            moments[est] = part if moments[est] is None \
-                else moments[est].merge(part)
-            if est != "iwae":
-                dpart = RunningMoments.from_samples(rows - base)
-                diffs[est] = dpart if diffs[est] is None \
-                    else diffs[est].merge(dpart)
-        done += m
-        chunk += 1
-    return moments, diffs
+            if est == "iwae":
+                yield est, base
+            else:
+                rows = phi_rows(est, ctx, _phi_alpha(cfg, est))
+                yield est, rows
+                yield (est, "diff"), rows - base
+
+    folded = fold_rows(fam, p, x, k, cfg.samples, rows_of, seed=cfg.seed,
+                       stream=Streams.MEASURE, draw_prefix=(trial, k),
+                       chunk_size=cfg.chunk_size)
+    return ({est: folded[est] for est in estimators},
+            {est: folded[est, "diff"] for est in estimators if est != "iwae"})
 
 
 def run_toy_snr(cfg):
@@ -429,15 +424,8 @@ def _bias_pairs(cfg, fam, p, x):
         needed.add(est)
         ref = REFERENCE_PAIR[est]
         needed.update(_MIX_PARTS if ref == "alpha-mix" else (ref,))
-    diffs = {est: None for est in cfg.estimators}
-    scales = {est: None for est in cfg.estimators}
-    done = 0
-    chunk = 0
-    while done < cfg.samples:
-        m = min(cfg.chunk_size, cfg.samples - done)
-        eps = noise_block(cfg.seed, Streams.MEASURE, (0, cfg.k, chunk),
-                          (m, cfg.k, cfg.d))
-        ctx = fam.weight_context(p, x, eps)
+
+    def rows_of(ctx):
         rows = {est: phi_rows(est, ctx, _phi_alpha(cfg, est))
                 for est in sorted(needed)}
         for est in cfg.estimators:
@@ -447,15 +435,14 @@ def _bias_pairs(cfg, fam, p, x):
                             - cfg.alpha * rows["rws-wake"])
             else:
                 ref_rows = rows[ref]
-            part = RunningMoments.from_samples(rows[est] - ref_rows)
-            diffs[est] = part if diffs[est] is None \
-                else diffs[est].merge(part)
-            spart = RunningMoments.from_samples(rows[est])
-            scales[est] = spart if scales[est] is None \
-                else scales[est].merge(spart)
-        done += m
-        chunk += 1
-    return diffs, scales
+            yield (est, "diff"), rows[est] - ref_rows
+            yield est, rows[est]
+
+    folded = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of, seed=cfg.seed,
+                       stream=Streams.MEASURE, draw_prefix=(0, cfg.k),
+                       chunk_size=cfg.chunk_size)
+    return ({est: folded[est, "diff"] for est in cfg.estimators},
+            {est: folded[est] for est in cfg.estimators})
 
 
 def run_bias_test(cfg):

@@ -114,16 +114,6 @@ def dynamic_binarize(d, seed, epoch):
     return (u < d.images).astype(np.float64)
 
 
-def _decoder_intensities(p, latent, hidden, obs, z):
-    w1 = p.view("dec_w1").reshape(hidden, latent)
-    w2 = p.view("dec_w2").reshape(hidden, hidden)
-    w3 = p.view("dec_w3").reshape(obs, hidden)
-    h1 = np.tanh(z @ w1.T + p.view("dec_b1"))
-    h2 = np.tanh(h1 @ w2.T + p.view("dec_b2"))
-    logits = h2 @ w3.T + p.view("dec_b3")
-    return 1.0 / (1.0 + np.exp(-logits))
-
-
 def synthetic_dataset(n, obs_dim, latent_dim, seed, hidden=20, weight_scale=2.0):
     """Intensity matrix sampled from a randomly initialized generator.
 
@@ -143,7 +133,7 @@ def synthetic_dataset(n, obs_dim, latent_dim, seed, hidden=20, weight_scale=2.0)
         flat[off : off + length] *= weight_scale
     p = p.with_flat(flat)
     z = stream_rng(seed, Streams.DATA, 0).standard_normal((n, latent_dim))
-    images = _decoder_intensities(p, latent_dim, hidden, obs_dim, z)
+    images = 1.0 / (1.0 + np.exp(-fam.decode(p, z)[2]))
     return Dataset(images=images, source_tag="synthetic")
 
 

@@ -1,7 +1,10 @@
 """Measurement statistics: moments, SNR, paired tests, slopes, EMA traces.
 
-Everything here is a pure fold over gradient samples.  Chunked or
-parallel producers accumulate RunningMoments and merge them; the merge
+Every bulk measurement is one pipeline: a noise key gives a chunk of
+noise, the chunk gives one weight context, the context gives estimator
+rows, and the rows fold into RunningMoments.  `fold_rows` is that
+pipeline, written once; the reference mean, the CLI experiments and the
+acceptance gate call it with their own keys and row streams.  The merge
 is deterministic, so a fixed chunk schedule gives bit-stable results.
 """
 
@@ -196,30 +199,47 @@ class ReferenceMean:
     k: int
 
 
+def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
+              draw_prefix=(), chunk_size):
+    """Moments of n draws of every named row stream, folded chunk by chunk.
+
+    Chunk c draws noise_block(seed, stream, (*draw_prefix, c), (m, k,
+    latent)), builds one weight context, and merges each (name, rows)
+    pair that ``rows_of(ctx)`` yields into that name's RunningMoments.
+    Every name in a chunk reads the same noise, so differences of rows
+    are common-random-number pairs.  Returns {name: RunningMoments}.
+    """
+    latent = model.latent if hasattr(model, "latent") else model.d
+    batched_x = hasattr(model, "obs")
+    moments = {}
+    done = 0
+    chunk = 0
+    while done < n:
+        m = min(chunk_size, n - done)
+        eps = noise_block(seed, stream, (*draw_prefix, chunk), (m, k, latent))
+        xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (m, model.obs)) if batched_x else x
+        for name, rows in rows_of(model.weight_context(params, xs, eps)):
+            part = RunningMoments.from_samples(rows)
+            moments[name] = part if name not in moments else moments[name].merge(part)
+        done += m
+        chunk += 1
+    return moments
+
+
 def reference_mean(model, params, x, k, n_ref, seed=0, chunk_size=16384,
                    draw_prefix=()):
     """Monte Carlo mean of the standard total-derivative phi gradient.
 
     The bias baseline: every estimator's bias is measured against this
-    vector.  Chunked with per-chunk noise keys, so the result for a
-    given (seed, n_ref, chunk_size) is bit-stable.  ``draw_prefix``
-    namespaces the chunk keys when several references share one seed.
+    vector.  Folded by `fold_rows` on the reference stream, so the
+    result for a given (seed, n_ref, chunk_size) is bit-stable.
+    ``draw_prefix`` namespaces the chunk keys when several references
+    share one seed.
     """
-    latent = model.latent if hasattr(model, "latent") else model.d
-    batched_x = hasattr(model, "obs")
-    moments = None
-    done = 0
-    chunk_index = 0
-    while done < n_ref:
-        m = min(chunk_size, n_ref - done)
-        eps = noise_block(seed, Streams.REFERENCE,
-                          (*draw_prefix, chunk_index), (m, k, latent))
-        xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (m, model.obs)) if batched_x else x
-        ctx = model.weight_context(params, xs, eps)
-        part = RunningMoments.from_samples(phi_rows("iwae", ctx))
-        moments = part if moments is None else moments.merge(part)
-        done += m
-        chunk_index += 1
+    moments = fold_rows(model, params, x, k, n_ref,
+                        lambda ctx: [("iwae", phi_rows("iwae", ctx))],
+                        seed=seed, stream=Streams.REFERENCE,
+                        draw_prefix=draw_prefix, chunk_size=chunk_size)["iwae"]
     return ReferenceMean(
         mean=moments.mean,
         stderr=np.sqrt(moments.variance / moments.n),

@@ -2,8 +2,10 @@
 
 Each surrogate is one TapeScalar built from K reparameterized samples,
 with the gradient-stopped quantities entering as plain numbers instead
-of tape nodes.  The estimator table in `gradients` supplies the
-coefficients, and three freeze channels carry its three terms:
+of tape nodes.  The noise eps is a plain (K, d) array, the same one a
+weight context takes for a single draw.  The estimator table in
+`gradients` supplies the coefficients, and three freeze channels carry
+its three terms:
 
   weight coefficients   c_path, c_score and c_theta, computed
                         numerically from the frozen log weights; a
@@ -40,7 +42,7 @@ direct phi rows and exactly the direct theta rows.
 
 import numpy as np
 
-from ..gaussian import DiagGaussian, NoiseBatch, log_prob, sample_reparam
+from ..gaussian import DiagGaussian, log_prob, sample_reparam
 from ..models.params import lift
 from ..tape import TapeGraph, tape_sum
 from .gradients import recipe
@@ -69,20 +71,19 @@ class SurrogateLoss:
 def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
     """Build the surrogate objective of estimator id ``kind`` on a fresh tape.
 
+    eps is the plain (K, d) noise array that weight contexts take.
     Returns a SurrogateLoss; its `.gradient()` is the estimator for all
     parameters at once.  Works for disjoint and shared role masks alike,
     which is the point: the freeze placements, not the role bookkeeping,
     decide where gradients flow.
     """
     r = recipe(kind, alpha)
-    if not isinstance(eps, NoiseBatch):
-        raise TypeError("eps must be a NoiseBatch")
     frozen = params if stops_from is None else stops_from
 
     # numeric side: everything a stop-gradient would hold constant
     q_star = model.inference(frozen, x)
-    k = eps.k
-    z_star = [sample_reparam(q_star, eps.eps[i]) for i in range(k)]
+    k = len(eps)
+    z_star = [sample_reparam(q_star, eps[i]) for i in range(k)]
     lw_star = np.array(
         [
             model.log_joint(frozen, x, z) - log_prob(q_star, z)
@@ -103,7 +104,7 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
 
     def path_term(i):
         # parameter channels frozen, the sample channel live
-        z = sample_reparam(q, eps.eps[i])
+        z = sample_reparam(q, eps[i])
         return sigma * (model.log_joint(frozen, x, z) - log_prob(q_frozen, z))
 
     def score_term(i):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..gaussian import NoiseBatch, log_prob, sample_reparam
+from ..gaussian import log_prob, sample_reparam
 from ..tape import TapeGraph, TapeScalar, log_sum_exp, stop_gradient, tape_sum
 from ..models.params import lift
 
@@ -194,7 +194,7 @@ class LogWeightBatch:
     Shapes: log_w (K,), dlogw_dz (K, d), dlogw_dtheta (K, P_theta),
     dlogq_dphi (K, P_phi) with z held fixed, jac_mean and jac_log_scale
     (d, P_phi) so that dz_i/dphi = jac_mean + (z_i - mean) * jac_log_scale
-    row-wise.  `noise` keeps the generating NoiseBatch.
+    row-wise.
 
     The contraction methods mirror the closed-form contexts (c has shape
     (K,), outputs are flat gradient vectors), so every estimator recipe
@@ -209,7 +209,6 @@ class LogWeightBatch:
     jac_log_scale: np.ndarray
     z: np.ndarray
     mean: np.ndarray
-    noise: NoiseBatch
 
     @property
     def lw(self):
@@ -239,14 +238,12 @@ def log_weights(model, params, x, eps):
     adjoints give dlog w_i/dz_i, theta leaves give dlog w_i/dtheta),
     from each z-stopped log q_i (phi leaves give the score partial), and
     from each encoder output (phi jacobians of mean and log-scale).
-    Requires disjoint roles; shared parameters go through the surrogate
-    route instead.
+    eps is the (K, d) noise array.  Requires disjoint roles; shared
+    parameters go through the surrogate route instead.
     """
     if params.has_shared:
         raise ValueError("per-sample partial extraction requires disjoint roles")
-    if not isinstance(eps, NoiseBatch):
-        raise TypeError("eps must be a NoiseBatch")
-    k, d = eps.k, eps.d
+    k, d = np.shape(eps)
     graph = TapeGraph()
     lp = lift(graph, params)
     q = model.inference(lp, x)
@@ -257,7 +254,7 @@ def log_weights(model, params, x, eps):
     lw_nodes = []
     lq_fixed_nodes = []
     for i in range(k):
-        z = sample_reparam(q, eps.eps[i])
+        z = sample_reparam(q, eps[i])
         z_nodes.append(z)
         lw_nodes.append(model.log_joint(lp, x, z) - log_prob(q, z))
         lq_fixed_nodes.append(log_prob(q, [stop_gradient(zj) for zj in z]))
@@ -292,5 +289,4 @@ def log_weights(model, params, x, eps):
         jac_log_scale=jac_log_scale,
         z=np.array([[zj.value for zj in z] for z in z_nodes]),
         mean=np.array([m.value for m in q.mean]),
-        noise=eps,
     )

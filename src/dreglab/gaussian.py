@@ -7,9 +7,11 @@ changes nothing about how densities are written.
 
 Randomness is counter-based.  Every consumer draws from a Philox stream
 keyed by a short integer tuple (seed, stream-id, counters...), so any
-noise batch is reproducible from its key alone, with no dependence on
+noise block is reproducible from its key alone, with no dependence on
 draw order.  Stream ids are centralized in `Streams` to keep purposes
-from colliding.
+from colliding.  Noise is always a plain float array: `noise_block`
+returns one of any shape, and every consumer (weight contexts, the tape
+route, surrogates) takes eps as such an array.
 """
 
 import math
@@ -45,30 +47,8 @@ def stream_rng(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(k) for k in key])))
 
 
-@dataclass(frozen=True)
-class NoiseBatch:
-    """K x d standard-normal draws plus the key that regenerates them."""
-
-    eps: np.ndarray
-    lineage: tuple
-
-    @property
-    def k(self):
-        return self.eps.shape[0]
-
-    @property
-    def d(self):
-        return self.eps.shape[1]
-
-
-def noise_batch(seed, stream, draw, k, d):
-    eps = stream_rng(seed, stream, draw).standard_normal((k, d))
-    eps.setflags(write=False)
-    return NoiseBatch(eps=eps, lineage=(seed, stream, draw))
-
-
 def noise_block(seed, stream, draw, shape):
-    """Bulk standard-normal block for vectorized measurement, same keying.
+    """Standard-normal array of ``shape`` keyed by (seed, stream, draw).
 
     ``draw`` may be an int or a tuple of ints (multi-level draw key).
     """

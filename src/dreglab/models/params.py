@@ -157,7 +157,10 @@ def load_checkpoint(path, roles):
     """Inverse of save_checkpoint; the caller supplies the role map."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    sep = blob.index(b"\n\n")
+    sep = blob.find(b"\n\n")
+    if sep < 0:
+        raise ValueError(f"{path}: checkpoint layout header has no "
+                         f"blank-line terminator")
     layout = {}
     for line in blob[:sep].decode("ascii").splitlines():
         name, off, length = line.split()

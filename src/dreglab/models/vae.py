@@ -9,7 +9,8 @@ route runs the layers element-by-element so parameters can be tape
 nodes; it is the reference for stop-gradient surrogates.  The closed
 form route (`weight_context`) is a batched numpy forward plus manual
 backprop closures used by training and bulk measurement; tests pin the
-two routes against each other and against finite differences.
+two routes against each other and against finite differences.  Its
+decoder forward, `Vae.decode`, is also what draws the synthetic dataset.
 
 Weight layout is row-major (out, in): W[j, k] multiplies input k into
 output j.  Initialization is uniform +-sqrt(6 / (fan_in + fan_out)) for
@@ -122,6 +123,13 @@ class Vae:
 
     # closed-form route --------------------------------------------------
 
+    def decode(self, p, z):
+        """Batched decoder forward: z (..., latent) to (h1, h2, logits)."""
+        h = self.hidden
+        h1 = np.tanh(z @ p.view("dec_w1").reshape(h, self.latent).T + p.view("dec_b1"))
+        h2 = np.tanh(h1 @ p.view("dec_w2").reshape(h, h).T + p.view("dec_b2"))
+        return h1, h2, h2 @ p.view("dec_w3").reshape(self.obs, h).T + p.view("dec_b3")
+
     def weight_context(self, p, x, eps):
         return VaeContext(self, p, x, eps)
 
@@ -190,11 +198,7 @@ class VaeContext:
         self.z = self.mean[:, None, :] + self.scale[:, None, :] * eps
 
         # decoder forward per (image, draw)
-        self.d_a1 = np.einsum("bkj,hj->bkh", self.z, w["dec_w1"]) + d["dec_b1"]
-        self.d_h1 = np.tanh(self.d_a1)
-        self.d_a2 = np.einsum("bkh,gh->bkg", self.d_h1, w["dec_w2"]) + d["dec_b2"]
-        self.d_h2 = np.tanh(self.d_a2)
-        self.logits = np.einsum("bkg,og->bko", self.d_h2, w["dec_w3"]) + d["dec_b3"]
+        self.d_h1, self.d_h2, self.logits = family.decode(p, self.z)
 
         log_px_z = np.sum(
             x[:, None, :] * self.logits - _softplus(self.logits), axis=2
@@ -206,7 +210,6 @@ class VaeContext:
         )
         self.lw = log_pz + log_px_z - log_q
         self._w = w
-        self._d = d
 
     @property
     def n(self):

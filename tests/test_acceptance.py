@@ -16,11 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from dreglab.cli import main, parse_config_text
 from dreglab.data import synthetic_dataset, split
-from dreglab.diagnostics import (
-    RunningMoments,
-    loglog_slope,
-    t_test_from_moments,
-)
+from dreglab.diagnostics import fold_rows, loglog_slope, t_test_from_moments
 from dreglab.estimators import (
     DESCENT_IDS,
     ESTIMATOR_IDS,
@@ -30,7 +26,7 @@ from dreglab.estimators import (
     surrogate_loss,
     theta_rows,
 )
-from dreglab.gaussian import Streams, noise_batch, noise_block, stream_rng
+from dreglab.gaussian import Streams, noise_block, stream_rng
 from dreglab.models import Toy, Vae, perturb_params
 from dreglab.models.toy import toy_log_joint, toy_log_marginal
 from dreglab.training import train_model
@@ -51,22 +47,6 @@ def toy_trial_point(seed, d, sigma=0.1):
     return fam, p, x
 
 
-def chunked_phi_moments(fam, p, x, seed, k, n, estimators, chunk):
-    """Per-estimator RunningMoments of phi rows over n common-noise draws."""
-    mom = {est: None for est in estimators}
-    done, ci = 0, 0
-    while done < n:
-        m = min(chunk, n - done)
-        eps = noise_block(seed, Streams.MEASURE, (0, k, ci), (m, k, fam.d))
-        ctx = fam.weight_context(p, x, eps)
-        for est in estimators:
-            part = RunningMoments.from_samples(phi_rows(est, ctx))
-            mom[est] = part if mom[est] is None else mom[est].merge(part)
-        done += m
-        ci += 1
-    return mom
-
-
 # --------------------------------------------------------------------
 # criterion 1: K-scaling of phi-gradient SNR and variance on the toy
 # --------------------------------------------------------------------
@@ -82,7 +62,9 @@ def test_criterion_1_snr_and_variance_scaling():
     var_pts = []
     for k, n in ns.items():
         chunk = max(1024, int(4.2e6 / (k * d)))  # cap per-chunk noise at ~34 MB
-        mom = chunked_phi_moments(fam, p, x, seed, k, n, ("iwae", "iwae-dreg"), chunk)
+        mom = fold_rows(fam, p, x, k, n,
+                        lambda ctx: [(est, phi_rows(est, ctx)) for est in ("iwae", "iwae-dreg")],
+                        seed=seed, stream=Streams.MEASURE, draw_prefix=(0, k), chunk_size=chunk)
         for est, mo in mom.items():
             snr = np.abs(mo.mean) / np.sqrt(mo.variance)
             snr_pts[est].append((k, float(np.median(snr))))
@@ -115,20 +97,14 @@ def test_criterion_2_unbiasedness_battery():
     fam, p, x = toy_trial_point(seed, d)
     null_pairs = [("iwae-dreg", "iwae"), ("rws-dreg", "rws-wake"), ("jvi1-dreg", "jvi1")]
     biased_pair = ("stl", "iwae")
+    pairs = null_pairs + [biased_pair]
 
-    diff_mom = {pair: None for pair in null_pairs + [biased_pair]}
-    done, ci = 0, 0
-    while done < n:
-        m = min(chunk, n - done)
-        eps = noise_block(seed, Streams.MEASURE, (0, k, ci), (m, k, d))
-        ctx = fam.weight_context(p, x, eps)
-        rows = {est: phi_rows(est, ctx) for est in
-                {e for pair in diff_mom for e in pair}}
-        for pair in diff_mom:
-            part = RunningMoments.from_samples(rows[pair[0]] - rows[pair[1]])
-            diff_mom[pair] = part if diff_mom[pair] is None else diff_mom[pair].merge(part)
-        done += m
-        ci += 1
+    def pair_diffs(ctx):
+        rows = {est: phi_rows(est, ctx) for est in {e for pair in pairs for e in pair}}
+        return [(pair, rows[pair[0]] - rows[pair[1]]) for pair in pairs]
+
+    diff_mom = fold_rows(fam, p, x, k, n, pair_diffs, seed=seed, stream=Streams.MEASURE,
+                         draw_prefix=(0, k), chunk_size=chunk)
 
     def min_p(mom):
         return min(
@@ -182,14 +158,14 @@ def test_criterion_3_exact_identities():
 
     # surrogate backward pass against the direct vectorized estimators,
     # disjoint parameter layout, every id (descent ids flip their sign)
-    nb = noise_batch(2, Streams.MEASURE, 1, k=5, d=3)
-    ctx_nb = fam.weight_context(p, x, nb.eps)
+    draw = noise_block(2, Streams.MEASURE, 1, (5, 3))
+    ctx5 = fam.weight_context(p, x, draw)
     for kind in ESTIMATOR_IDS:
         alpha = 0.3 if kind == "dreg-alpha" else None
         sign = -1.0 if kind in DESCENT_IDS else 1.0
-        flat = surrogate_loss(kind, fam, p, x, nb, alpha=alpha).gradient()
-        assert agree(flat[p.phi_indices], sign * phi_rows(kind, ctx_nb, alpha)[0], tol), kind
-        assert agree(flat[p.theta_indices], theta_rows(kind, ctx_nb)[0], tol), kind
+        flat = surrogate_loss(kind, fam, p, x, draw, alpha=alpha).gradient()
+        assert agree(flat[p.phi_indices], sign * phi_rows(kind, ctx5, alpha)[0], tol), kind
+        assert agree(flat[p.theta_indices], theta_rows(kind, ctx5)[0], tol), kind
     checks.append("surrogate backward == direct (%d kinds)" % len(ESTIMATOR_IDS))
 
     # when the proposal equals the exact posterior, every per-sample
@@ -211,13 +187,13 @@ def test_criterion_3_exact_identities():
 # --------------------------------------------------------------------
 
 
-def _fd_value(kind, fam, base, x, nb, j, alpha, step=1e-5):
+def _fd_value(kind, fam, base, x, eps, j, alpha, step=1e-5):
     probes = []
     for sign in (1.0, -1.0):
         flat = base.flat.copy()
         flat[j] += sign * step
         probes.append(
-            surrogate_loss(kind, fam, base.with_flat(flat), x, nb,
+            surrogate_loss(kind, fam, base.with_flat(flat), x, eps,
                            alpha=alpha, stops_from=base).value
         )
     return (probes[0] - probes[1]) / (2.0 * step)
@@ -229,12 +205,12 @@ def test_criterion_4_oracle_checks():
     rng = np.random.default_rng(21)
     p = perturb_params(fam.init_params(rng.standard_normal(2)), 0.05, 21)
     x = p.view("theta") + rng.standard_normal(2)
-    nb = noise_batch(21, Streams.MEASURE, 0, k=4, d=2)
+    eps = noise_block(21, Streams.MEASURE, 0, (4, 2))
     for kind in ESTIMATOR_IDS:
         alpha = 0.35 if kind == "dreg-alpha" else None
-        grad = surrogate_loss(kind, fam, p, x, nb, alpha=alpha).gradient()
+        grad = surrogate_loss(kind, fam, p, x, eps, alpha=alpha).gradient()
         for j in range(p.size):
-            want = _fd_value(kind, fam, p, x, nb, j, alpha)
+            want = _fd_value(kind, fam, p, x, eps, j, alpha)
             assert abs(grad[j] - want) <= 1e-5 * (1.0 + abs(want)), (kind, j)
 
     # (b) score/path exchange identity under Gauss-Hermite quadrature in d=1:

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from dreglab import __version__
 from dreglab.cli import (
     ConfigError,
     main,
@@ -114,6 +115,15 @@ class TestConfigParsing:
         for name in ("experiment", "seed", "k_grid", "trace_decay",
                      "code_version"):
             assert f"{name} = " in text
+
+    def test_replay_from_another_code_version_is_config_error(self, tmp_path, capsys):
+        assert f"code_version = {__version__}\n" in manifest_text(resolve_config({}, "toy-snr"))
+        old = write_config(tmp_path, TOY_SMOKE + "code_version = 9.9.9\n")
+        out = tmp_path / "o"
+        assert main(["toy-snr", "--config", old, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "9.9.9" in err and __version__ in err
+        assert not out.exists()
 
 
 class TestToySnrCommand:

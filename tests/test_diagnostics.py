@@ -8,11 +8,14 @@ from dreglab.diagnostics import (
     EXACT_T_CUTOFF,
     RunningMoments,
     VarianceTraceEma,
+    fold_rows,
     loglog_slope,
     reference_mean,
     stats_from_moments,
     t_test_from_moments,
 )
+from dreglab.estimators import phi_rows, theta_rows
+from dreglab.gaussian import Streams, noise_block
 from dreglab.models import Toy, Vae, perturb_params
 
 
@@ -276,3 +279,57 @@ def test_reference_mean_vae_batch_route():
     ref = reference_mean(fam, p, x, k=3, n_ref=64, seed=25, chunk_size=32)
     assert ref.mean.shape == ref.stderr.shape
     assert np.all(np.isfinite(ref.mean))
+
+
+def fold_fixture():
+    fam = Toy(3)
+    p = perturb_params(fam.init_params([0.1, -0.3, 0.5]), 0.05, 3)
+    return fam, p, [0.4, 0.0, -0.2]
+
+
+def phi_and_theta(ctx):
+    yield "phi", phi_rows("iwae-dreg", ctx)
+    yield "theta", theta_rows("iwae", ctx)
+
+
+def test_fold_rows_counts_a_ragged_tail():
+    fam, p, x = fold_fixture()
+    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=30,
+                       stream=Streams.MEASURE, draw_prefix=(2,), chunk_size=384)
+    assert {name: mom.n for name, mom in folded.items()} == {"phi": 1000, "theta": 1000}
+
+
+def test_fold_rows_reads_each_chunks_noise():
+    fam, p, x = fold_fixture()
+    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+    want = {}
+    for chunk, m in enumerate((384, 384, 232)):
+        eps = noise_block(31, Streams.MEASURE, (2, 4, chunk), (m, 4, 3))
+        for name, rows in phi_and_theta(fam.weight_context(p, x, eps)):
+            part = RunningMoments.from_samples(rows)
+            want[name] = want[name].merge(part) if name in want else part
+    assert folded.keys() == want.keys()
+    for name, mom in folded.items():
+        assert mom.n == want[name].n
+        assert np.array_equal(mom.mean, want[name].mean)
+        assert np.array_equal(mom.m2, want[name].m2)
+
+
+def test_fold_rows_draw_prefix_separates_streams():
+    fam, p, x = fold_fixture()
+    a, b = (fold_rows(fam, p, x, 4, 500, phi_and_theta, seed=32,
+                      stream=Streams.MEASURE, draw_prefix=prefix, chunk_size=256)
+            for prefix in ((0,), (1,)))
+    for name in ("phi", "theta"):
+        assert not np.array_equal(a[name].mean, b[name].mean)
+
+
+def test_fold_rows_bit_stable():
+    fam, p, x = fold_fixture()
+    a, b = (fold_rows(fam, p, x, 4, 700, phi_and_theta, seed=33,
+                      stream=Streams.REFERENCE, chunk_size=256)
+            for _ in range(2))
+    for name in ("phi", "theta"):
+        assert np.array_equal(a[name].mean, b[name].mean)
+        assert np.array_equal(a[name].m2, b[name].m2)

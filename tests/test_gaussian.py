@@ -5,10 +5,8 @@ import pytest
 
 from dreglab.gaussian import (
     DiagGaussian,
-    NoiseBatch,
     bernoulli_log_prob,
     log_prob,
-    noise_batch,
     noise_block,
     sample_reparam,
     stream_rng,
@@ -140,26 +138,20 @@ def test_bernoulli_gradient_matches_fd():
     assert finite_diff_check(build, [0.3, -2.0, 4.0], step=1e-5) < 1e-5
 
 
-def test_noise_batch_reproducible_from_lineage():
-    nb = noise_batch(12, 3, 44, k=8, d=5)
-    assert nb.lineage == (12, 3, 44)
-    nb2 = noise_batch(*nb.lineage, k=8, d=5)
-    assert np.array_equal(nb.eps, nb2.eps)
-    assert nb.k == 8 and nb.d == 5
+def test_noise_block_reproducible_from_key():
+    a = noise_block(12, 3, 44, (8, 5))
+    b = noise_block(12, 3, (44,), (8, 5))
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, stream_rng(12, 3, 44).standard_normal((8, 5)))
+    assert a.shape == (8, 5)
 
 
-def test_noise_batches_differ_across_keys():
-    a = noise_batch(12, 3, 44, k=4, d=2).eps
-    b = noise_batch(12, 3, 45, k=4, d=2).eps
-    c = noise_batch(13, 3, 44, k=4, d=2).eps
+def test_noise_blocks_differ_across_keys():
+    a = noise_block(12, 3, 44, (4, 2))
+    b = noise_block(12, 3, 45, (4, 2))
+    c = noise_block(13, 3, 44, (4, 2))
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_noise_batch_is_read_only():
-    nb = noise_batch(0, 0, 0, k=2, d=2)
-    with pytest.raises(ValueError):
-        nb.eps[0, 0] = 1.0
 
 
 def test_stream_rng_rejects_bad_keys():

@@ -13,7 +13,7 @@ from dreglab.estimators import (
     squared_normalized_weights,
     theta_rows,
 )
-from dreglab.gaussian import Streams, log_prob, noise_batch, noise_block, sample_reparam
+from dreglab.gaussian import Streams, log_prob, noise_block, sample_reparam
 from dreglab.models import Toy, lift, perturb_params
 from dreglab.tape import TapeGraph
 
@@ -27,9 +27,9 @@ def toy_fixture(d=3, seed=9):
     return fam, p, x
 
 
-def one_draw(fam, p, x, nb, kind, alpha=None):
-    """(phi, theta) gradient of ``kind`` on the single draw ``nb``."""
-    ctx = fam.weight_context(p, x, nb.eps)
+def one_draw(fam, p, x, eps, kind, alpha=None):
+    """(phi, theta) gradient of ``kind`` on the single draw ``eps``."""
+    ctx = fam.weight_context(p, x, eps)
     return phi_rows(kind, ctx, alpha)[0], theta_rows(kind, ctx)[0]
 
 
@@ -40,7 +40,7 @@ def test_registry_contents():
 
 def test_grad_estimate_validation():
     fam, p, x = toy_fixture()
-    ctx = fam.weight_context(p, x, noise_batch(1, Streams.MEASURE, 9, k=4, d=3).eps)
+    ctx = fam.weight_context(p, x, noise_block(1, Streams.MEASURE, 9, (4, 3)))
     with pytest.raises(ValueError):
         phi_rows("nope", ctx)
     with pytest.raises(ValueError):
@@ -54,56 +54,56 @@ def test_grad_estimate_validation():
 
 def test_k1_dreg_collapses_to_stl():
     fam, p, x = toy_fixture()
-    nb = noise_batch(3, Streams.MEASURE, 0, k=1, d=3)
-    dreg = one_draw(fam, p, x, nb, "iwae-dreg")
-    stl = one_draw(fam, p, x, nb, "stl")
+    eps = noise_block(3, Streams.MEASURE, 0, (1, 3))
+    dreg = one_draw(fam, p, x, eps, "iwae-dreg")
+    stl = one_draw(fam, p, x, eps, "stl")
     assert np.array_equal(dreg[0], stl[0])
     assert np.array_equal(dreg[1], stl[1])
 
 
 def test_k1_rws_dreg_is_exact_zero():
     fam, p, x = toy_fixture()
-    nb = noise_batch(4, Streams.MEASURE, 1, k=1, d=3)
-    phi, _ = one_draw(fam, p, x, nb, "rws-dreg")
+    eps = noise_block(4, Streams.MEASURE, 1, (1, 3))
+    phi, _ = one_draw(fam, p, x, eps, "rws-dreg")
     assert np.array_equal(phi, np.zeros_like(phi))
 
 
 def test_alpha_family_endpoints():
     fam, p, x = toy_fixture()
-    nb = noise_batch(5, Streams.MEASURE, 2, k=6, d=3)
-    at0, _ = one_draw(fam, p, x, nb, "dreg-alpha", alpha=0.0)
-    at1, _ = one_draw(fam, p, x, nb, "dreg-alpha", alpha=1.0)
-    assert np.array_equal(at0, one_draw(fam, p, x, nb, "iwae-dreg")[0])
-    assert np.array_equal(at1, -one_draw(fam, p, x, nb, "rws-dreg")[0])
+    eps = noise_block(5, Streams.MEASURE, 2, (6, 3))
+    at0, _ = one_draw(fam, p, x, eps, "dreg-alpha", alpha=0.0)
+    at1, _ = one_draw(fam, p, x, eps, "dreg-alpha", alpha=1.0)
+    assert np.array_equal(at0, one_draw(fam, p, x, eps, "iwae-dreg")[0])
+    assert np.array_equal(at1, -one_draw(fam, p, x, eps, "rws-dreg")[0])
 
 
 def test_alpha_half_is_half_the_stl_path():
     fam, p, x = toy_fixture()
-    nb = noise_batch(6, Streams.MEASURE, 3, k=5, d=3)
-    half, _ = one_draw(fam, p, x, nb, "dreg-alpha", alpha=0.5)
-    stl, _ = one_draw(fam, p, x, nb, "stl")
+    eps = noise_block(6, Streams.MEASURE, 3, (5, 3))
+    half, _ = one_draw(fam, p, x, eps, "dreg-alpha", alpha=0.5)
+    stl, _ = one_draw(fam, p, x, eps, "stl")
     assert np.array_equal(half, 0.5 * stl)
 
 
 def test_alpha_out_of_range_rejected():
     fam, p, x = toy_fixture()
-    nb = noise_batch(6, Streams.MEASURE, 4, k=2, d=3)
+    eps = noise_block(6, Streams.MEASURE, 4, (2, 3))
     with pytest.raises(ValueError):
-        one_draw(fam, p, x, nb, "dreg-alpha", alpha=1.5)
+        one_draw(fam, p, x, eps, "dreg-alpha", alpha=1.5)
 
 
 def test_rws_theta_equals_iwae_theta():
     fam, p, x = toy_fixture()
-    nb = noise_batch(7, Streams.MEASURE, 5, k=9, d=3)
-    _, wake = one_draw(fam, p, x, nb, "rws-wake")
-    assert np.array_equal(wake, one_draw(fam, p, x, nb, "iwae")[1])
+    eps = noise_block(7, Streams.MEASURE, 5, (9, 3))
+    _, wake = one_draw(fam, p, x, eps, "rws-wake")
+    assert np.array_equal(wake, one_draw(fam, p, x, eps, "iwae")[1])
 
 
 def test_jvi_variants_share_theta():
     fam, p, x = toy_fixture()
-    nb = noise_batch(8, Streams.MEASURE, 6, k=7, d=3)
+    eps = noise_block(8, Streams.MEASURE, 6, (7, 3))
     assert np.array_equal(
-        one_draw(fam, p, x, nb, "jvi1")[1], one_draw(fam, p, x, nb, "jvi1-dreg")[1]
+        one_draw(fam, p, x, eps, "jvi1")[1], one_draw(fam, p, x, eps, "jvi1-dreg")[1]
     )
 
 
@@ -113,10 +113,10 @@ def test_path_only_estimators_vanish_at_posterior():
     p = fam.init_params([0.4, -1.1, 0.2])
     x = [1.3, 0.0, -0.7]
     for draw in range(3):
-        nb = noise_batch(11, Streams.MEASURE, draw, k=8, d=3)
+        eps = noise_block(11, Streams.MEASURE, draw, (8, 3))
         for kind, alpha in (("stl", None), ("iwae-dreg", None), ("rws-dreg", None),
                             ("dreg-alpha", 0.3), ("jvi1-dreg", None)):
-            phi, _ = one_draw(fam, p, x, nb, kind, alpha)
+            phi, _ = one_draw(fam, p, x, eps, kind, alpha)
             assert np.max(np.abs(phi)) < 1e-12
 
 
@@ -125,15 +125,15 @@ def test_decompose_sums_to_standard_grad():
     # score term -wt_i dlog q_i/dphi, path term the path contraction of
     # wt_i alone
     fam, p, x = toy_fixture()
-    nb = noise_batch(12, Streams.MEASURE, 7, k=6, d=3)
-    lwb = log_weights(fam, p, x, nb)
+    eps = noise_block(12, Streams.MEASURE, 7, (6, 3))
+    lwb = log_weights(fam, p, x, eps)
     wt = normalized_weights(lwb.log_w)
     score_terms = -(wt[:, None] * lwb.dlogq_dphi)
     path_terms = np.array([lwb.path(wt * (np.arange(6) == i)) for i in range(6)])
     assert score_terms.shape == path_terms.shape == (6, p.phi_indices.size)
     total = score_terms.sum(axis=0) + path_terms.sum(axis=0)
     assert np.allclose(total, phi_rows("iwae", lwb), rtol=1e-12, atol=1e-12)
-    cross, _ = one_draw(fam, p, x, nb, "iwae")
+    cross, _ = one_draw(fam, p, x, eps, "iwae")
     assert np.allclose(total, cross, rtol=1e-9, atol=1e-11)
 
 
@@ -192,13 +192,13 @@ def test_dreg_variance_below_standard():
 
 def test_common_noise_determinism():
     fam, p, x = toy_fixture()
-    nb = noise_batch(21, Streams.MEASURE, 0, k=5, d=3)
-    again = noise_batch(21, Streams.MEASURE, 0, k=5, d=3)
-    a = one_draw(fam, p, x, nb, "iwae-dreg")
+    eps = noise_block(21, Streams.MEASURE, 0, (5, 3))
+    again = noise_block(21, Streams.MEASURE, 0, (5, 3))
+    a = one_draw(fam, p, x, eps, "iwae-dreg")
     b = one_draw(fam, p, x, again, "iwae-dreg")
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
-    other = one_draw(fam, p, x, noise_batch(21, Streams.MEASURE, 1, k=5, d=3), "iwae-dreg")
+    other = one_draw(fam, p, x, noise_block(21, Streams.MEASURE, 1, (5, 3)), "iwae-dreg")
     assert not np.array_equal(a[0], other[0])
 
 
@@ -206,17 +206,17 @@ def test_jvi_grad_matches_tape_backward():
     # total derivative of the jackknife combination, via the tape,
     # against the coefficient-contraction route
     fam, p, x = toy_fixture(d=2, seed=5)
-    nb = noise_batch(22, Streams.MEASURE, 0, k=4, d=2)
+    eps = noise_block(22, Streams.MEASURE, 0, (4, 2))
     g = TapeGraph()
     lifted = lift(g, p)
     q = fam.inference(lifted, x)
     lws = []
-    for i in range(nb.k):
-        z = sample_reparam(q, nb.eps[i])
+    for i in range(len(eps)):
+        z = sample_reparam(q, eps[i])
         lws.append(fam.log_joint(lifted, x, z) - log_prob(q, z))
     grads = g.backward(jvi1_estimate(lws))
     flat = lifted.grad_vector(grads)
-    phi, theta = one_draw(fam, p, x, nb, "jvi1")
+    phi, theta = one_draw(fam, p, x, eps, "jvi1")
     assert np.allclose(flat[p.phi_indices], phi, rtol=1e-9, atol=1e-11)
     assert np.allclose(flat[p.theta_indices], theta, rtol=1e-9, atol=1e-11)
 

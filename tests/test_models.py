@@ -246,6 +246,15 @@ def test_truncated_checkpoint_is_named(tmp_path, cut):
         load_checkpoint(path, fam.roles())
 
 
+def test_checkpoint_cut_inside_header_is_named(tmp_path):
+    fam, p, _ = toy_fixture(d=4)
+    path = tmp_path / "params.ckpt"
+    save_checkpoint(p, path)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match="params.ckpt.*layout header has no blank-line terminator"):
+        load_checkpoint(path, fam.roles())
+
+
 def test_vae_dead_network_log_joint():
     fam = Vae(latent=3, hidden=4, obs=6)
     p = fam.init_params(seed=0)

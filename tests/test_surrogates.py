@@ -8,7 +8,7 @@ from dreglab.estimators import (
     surrogate_loss,
     theta_rows,
 )
-from dreglab.gaussian import Streams, noise_batch
+from dreglab.gaussian import Streams, noise_block
 from dreglab.models import Toy, Vae, perturb_params
 
 
@@ -41,9 +41,9 @@ def split(loss, p):
     return flat[p.phi_indices], flat[p.theta_indices]
 
 
-def direct_pairs(fam, p, x, nb):
+def direct_pairs(fam, p, x, eps):
     """(kind, expected phi, expected theta, alpha) with signs resolved."""
-    ctx = fam.weight_context(p, x, nb.eps)
+    ctx = fam.weight_context(p, x, eps)
     out = []
     for kind in ESTIMATOR_IDS:
         alpha = 0.3 if kind == "dreg-alpha" else None
@@ -54,24 +54,22 @@ def direct_pairs(fam, p, x, nb):
 
 def test_kind_validation():
     fam, p, x = toy_fixture()
-    nb = noise_batch(1, Streams.MEASURE, 0, k=3, d=3)
+    eps = noise_block(1, Streams.MEASURE, 0, (3, 3))
     with pytest.raises(ValueError):
-        surrogate_loss("elbo", fam, p, x, nb)
+        surrogate_loss("elbo", fam, p, x, eps)
     with pytest.raises(ValueError):
-        surrogate_loss("dreg-alpha", fam, p, x, nb)
+        surrogate_loss("dreg-alpha", fam, p, x, eps)
     with pytest.raises(ValueError):
-        surrogate_loss("dreg-alpha", fam, p, x, nb, alpha=1.2)
+        surrogate_loss("dreg-alpha", fam, p, x, eps, alpha=1.2)
     with pytest.raises(ValueError):
-        surrogate_loss("iwae", fam, p, x, nb, alpha=0.5)
-    with pytest.raises(TypeError):
-        surrogate_loss("iwae", fam, p, x, nb.eps)
+        surrogate_loss("iwae", fam, p, x, eps, alpha=0.5)
 
 
 def test_toy_surrogates_match_direct_estimators():
     fam, p, x = toy_fixture()
-    nb = noise_batch(2, Streams.MEASURE, 1, k=5, d=3)
-    for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, nb):
-        loss = surrogate_loss(kind, fam, p, x, nb, alpha=alpha)
+    eps = noise_block(2, Streams.MEASURE, 1, (5, 3))
+    for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, eps):
+        loss = surrogate_loss(kind, fam, p, x, eps, alpha=alpha)
         phi, theta = split(loss, p)
         assert agree(phi, want_phi, 1e-12), kind
         assert agree(theta, want_theta, 1e-12), kind
@@ -79,9 +77,9 @@ def test_toy_surrogates_match_direct_estimators():
 
 def test_vae_surrogates_match_direct_estimators():
     fam, p, x = vae_fixture()
-    nb = noise_batch(3, Streams.MEASURE, 2, k=3, d=2)
-    for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, nb):
-        loss = surrogate_loss(kind, fam, p, x, nb, alpha=alpha)
+    eps = noise_block(3, Streams.MEASURE, 2, (3, 2))
+    for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, eps):
+        loss = surrogate_loss(kind, fam, p, x, eps, alpha=alpha)
         phi, theta = split(loss, p)
         assert agree(phi, want_phi, 1e-12), kind
         assert agree(theta, want_theta, 1e-12), kind
@@ -89,33 +87,33 @@ def test_vae_surrogates_match_direct_estimators():
 
 def test_alpha_half_is_half_the_stl_phi():
     fam, p, x = toy_fixture()
-    nb = noise_batch(4, Streams.MEASURE, 3, k=4, d=3)
-    half, _ = split(surrogate_loss("dreg-alpha", fam, p, x, nb, alpha=0.5), p)
-    stl, _ = split(surrogate_loss("stl", fam, p, x, nb), p)
+    eps = noise_block(4, Streams.MEASURE, 3, (4, 3))
+    half, _ = split(surrogate_loss("dreg-alpha", fam, p, x, eps, alpha=0.5), p)
+    stl, _ = split(surrogate_loss("stl", fam, p, x, eps), p)
     assert agree(half, 0.5 * stl, 1e-12)
 
 
 def test_iwae_and_stl_values_coincide():
     # the stopped q factors change gradients, never values
     fam, p, x = toy_fixture()
-    nb = noise_batch(5, Streams.MEASURE, 4, k=4, d=3)
-    a = surrogate_loss("iwae", fam, p, x, nb).value
-    b = surrogate_loss("stl", fam, p, x, nb).value
+    eps = noise_block(5, Streams.MEASURE, 4, (4, 3))
+    a = surrogate_loss("iwae", fam, p, x, eps).value
+    b = surrogate_loss("stl", fam, p, x, eps).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_base_point_freeze_is_the_default():
     fam, p, x = toy_fixture()
-    nb = noise_batch(6, Streams.MEASURE, 5, k=3, d=3)
+    eps = noise_block(6, Streams.MEASURE, 5, (3, 3))
     for kind in ESTIMATOR_IDS:
         alpha = 0.4 if kind == "dreg-alpha" else None
-        plain = surrogate_loss(kind, fam, p, x, nb, alpha=alpha)
-        pinned = surrogate_loss(kind, fam, p, x, nb, alpha=alpha, stops_from=p)
+        plain = surrogate_loss(kind, fam, p, x, eps, alpha=alpha)
+        pinned = surrogate_loss(kind, fam, p, x, eps, alpha=alpha, stops_from=p)
         assert plain.value == pinned.value
         assert np.array_equal(plain.gradient(), pinned.gradient())
 
 
-def fd_gradient(kind, fam, base, x, nb, coords, alpha=None, step=1e-5):
+def fd_gradient(kind, fam, base, x, eps, coords, alpha=None, step=1e-5):
     out = {}
     for j in coords:
         probes = []
@@ -123,7 +121,7 @@ def fd_gradient(kind, fam, base, x, nb, coords, alpha=None, step=1e-5):
             flat = base.flat.copy()
             flat[j] += sign * step
             probes.append(
-                surrogate_loss(kind, fam, base.with_flat(flat), x, nb, alpha=alpha, stops_from=base).value
+                surrogate_loss(kind, fam, base.with_flat(flat), x, eps, alpha=alpha, stops_from=base).value
             )
         out[j] = (probes[0] - probes[1]) / (2.0 * step)
     return out
@@ -134,38 +132,38 @@ def test_shared_parameter_gradients_match_finite_differences(kind):
     fam = Toy(2, shared=True)
     p = perturb_params(fam.init_params([0.7, -0.4]), 0.05, 11)
     x = [1.1, -0.3]
-    nb = noise_batch(7, Streams.MEASURE, 6, k=4, d=2)
+    eps = noise_block(7, Streams.MEASURE, 6, (4, 2))
     alpha = 0.25 if kind == "dreg-alpha" else None
-    grad = surrogate_loss(kind, fam, p, x, nb, alpha=alpha).gradient()
+    grad = surrogate_loss(kind, fam, p, x, eps, alpha=alpha).gradient()
     assert np.all(np.isfinite(grad))
-    for j, want in fd_gradient(kind, fam, p, x, nb, range(p.size), alpha=alpha).items():
+    for j, want in fd_gradient(kind, fam, p, x, eps, range(p.size), alpha=alpha).items():
         assert grad[j] == pytest.approx(want, rel=1e-5, abs=1e-8), (kind, j)
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_IDS)
 def test_disjoint_gradients_match_finite_differences(kind):
     fam, p, x = toy_fixture()
-    nb = noise_batch(8, Streams.MEASURE, 7, k=3, d=3)
+    eps = noise_block(8, Streams.MEASURE, 7, (3, 3))
     alpha = 0.6 if kind == "dreg-alpha" else None
-    grad = surrogate_loss(kind, fam, p, x, nb, alpha=alpha).gradient()
+    grad = surrogate_loss(kind, fam, p, x, eps, alpha=alpha).gradient()
     coords = np.random.default_rng(13).choice(p.size, size=6, replace=False)
-    for j, want in fd_gradient(kind, fam, p, x, nb, coords, alpha=alpha).items():
+    for j, want in fd_gradient(kind, fam, p, x, eps, coords, alpha=alpha).items():
         assert grad[j] == pytest.approx(want, rel=1e-5, abs=1e-8), (kind, j)
 
 
 def test_vae_gradients_match_finite_differences():
     fam, p, x = vae_fixture()
-    nb = noise_batch(9, Streams.MEASURE, 8, k=3, d=2)
+    eps = noise_block(9, Streams.MEASURE, 8, (3, 2))
     for kind in ("iwae", "iwae-dreg"):
-        grad = surrogate_loss(kind, fam, p, x, nb).gradient()
+        grad = surrogate_loss(kind, fam, p, x, eps).gradient()
         coords = np.random.default_rng(17).choice(p.size, size=5, replace=False)
-        for j, want in fd_gradient(kind, fam, p, x, nb, coords).items():
+        for j, want in fd_gradient(kind, fam, p, x, eps, coords).items():
             assert grad[j] == pytest.approx(want, rel=1e-4, abs=1e-8), (kind, j)
 
 
 def test_surrogate_gradient_deterministic():
     fam, p, x = toy_fixture()
-    nb = noise_batch(10, Streams.MEASURE, 9, k=4, d=3)
-    a = surrogate_loss("iwae-dreg", fam, p, x, nb).gradient()
-    b = surrogate_loss("iwae-dreg", fam, p, x, nb).gradient()
+    eps = noise_block(10, Streams.MEASURE, 9, (4, 3))
+    a = surrogate_loss("iwae-dreg", fam, p, x, eps).gradient()
+    b = surrogate_loss("iwae-dreg", fam, p, x, eps).gradient()
     assert np.array_equal(a, b)

@@ -12,7 +12,7 @@ from dreglab.estimators import (
     normalized_weights,
     squared_normalized_weights,
 )
-from dreglab.gaussian import Streams, noise_batch, noise_block
+from dreglab.gaussian import Streams, noise_block
 from dreglab.models import Toy, Vae, perturb_params
 from dreglab.tape import TapeGraph
 
@@ -175,9 +175,9 @@ def test_jvi_equal_weight_coefficients():
 
 def test_log_weights_matches_toy_context():
     fam, p, x = toy_fixture()
-    nb = noise_batch(4, Streams.MEASURE, 0, k=6, d=3)
-    lwb = log_weights(fam, p, x, nb)
-    ctx = fam.weight_context(p, x, nb.eps)
+    eps = noise_block(4, Streams.MEASURE, 0, (6, 3))
+    lwb = log_weights(fam, p, x, eps)
+    ctx = fam.weight_context(p, x, eps)
     assert np.allclose(lwb.log_w, ctx.lw[0], rtol=1e-12, atol=1e-12)
     rng = np.random.default_rng(2)
     for _ in range(3):
@@ -189,20 +189,20 @@ def test_log_weights_matches_toy_context():
 
 def test_log_weights_partial_fields_toy_closed_forms():
     fam, p, x = toy_fixture(d=2, seed=5)
-    nb = noise_batch(6, Streams.MEASURE, 1, k=4, d=2)
-    lwb = log_weights(fam, p, x, nb)
+    eps = noise_block(6, Streams.MEASURE, 1, (4, 2))
+    lwb = log_weights(fam, p, x, eps)
     theta = p.view("theta")
     qvar = fam.q_variance
     s = math.sqrt(qvar)
     a = p.view("a").reshape(2, 2)
     mean = a @ np.asarray(x) + p.view("b")
     for i in range(4):
-        z = mean + s * nb.eps[i]
+        z = mean + s * eps[i]
         assert np.allclose(lwb.z[i], z, atol=1e-12)
         g = (theta - z) + (np.asarray(x) - z) + (z - mean) / qvar
         assert np.allclose(lwb.dlogw_dz[i], g, rtol=1e-9, atol=1e-12)
         assert np.allclose(lwb.dlogw_dtheta[i], z - theta, rtol=1e-9, atol=1e-12)
-        score = np.concatenate([np.outer(nb.eps[i] / s, x).ravel(), nb.eps[i] / s])
+        score = np.concatenate([np.outer(eps[i] / s, x).ravel(), eps[i] / s])
         assert np.allclose(lwb.dlogq_dphi[i], score, rtol=1e-9, atol=1e-12)
 
 
@@ -211,9 +211,9 @@ def test_log_weights_matches_vae_context():
     p = perturb_params(fam.init_params(seed=2), 0.25, 7)
     rng = np.random.default_rng(3)
     x = (rng.random(5) < 0.5).astype(float)
-    nb = noise_batch(9, Streams.MEASURE, 2, k=4, d=2)
-    lwb = log_weights(fam, p, x, nb)
-    ctx = fam.weight_context(p, x, nb.eps)
+    eps = noise_block(9, Streams.MEASURE, 2, (4, 2))
+    lwb = log_weights(fam, p, x, eps)
+    ctx = fam.weight_context(p, x, eps)
     assert np.allclose(lwb.log_w, ctx.lw[0], rtol=1e-12, atol=1e-12)
     for _ in range(3):
         c = rng.standard_normal(4)
@@ -224,7 +224,7 @@ def test_log_weights_matches_vae_context():
 
 def test_log_weights_k1_weight_is_one():
     fam, p, x = toy_fixture()
-    lwb = log_weights(fam, p, x, noise_batch(1, Streams.MEASURE, 3, k=1, d=3))
+    lwb = log_weights(fam, p, x, noise_block(1, Streams.MEASURE, 3, (1, 3)))
     assert normalized_weights(lwb.log_w).tolist() == [1.0]
 
 
@@ -232,7 +232,7 @@ def test_log_weights_constant_at_exact_posterior():
     fam = Toy(2, q_variance=0.5)
     p = fam.init_params([0.3, -0.4])
     x = [1.0, 0.2]
-    lwb = log_weights(fam, p, x, noise_batch(2, Streams.MEASURE, 4, k=8, d=2))
+    lwb = log_weights(fam, p, x, noise_block(2, Streams.MEASURE, 4, (8, 2)))
     assert np.allclose(lwb.log_w, fam.log_marginal(p, x), atol=1e-10)
 
 
@@ -240,14 +240,14 @@ def test_log_weights_rejects_shared_roles():
     fam = Toy(2, shared=True)
     p = fam.init_params([0.1, 0.2])
     with pytest.raises(ValueError):
-        log_weights(fam, p, [0.0, 0.0], noise_batch(0, Streams.MEASURE, 5, k=2, d=2))
+        log_weights(fam, p, [0.0, 0.0], noise_block(0, Streams.MEASURE, 5, (2, 2)))
 
 
 def test_log_weights_deterministic():
     fam, p, x = toy_fixture()
-    nb = noise_batch(5, Streams.MEASURE, 6, k=3, d=3)
-    a = log_weights(fam, p, x, nb)
-    b = log_weights(fam, p, x, noise_batch(*nb.lineage, k=3, d=3))
+    eps = noise_block(5, Streams.MEASURE, 6, (3, 3))
+    a = log_weights(fam, p, x, eps)
+    b = log_weights(fam, p, x, noise_block(5, Streams.MEASURE, 6, (3, 3)))
     assert np.array_equal(a.log_w, b.log_w)
     assert np.array_equal(a.dlogw_dz, b.dlogw_dz)
     assert np.array_equal(a.dlogq_dphi, b.dlogq_dphi)
