@@ -106,7 +106,6 @@ _FLOAT_FIELDS = {
     "q_variance", "alpha", "param_sigma", "weight_scale", "lr",
     "beta1", "beta2", "adam_eps", "trace_decay",
 }
-_STR_FIELDS = {"experiment", "out", "model", "estimator", "data_source"}
 
 
 def _defaults(experiment):
@@ -511,7 +510,10 @@ def _load_training_data(cfg):
         if full.obs != cfg.obs:
             raise ConfigError(
                 f"dataset width {full.obs} does not match obs = {cfg.obs}")
-    return split(full, cfg.split_fractions, seed=cfg.seed)
+    try:
+        return split(full, cfg.split_fractions, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_train(cfg):

@@ -204,21 +204,19 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     """Moments of n draws of every named row stream, folded chunk by chunk.
 
     Chunk c draws noise_block(seed, stream, (*draw_prefix, c), (m, k,
-    latent)), builds one weight context, and merges each (name, rows)
+    model.latent)), builds one weight context on ``x`` (one observation,
+    which the context shares across the chunk), and merges each (name, rows)
     pair that ``rows_of(ctx)`` yields into that name's RunningMoments.
     Every name in a chunk reads the same noise, so differences of rows
     are common-random-number pairs.  Returns {name: RunningMoments}.
     """
-    latent = model.latent if hasattr(model, "latent") else model.d
-    batched_x = hasattr(model, "obs")
     moments = {}
     done = 0
     chunk = 0
     while done < n:
         m = min(chunk_size, n - done)
-        eps = noise_block(seed, stream, (*draw_prefix, chunk), (m, k, latent))
-        xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (m, model.obs)) if batched_x else x
-        for name, rows in rows_of(model.weight_context(params, xs, eps)):
+        eps = noise_block(seed, stream, (*draw_prefix, chunk), (m, k, model.latent))
+        for name, rows in rows_of(model.weight_context(params, x, eps)):
             part = RunningMoments.from_samples(rows)
             moments[name] = part if name not in moments else moments[name].merge(part)
         done += m

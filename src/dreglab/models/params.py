@@ -52,6 +52,11 @@ class ParamVector:
         off, length = self.layout[name]
         return self.flat[off : off + length]
 
+    @property
+    def nodes(self):
+        """{name: list of floats}, the numeric twin of `LiftedParams.nodes`."""
+        return {name: list(self.view(name)) for name in self.layout}
+
     def with_flat(self, new_flat):
         return ParamVector(np.array(new_flat, dtype=np.float64), self.layout, self.roles)
 

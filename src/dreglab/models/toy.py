@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gaussian import LOG_TWO_PI, DiagGaussian, gsum
+from ..gaussian import LOG_TWO_PI, DiagGaussian, gsquare, gsum
 from ..tape import TapeScalar
 from .params import build_params
 
@@ -56,6 +56,7 @@ class Toy:
         if q_variance <= 0:
             raise ValueError("q_variance must be positive")
         self.d = d
+        self.latent = d  # noise dimension per draw, as on Vae
         self.q_variance = float(q_variance)
         self.shared = bool(shared)
 
@@ -82,17 +83,8 @@ class Toy:
 
     def model_from(self, source):
         """Numeric ToyModel from a ParamVector, or lifted from LiftedParams."""
-        nodes = source.nodes if hasattr(source, "nodes") else None
+        nodes = source.nodes
         d = self.d
-        if nodes is None:
-            theta = list(source.view("theta"))
-            b = list(source.view("b"))
-            if self.shared:
-                a = [[theta[j] if j == k else 0.0 for k in range(d)] for j in range(d)]
-            else:
-                flat_a = list(source.view("a"))
-                a = [flat_a[j * d : (j + 1) * d] for j in range(d)]
-            return ToyModel(theta, a, b, self.q_variance)
         theta = nodes["theta"]
         b = nodes["b"]
         if self.shared:
@@ -150,13 +142,9 @@ def toy_log_joint(m, x, z):
     for j in range(d):
         prior = (z[j] - m.theta[j])
         lik = (float(x[j]) - z[j])
-        terms.append(-0.5 * LOG_TWO_PI - 0.5 * _square(prior))
-        terms.append(-0.5 * LOG_TWO_PI - 0.5 * _square(lik))
+        terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(prior))
+        terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(lik))
     return gsum(terms)
-
-
-def _square(u):
-    return u.square() if isinstance(u, TapeScalar) else u * u
 
 
 def toy_log_marginal(m, x):

@@ -259,6 +259,14 @@ class TestTrainCommand:
         assert "jackknife" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_split_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRAIN_SMOKE.replace("data_n = 96", "data_n = 10")
+                           + "split_fractions = 0.9, 0.04, 0.06\n")
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: empty split from fractions")
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path,
                            TRAIN_SMOKE + "data_source = /nope/x.idx\n")

@@ -14,7 +14,7 @@ from dreglab.estimators import (
     theta_rows,
 )
 from dreglab.gaussian import Streams, log_prob, noise_block, sample_reparam
-from dreglab.models import Toy, lift, perturb_params
+from dreglab.models import Toy, Vae, lift, perturb_params
 from dreglab.tape import TapeGraph
 
 
@@ -24,6 +24,13 @@ def toy_fixture(d=3, seed=9):
     theta = rng.standard_normal(d)
     p = perturb_params(fam.init_params(theta), 0.01, seed)
     x = p.view("theta") + rng.standard_normal(d) * 1.4
+    return fam, p, x
+
+
+def vae_fixture():
+    fam = Vae(latent=2, hidden=3, obs=5)
+    p = perturb_params(fam.init_params(seed=2), 0.25, 7)
+    x = (np.random.default_rng(4).random((5, 5)) < 0.5).astype(float)
     return fam, p, x
 
 
@@ -223,8 +230,9 @@ def test_jvi_grad_matches_tape_backward():
 
 def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
     from dreglab.estimators import weights
+    from dreglab.models import vae
 
-    calls = {"normalized_log_weights": 0, "jvi1_coefficients": 0}
+    calls = {}
 
     def counting(name):
         original = getattr(weights, name)
@@ -235,16 +243,26 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
 
         return counted
 
-    for name in calls:
+    for name in ("normalized_log_weights", "jvi1_coefficients"):
         monkeypatch.setattr(weights, name, counting(name))
-    fam, p, x = toy_fixture()
-    eps = noise_block(13, Streams.MEASURE, 8, (5, 8, 3))
-    ctx = fam.weight_context(p, x, eps)
+    backward = vae._backward
+
+    def counted_backward(layers, h1, h2, seed):
+        calls["decoder_backward"] += seed.ndim == 3  # only decoder seeds carry a K axis
+        return backward(layers, h1, h2, seed)
+
+    monkeypatch.setattr(vae, "_backward", counted_backward)
     alphas = {kind: 0.3 if kind == "dreg-alpha" else None for kind in ESTIMATOR_IDS}
-    rows = {kind: (phi_rows(kind, ctx, alpha=alphas[kind]), theta_rows(kind, ctx))
-            for kind in ESTIMATOR_IDS}
-    assert calls == {"normalized_log_weights": 1, "jvi1_coefficients": 1}
-    # the shared weights change no bit: each recipe alone on a fresh context
-    for kind, (phi, theta) in rows.items():
-        assert np.array_equal(phi, phi_rows(kind, fam.weight_context(p, x, eps), alpha=alphas[kind]))
-        assert np.array_equal(theta, theta_rows(kind, fam.weight_context(p, x, eps)))
+    for (fam, p, x), decoder_backward in ((toy_fixture(), 0), (vae_fixture(), 1)):
+        calls.update(normalized_log_weights=0, jvi1_coefficients=0, decoder_backward=0)
+        eps = noise_block(13, Streams.MEASURE, 8, (5, 8, fam.latent))
+        ctx = fam.weight_context(p, x, eps)
+        rows = {kind: (phi_rows(kind, ctx, alpha=alphas[kind]), theta_rows(kind, ctx))
+                for kind in ESTIMATOR_IDS}
+        assert calls == {"normalized_log_weights": 1, "jvi1_coefficients": 1,
+                         "decoder_backward": decoder_backward}
+        # the shared weights and the cached decoder pullback change no bit,
+        # and no recipe's c leaks into them: each recipe alone on a fresh context
+        for kind, (phi, theta) in rows.items():
+            assert np.array_equal(phi, phi_rows(kind, fam.weight_context(p, x, eps), alpha=alphas[kind]))
+            assert np.array_equal(theta, theta_rows(kind, fam.weight_context(p, x, eps)))

@@ -207,19 +207,24 @@ def test_log_weights_partial_fields_toy_closed_forms():
 
 
 def test_log_weights_matches_vae_context():
+    # each image of the batch has its own x and eps, and its rows must
+    # match its own tape batch: the contractions sum over K, never over B
     fam = Vae(latent=2, hidden=3, obs=5)
     p = perturb_params(fam.init_params(seed=2), 0.25, 7)
     rng = np.random.default_rng(3)
-    x = (rng.random(5) < 0.5).astype(float)
-    eps = noise_block(9, Streams.MEASURE, 2, (4, 2))
-    lwb = log_weights(fam, p, x, eps)
+    x = (rng.random((3, 5)) < 0.5).astype(float)
+    eps = noise_block(9, Streams.MEASURE, 2, (3, 4, 2))
     ctx = fam.weight_context(p, x, eps)
-    assert np.allclose(lwb.log_w, ctx.lw[0], rtol=1e-12, atol=1e-12)
+    lwbs = [log_weights(fam, p, x[b], eps[b]) for b in range(3)]
+    for b, lwb in enumerate(lwbs):
+        assert np.allclose(lwb.log_w, ctx.lw[b], rtol=1e-12, atol=1e-12)
     for _ in range(3):
-        c = rng.standard_normal(4)
-        assert np.allclose(lwb.path(c), ctx.path(c[None, :])[0], rtol=1e-9, atol=1e-11)
-        assert np.allclose(lwb.score(c), ctx.score(c[None, :])[0], rtol=1e-9, atol=1e-11)
-        assert np.allclose(lwb.theta(c), ctx.theta(c[None, :])[0], rtol=1e-9, atol=1e-11)
+        c = rng.standard_normal((3, 4))
+        path, score, theta = ctx.path(c), ctx.score(c), ctx.theta(c)
+        for b, lwb in enumerate(lwbs):
+            assert np.allclose(lwb.path(c[b]), path[b], rtol=1e-9, atol=1e-11)
+            assert np.allclose(lwb.score(c[b]), score[b], rtol=1e-9, atol=1e-11)
+            assert np.allclose(lwb.theta(c[b]), theta[b], rtol=1e-9, atol=1e-11)
 
 
 def test_log_weights_k1_weight_is_one():
