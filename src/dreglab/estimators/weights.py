@@ -11,6 +11,12 @@ subtracted; squared normalized weights are exp(2 (log w - log sum w)).
 Raw weights are never exponentiated on their own.  `ChunkWeights` holds
 these kernels for one context so that every estimator recipe run on it
 shares one normalization and one set of jackknife coefficients.
+
+The jackknife coefficients are a closed form in log wt, wt and wt^2.
+Off a row's argmax wt_i <= 1/2, so each leave-one-out ratio
+W / T_i = 1 / (1 - wt_i) (W the total weight, T_i the total without
+sample i) lies in [1, 2] and is exact from wt; only the argmax's
+complement sum T_t can be tiny, and it alone is taken in log space.
 """
 
 import math
@@ -102,6 +108,7 @@ def jvi1_estimate(lw):
     k = lw.shape[-1]
     if k < 2:
         raise ValueError("jackknife needs K >= 2")
+    _check_jackknife(np.partition(lw, -2, axis=-1)[..., -2])
     full = iwae_bound(lw)
     loo = loo_logsumexp(lw) - math.log(k - 1)
     out = k * full - (k - 1) / k * np.sum(loo, axis=-1)
@@ -126,27 +133,60 @@ def jvi1_coefficients(lw):
     c contracts total derivatives (the linear combination applied to the
     standard per-term gradients); c2 contracts the path term only (the
     same combination with each term's squared-weight substitution).
-    With T_i the complement sum of sample i (log T_i from
-    `loo_logsumexp`):
+    With W the total weight and T_i = W - w_i the complement sum of
+    sample i:
 
         c_j  = K wt_j   - ((K-1)/K) sum_{i != j} w_j / T_i
         c2_j = K wt_j^2 - ((K-1)/K) sum_{i != j} (w_j / T_i)^2
 
-    Each inner sum is a leave-one-out sum over i, so it is taken in log
-    space by `loo_logsumexp` as well; every ratio w_j / T_i (i != j) is
-    at most 1, and nothing is subtracted from a huge 1/T_i.
+    Both inner sums come in closed form from wt and wt^2.  Let t be the
+    row's argmax.  Off it wt_i <= 1/2, so r_i = W / T_i = 1 / (1 - wt_i)
+    lies in [1, 2] and loses nothing to cancellation; set r_t = 0.  Only
+    T_t can be tiny, and q_j = w_j / T_t (q_t = 0) is the softmax of
+    log wt over j != t, taken in log space, so it is at most 1 and stays
+    finite when T_t underflows.  Then
+
+        sum_{i != j} w_j / T_i     = q_j   + wt_j   (sum r   - r_j)
+        sum_{i != j} (w_j / T_i)^2 = q_j^2 + wt_j^2 (sum r^2 - r_j^2)
+
+    lw is a plain array, a LogWeightBatch, or a `ChunkWeights`, whose
+    cached wt and wt^2 are then reused.
     """
-    lw = _check_batch(_raw(lw))
-    k = lw.shape[-1]
+    weights = lw if isinstance(lw, ChunkWeights) else ChunkWeights(lw)
+    log_wt = weights.log_wt
+    k = log_wt.shape[-1]
     if k < 2:
         raise ValueError("jackknife needs K >= 2")
-    log_wt = lw - _log_total(lw)
-    log_t = loo_logsumexp(lw)
-    loo1 = np.exp(lw + loo_logsumexp(-log_t))
-    loo2 = np.exp(2.0 * lw + loo_logsumexp(-2.0 * log_t))
-    c = k * np.exp(log_wt) - (k - 1) / k * loo1
-    c2 = k * np.exp(2.0 * log_wt) - (k - 1) / k * loo2
+    top = log_wt.argmax(axis=-1)[..., None]
+    q = log_wt.copy()
+    np.put_along_axis(q, top, -np.inf, axis=-1)
+    m2 = q.max(axis=-1, keepdims=True)
+    _check_jackknife(m2)
+    q -= m2
+    np.exp(q, out=q)
+    q /= q.sum(axis=-1, keepdims=True)  # q_j = w_j / T_t
+    r = 1.0 - weights.wt
+    np.put_along_axis(r, top, np.inf, axis=-1)  # masked before dividing
+    np.divide(1.0, r, out=r)  # r_i = W / T_i off the argmax, 0 on it
+    r2 = r * r
+    loo1 = np.subtract(r.sum(axis=-1, keepdims=True), r, out=r)
+    loo1 *= weights.wt
+    loo1 += q
+    loo2 = np.subtract(r2.sum(axis=-1, keepdims=True), r2, out=r2)
+    loo2 *= weights.wt2
+    q *= q
+    loo2 += q
+    a = (k - 1) / k
+    c = np.multiply(loo1, -a, out=loo1)
+    c += k * weights.wt
+    c2 = np.multiply(loo2, -a, out=loo2)
+    c2 += k * weights.wt2
     return c, c2
+
+
+def _check_jackknife(second_max):
+    if not np.all(second_max > -np.inf):
+        raise ValueError("degenerate weight batch: jackknife needs two finite log-weights")
 
 
 class ChunkWeights:
@@ -154,7 +194,10 @@ class ChunkWeights:
 
     wt, wt^2 and the jackknife pair are computed on first use and kept,
     so the estimator recipes run against one context share a single
-    normalization and a single `jvi1_coefficients` call.
+    normalization and a single `jvi1_coefficients` call.  That call
+    reads the cached log wt, wt and wt^2: off a row's argmax wt_i <= 1/2,
+    so every leave-one-out ratio W / T_i = 1 / (1 - wt_i) is exact from
+    wt, and only the argmax's complement sum needs log space.
     """
 
     def __init__(self, lw):
@@ -175,7 +218,7 @@ class ChunkWeights:
 
     @cached_property
     def jvi1(self):
-        return jvi1_coefficients(self.lw)
+        return jvi1_coefficients(self)
 
 
 def context_weights(ctx):

@@ -171,11 +171,18 @@ def _rows(grads, inputs):
     """W1, b1, W2, b2, W3, b3 rows per image, summed over the K axis.
 
     grads and inputs are per-layer (B, K, out) and (B, K, in) arrays; the
-    W rows are sum_k g_k in_k^T in row-major (out, in) order.
+    W rows are sum_k g_k in_k^T in row-major (out, in) order.  With a
+    single draw (the encoder's K = 1 axis) each entry is one product, and
+    an outer product runs 2-3x faster than the batched matmul, which wins
+    from K = 8 on.
     """
     pieces = []
     for g, u in zip(grads, inputs):
-        pieces += [(g.swapaxes(1, 2) @ u).reshape(len(g), -1), g.sum(axis=1)]
+        if g.shape[1] == 1:
+            w = np.einsum("bo,bi->boi", g[:, 0], u[:, 0])
+        else:
+            w = g.swapaxes(1, 2) @ u
+        pieces += [w.reshape(len(g), -1), g.sum(axis=1)]
     return np.concatenate(pieces, axis=1)
 
 

@@ -358,6 +358,23 @@ def test_vae_context_contractions_match_finite_differences():
         assert total_phi[0, local] == pytest.approx(central, abs=2e-5, rel=1e-5)
 
 
+@pytest.mark.parametrize("k", [1, 8])
+def test_vae_rows_equal_the_batched_matmul(k):
+    # a single draw takes the outer-product form; each W entry is then
+    # one product, so the rows are bit-equal to the matmul's
+    from dreglab.models.vae import _rows
+
+    rng = np.random.default_rng(21)
+    grads = [rng.standard_normal((16, k, n)) for n in (20, 20, 20)]
+    inputs = [rng.standard_normal((16, k, n)) for n in (64, 20, 20)]
+    want = np.concatenate(
+        [piece for g, u in zip(grads, inputs)
+         for piece in ((g.swapaxes(1, 2) @ u).reshape(16, -1), g.sum(axis=1))],
+        axis=1,
+    )
+    assert np.array_equal(_rows(grads, inputs), want)
+
+
 def test_vae_smoke_desk_scale():
     fam = Vae(latent=10, hidden=20, obs=64)
     p = fam.init_params(seed=1)

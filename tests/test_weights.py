@@ -308,3 +308,17 @@ def test_positive_infinite_log_weight_is_named():
 def test_all_negative_infinite_row_is_named():
     with pytest.raises(ValueError, match="every log-weight is -inf"):
         normalized_weights(np.array([[0.0, -1.0], [-np.inf, -np.inf]]))
+
+
+@pytest.mark.parametrize("row", [[0.0, -np.inf], [0.0, -np.inf, -np.inf]])
+@pytest.mark.parametrize("kernel", [jvi1_coefficients, jvi1_estimate])
+def test_jackknife_with_one_finite_log_weight_is_named(kernel, row):
+    with pytest.raises(ValueError, match="jackknife needs two finite log-weights"):
+        kernel(np.array([row]))
+
+
+def test_jvi_coefficients_zero_on_a_negative_infinite_sample():
+    c, c2 = jvi1_coefficients(np.array([[0.0, -1.0, -np.inf]]))
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(c2))
+    assert c[0, 2] == 0.0 and c2[0, 2] == 0.0
+    assert c[0].sum() == pytest.approx(1.0, abs=1e-15)
