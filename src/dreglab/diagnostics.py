@@ -4,15 +4,17 @@ Every bulk measurement is one pipeline: a noise key gives a chunk of
 noise, the chunk gives one weight context, the context gives estimator
 rows, and the rows fold into RunningMoments.  `fold_rows` is that
 pipeline, written once; the reference mean, the CLI experiments and the
-acceptance gate call it with their own keys and row streams.  The merge
-is deterministic, so a fixed chunk schedule gives bit-stable results.
+acceptance gate call it with their own keys and row streams.  The next
+chunk's noise is drawn on a worker thread while the current chunk is
+contracted; since each chunk's noise depends on its key alone and the
+merge order is fixed, a fixed chunk schedule gives bit-stable results.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .estimators.gradients import phi_rows
 from .gaussian import Streams, noise_block
@@ -119,7 +121,9 @@ def t_test_from_moments(mean, variance, n, coordinate=None):
         return TTestResult(math.copysign(math.inf, mean), 0.0, n, coordinate)
     t = mean / (sd / math.sqrt(n))
     if n < EXACT_T_CUTOFF:
-        p = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 1))
+        from scipy import stats  # only here: the import costs ~46 MB and ~0.5 s
+
+        p = 2.0 * float(stats.t.sf(abs(t), n - 1))
     else:
         p = math.erfc(abs(t) / math.sqrt(2.0))
     return TTestResult(t, min(p, 1.0), n, coordinate)
@@ -209,18 +213,34 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     pair that ``rows_of(ctx)`` yields into that name's RunningMoments.
     Every name in a chunk reads the same noise, so differences of rows
     are common-random-number pairs.  Returns {name: RunningMoments}.
+
+    While chunk c is contracted, one worker thread draws chunk c + 1
+    (NumPy's normal fill releases the GIL).  The results cannot depend on
+    that overlap: a chunk's Philox stream is keyed by its index alone
+    (counter-based, Salmon et al. 2011), and the merges run on the
+    calling thread in chunk order.  A one-chunk fold starts no thread,
+    and the worker is joined before this returns or raises.
     """
+    sizes = [min(chunk_size, n - done) for done in range(0, n, chunk_size)]
     moments = {}
-    done = 0
-    chunk = 0
-    while done < n:
-        m = min(chunk_size, n - done)
-        eps = noise_block(seed, stream, (*draw_prefix, chunk), (m, k, model.latent))
+
+    def draw(chunk):
+        return noise_block(seed, stream, (*draw_prefix, chunk),
+                           (sizes[chunk], k, model.latent))
+
+    def fold(eps):
         for name, rows in rows_of(model.weight_context(params, x, eps)):
             part = RunningMoments.from_samples(rows)
             moments[name] = part if name not in moments else moments[name].merge(part)
-        done += m
-        chunk += 1
+
+    eps = draw(0) if sizes else None
+    with ThreadPoolExecutor(1) as pool:  # no thread until the first submit
+        for chunk in range(len(sizes)):
+            ahead = pool.submit(draw, chunk + 1) if chunk + 1 < len(sizes) else None
+            fold(eps)
+            eps = None  # let chunk c go before chunk c + 1 lands
+            if ahead is not None:
+                eps = ahead.result()
     return moments
 
 

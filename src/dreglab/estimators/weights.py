@@ -51,8 +51,15 @@ def _log_total(lw):
 
 
 def normalized_log_weights(lw):
+    """(lw - max) - log sum exp(lw - max), in place on the shifted copy.
+
+    Shifting first keeps the error of log wt to a few eps of its own size;
+    lw - (max + log sum) would add eps * |max lw| whatever the spread.
+    """
     lw = _check_batch(_raw(lw))
-    return lw - _log_total(lw)
+    shifted = lw - lw.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 def normalized_weights(lw):

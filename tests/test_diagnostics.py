@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -333,3 +337,87 @@ def test_fold_rows_bit_stable():
     for name in ("phi", "theta"):
         assert np.array_equal(a[name].mean, b[name].mean)
         assert np.array_equal(a[name].m2, b[name].m2)
+
+
+@pytest.mark.parametrize("n, workers", [(200, [0]), (1100, [1] * 5)])
+def test_fold_rows_draws_ahead_on_one_worker_thread(n, workers):
+    # test_fold_rows_reads_each_chunks_noise pins the moments to the
+    # serial fold; this pins the threads: none for a single chunk, one
+    # for 4 full chunks and a 100-row tail, joined on return
+    fam, p, x = fold_fixture()
+    seen = []
+
+    def rows_of(ctx):
+        seen.append(threading.active_count() - before)
+        yield from phi_and_theta(ctx)
+
+    before = threading.active_count()
+    folded = fold_rows(fam, p, x, 4, n, rows_of, seed=34,
+                       stream=Streams.MEASURE, chunk_size=250)
+    assert seen == workers
+    assert threading.active_count() == before
+    assert folded["phi"].n == n
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+def test_fold_rows_reraises_a_rows_of_failure_and_joins_the_worker():
+    fam, p, x = fold_fixture()
+    failure = ChunkFailure("chunk 1")
+    seen = []
+
+    def rows_of(ctx):
+        seen.append(ctx.lw.shape[0])
+        if len(seen) == 2:
+            raise failure
+        yield from phi_and_theta(ctx)
+
+    before = threading.active_count()
+    with pytest.raises(ChunkFailure) as info:
+        fold_rows(fam, p, x, 4, 1000, rows_of, seed=35,
+                  stream=Streams.MEASURE, chunk_size=384)
+    assert info.value is failure
+    assert seen == [384, 384]
+    assert threading.active_count() == before
+
+
+def test_fold_rows_reraises_a_draw_failure_from_the_worker(monkeypatch):
+    fam, p, x = fold_fixture()
+    failure = ChunkFailure("draw 2")
+
+    def noise_block_failing_at_chunk_2(seed, stream, draw, shape):
+        if draw[-1] == 2:
+            raise failure
+        return noise_block(seed, stream, draw, shape)
+
+    monkeypatch.setattr("dreglab.diagnostics.noise_block", noise_block_failing_at_chunk_2)
+    before = threading.active_count()
+    with pytest.raises(ChunkFailure) as info:
+        fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=36,
+                  stream=Streams.MEASURE, chunk_size=384)
+    assert info.value is failure
+    assert threading.active_count() == before
+
+
+def test_fold_rows_bad_key_raises_the_serial_error():
+    fam, p, x = fold_fixture()
+    with pytest.raises(ValueError) as serial:
+        noise_block(-1, Streams.MEASURE, (0,), (384, 4, 3))
+    before = threading.active_count()
+    with pytest.raises(ValueError) as folded:
+        fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=-1,
+                  stream=Streams.MEASURE, chunk_size=384)
+    assert str(folded.value) == str(serial.value)
+    assert threading.active_count() == before
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, dreglab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -39,6 +39,17 @@ def test_normalized_weights_probability_vector():
         assert np.sum(wt) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 8, 64])
+def test_normalized_weights_sum_to_one_at_any_row_offset(k):
+    # log wt must carry an error of a few eps, not eps * |max lw|
+    eps = np.finfo(np.float64).eps
+    assert abs(np.sum(normalized_weights(np.full(k, -513.0))) - 1.0) <= k * eps
+    base = np.random.default_rng(17).uniform(-30.0, 0.0, size=(16, k))
+    for offset in (-1e4, -2999.5, -513.0, 0.0, 513.0, 2999.5, 1e4):
+        wt = normalized_weights(base + offset)
+        assert np.max(np.abs(wt.sum(axis=-1) - 1.0)) <= k * eps, offset
+
+
 def test_squared_weights_match_squares():
     rng = np.random.default_rng(1)
     lw = rng.standard_normal((4, 8))
