@@ -1,10 +1,13 @@
 """Command line front end: reproducible experiment runners.
 
 Three subcommands share one flat config format: ``key = value`` lines,
-``#`` comments, commas inside list values.  Every run writes a manifest
-holding the fully resolved configuration (file values, flag overrides,
-and defaults all materialized), so the manifest is itself a config file
-and replaying it reproduces the output bytes.
+``#`` comments, commas inside list values.  One table, ``KEYS``, gives
+each key its parser, default, range check and the experiments that read
+it; any other known key is a config error for that experiment.  Every
+run writes a manifest holding the resolved value of each key its
+experiment reads (file values, flag overrides and defaults), so the
+manifest is itself a config file and replaying it reproduces the output
+bytes within a code version.
 
     dreg-lab toy-snr   --config cfg.txt [--seed N] [--out DIR]
     dreg-lab train     --config cfg.txt [--seed N] [--out DIR]
@@ -18,7 +21,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields as dataclass_fields
+from operator import itemgetter
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,93 +63,87 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run settings; every field lands in the manifest."""
+class Key(NamedTuple):
+    """One config key: its parser, default, range check and readers."""
 
-    experiment: str
-    seed: int
-    out: str
-    model: str
-    d: int
-    q_variance: float
-    latent: int
-    hidden: int
-    obs: int
-    estimator: str
-    estimators: tuple
-    alpha: float
-    k: int
-    k_grid: tuple
-    trials: int
-    samples: int
-    reference_samples: int
-    chunk_size: int
-    param_sigma: float
-    data_source: str
-    data_n: int
-    weight_scale: float
-    split_fractions: tuple
-    steps: int
-    batch_size: int
-    lr: float
-    beta1: float
-    beta2: float
-    adam_eps: float
-    eval_every: int
-    eval_k: int
-    trace_decay: float
+    parse: object  # text -> value
+    default: object  # a value, {experiment: value}, or f(resolved values)
+    check: tuple  # (predicate, "must ...") on the parsed value, or None
+    reads: tuple  # the experiments that read the key
 
 
-_LIST_FIELDS = {"estimators": str, "k_grid": int, "split_fractions": float}
-_INT_FIELDS = {
-    "seed", "d", "latent", "hidden", "obs", "k", "trials", "samples",
-    "reference_samples", "chunk_size", "data_n", "steps", "batch_size",
-    "eval_every", "eval_k",
+def _list(elem):
+    def parse(text):
+        parts = [s.strip() for s in text.split(",")]
+        if not all(parts):
+            raise ValueError("empty list element")
+        return tuple(elem(s) for s in parts)
+    return parse
+
+
+def _at_least(lo):
+    return (lambda v: v >= lo), f"must be at least {lo}"
+
+
+def _above(lo):
+    return (lambda v: v > lo), f"must be above {lo}"
+
+
+_ALL = EXPERIMENTS
+_TOY = ("toy-snr", "bias-test")
+_SNR = ("toy-snr",)
+_TRAIN = ("train",)
+_POSITIVE = _at_least(1)
+_BETA = (lambda v: 0.0 <= v < 1.0), "must lie in [0, 1)"
+
+# every config key, in manifest order; a manifest holds the keys its
+# experiment reads, and any other known key is a config error
+KEYS = {
+    "experiment": Key(str, None, None, _ALL),  # the subcommand's name
+    "seed": Key(int, 0, _at_least(0), _ALL),
+    "out": Key(str, {e: os.path.join("runs", e) for e in _ALL}, None, _ALL),
+    "model": Key(str, {"toy-snr": "toy", "bias-test": "toy", "train": "vae"},
+                 None, _ALL),
+    "d": Key(int, 4, _POSITIVE, _TOY),
+    "q_variance": Key(float, 2.0 / 3.0, _above(0.0), _TOY),
+    "latent": Key(int, 10, _POSITIVE, _TRAIN),
+    "hidden": Key(int, 20, _POSITIVE, _TRAIN),
+    "obs": Key(int, 64, _POSITIVE, _TRAIN),
+    "estimator": Key(str, "iwae", None, _TRAIN),
+    "estimators": Key(_list(str), {"toy-snr": ESTIMATOR_IDS,
+                                   "bias-test": tuple(REFERENCE_PAIR)},
+                      (lambda v: len(set(v)) == len(v), "must not repeat"),
+                      _TOY),
+    "alpha": Key(float, 0.5, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+                 _ALL),
+    "k": Key(int, {"bias-test": 64, "train": 8}, _POSITIVE,
+             ("bias-test", "train")),
+    "k_grid": Key(_list(int), (1, 4, 8, 16, 64, 256, 1024), (
+        lambda v: v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
+        "must rise strictly from at least 1"), _SNR),
+    "trials": Key(int, 10, _POSITIVE, _SNR),
+    "samples": Key(int, {"toy-snr": 1000, "bias-test": 100000}, _at_least(2),
+                   _TOY),
+    "reference_samples": Key(int, 100000, _at_least(2), _SNR),
+    "chunk_size": Key(int, 16384, _POSITIVE, _TOY),
+    "param_sigma": Key(float, 0.1, _at_least(0.0), _TOY),
+    "data_source": Key(str, "synthetic", None, _TRAIN),
+    "data_n": Key(int, 512, _at_least(10), _TRAIN),
+    "weight_scale": Key(float, 2.0, _above(0.0), _TRAIN),
+    "split_fractions": Key(_list(float), (0.8, 0.1, 0.1), (
+        lambda v: len(v) == 3 and min(v) > 0.0 and sum(v) <= 1.0 + 1e-12,
+        "must be 3 positive parts summing to at most 1"), _TRAIN),
+    "steps": Key(int, 2000, _POSITIVE, _TRAIN),
+    "batch_size": Key(int, 16, _POSITIVE, _TRAIN),
+    "lr": Key(float, 1e-3, _above(0.0), _TRAIN),
+    "beta1": Key(float, 0.9, _BETA, _TRAIN),
+    "beta2": Key(float, 0.999, _BETA, _TRAIN),
+    "adam_eps": Key(float, 1e-8, _above(0.0), _TRAIN),
+    "eval_every": Key(int, 20, _POSITIVE, _TRAIN),
+    "eval_k": Key(int, itemgetter("k"), _POSITIVE, _TRAIN),
+    "trace_decay": Key(float, 0.99, (lambda v: 0.0 < v < 1.0,
+                                     "must lie in (0, 1)"), _TRAIN),
 }
-_FLOAT_FIELDS = {
-    "q_variance", "alpha", "param_sigma", "weight_scale", "lr",
-    "beta1", "beta2", "adam_eps", "trace_decay",
-}
-
-
-def _defaults(experiment):
-    train = experiment == "train"
-    return {
-        "experiment": experiment,
-        "seed": 0,
-        "out": os.path.join("runs", experiment),
-        "model": "vae" if train else "toy",
-        "d": 4,
-        "q_variance": 2.0 / 3.0,
-        "latent": 10,
-        "hidden": 20,
-        "obs": 64,
-        "estimator": "iwae",
-        "estimators": tuple(REFERENCE_PAIR) if experiment == "bias-test"
-        else ESTIMATOR_IDS,
-        "alpha": 0.5,
-        "k": 8 if train else 64,
-        "k_grid": (1, 4, 8, 16, 64, 256, 1024),
-        "trials": 10,
-        "samples": 100000 if experiment == "bias-test" else 1000,
-        "reference_samples": 100000,
-        "chunk_size": 16384,
-        "param_sigma": 0.1,
-        "data_source": "synthetic",
-        "data_n": 512,
-        "weight_scale": 2.0,
-        "split_fractions": (0.8, 0.1, 0.1),
-        "steps": 2000,
-        "batch_size": 16,
-        "lr": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "eval_every": 20,
-        "eval_k": None,  # resolves to k
-        "trace_decay": 0.99,
-    }
 
 
 def parse_config_text(text):
@@ -164,117 +163,74 @@ def parse_config_text(text):
     return data
 
 
-def _cast(key, text):
-    try:
-        if key in _LIST_FIELDS:
-            elem = _LIST_FIELDS[key]
-            parts = [s.strip() for s in text.split(",")]
-            if any(not s for s in parts):
-                raise ValueError("empty list element")
-            return tuple(elem(s) for s in parts)
-        if key in _INT_FIELDS:
-            return int(text)
-        if key in _FLOAT_FIELDS:
-            return float(text)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
-
-
 def resolve_config(raw, experiment, seed=None, out=None):
-    """Merge defaults, file values, and flag overrides; validate."""
+    """Merge defaults, file values, and flag overrides; validate.
+
+    The result holds exactly the keys that the experiment reads.
+    """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    values = _defaults(experiment)
-    for key, text in raw.items():
-        if key == "code_version":
-            if text != __version__:
-                raise ConfigError(f"manifest is from code version {text}, "
-                                  f"this is {__version__}")
-            continue
-        if key not in values:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _cast(key, text)
-    if values["experiment"] != experiment:
+    raw = dict(raw)
+    version = raw.pop("code_version", __version__)
+    if version != __version__:
+        raise ConfigError(f"manifest is from code version {version}, "
+                          f"this is {__version__}")
+    if raw.setdefault("experiment", experiment) != experiment:
         raise ConfigError(
-            f"config is for {values['experiment']!r}, not {experiment!r}")
-    if seed is not None:
-        values["seed"] = int(seed)
-    if out is not None:
-        values["out"] = str(out)
-    if values["eval_k"] is None:
-        values["eval_k"] = values["k"]
-    cfg = ExperimentConfig(**values)
+            f"config is for {raw['experiment']!r}, not {experiment!r}")
+    keys = {name: key for name, key in KEYS.items() if experiment in key.reads}
+    for name in raw:
+        if name not in keys:
+            raise ConfigError(f"{experiment} does not read config key {name!r}"
+                              if name in KEYS else
+                              f"unknown config key {name!r}")
+    # flag overrides are parsed and checked like file values
+    for name, value in (("seed", seed), ("out", out)):
+        if value is not None:
+            raw[name] = str(value)
+    values = {}
+    for name, key in keys.items():
+        if name in raw:
+            try:
+                values[name] = key.parse(raw[name])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {name!r}: {raw[name]!r} "
+                                  f"({exc})") from exc
+        elif isinstance(key.default, dict):
+            values[name] = key.default[experiment]
+        else:
+            values[name] = (key.default(values) if callable(key.default)
+                            else key.default)
+        if key.check and not key.check[0](values[name]):
+            raise ConfigError(
+                f"{name} {key.check[1]}, got {_fmt(values[name])}")
+    cfg = SimpleNamespace(**values)
     _validate(cfg)
     return cfg
 
 
-def _require(ok, message):
-    if not ok:
-        raise ConfigError(message)
-
-
 def _validate(cfg):
-    _require(cfg.model in ("toy", "vae"), f"unknown model {cfg.model!r}")
-    if cfg.experiment == "train":
-        _require(cfg.model == "vae", "train runs on the vae model")
-    else:
-        _require(cfg.model == "toy",
-                 f"{cfg.experiment} runs on the toy model")
-    for est in cfg.estimators:
-        _require(est in ESTIMATOR_IDS, f"unknown estimator {est!r}")
-    _require(len(set(cfg.estimators)) == len(cfg.estimators),
-             "duplicate estimator")
-    _require(cfg.estimator in ESTIMATOR_IDS,
-             f"unknown estimator {cfg.estimator!r}")
-    if cfg.experiment == "bias-test":
-        for est in cfg.estimators:
-            _require(est in REFERENCE_PAIR,
-                     f"{est!r} has no unbiased reference to test against")
-            _require(cfg.k >= 2 or est not in JACKKNIFE_IDS,
-                     f"{est!r} is a jackknife estimator and needs k >= 2")
-    if cfg.experiment == "train":
-        _require(cfg.k >= 2 or cfg.estimator not in JACKKNIFE_IDS,
-                 f"{cfg.estimator!r} is a jackknife estimator and needs k >= 2")
-    _require(0.0 <= cfg.alpha <= 1.0, "alpha must lie in [0, 1]")
-    _require(cfg.d >= 1, "d must be positive")
-    _require(cfg.q_variance > 0.0, "q_variance must be positive")
-    _require(min(cfg.latent, cfg.hidden, cfg.obs) >= 1,
-             "model dimensions must be positive")
-    _require(cfg.k >= 1, "k must be positive")
-    _require(cfg.eval_k >= 1, "eval_k must be positive")
-    _require(len(cfg.k_grid) >= 1, "k_grid must be non-empty")
-    _require(all(k >= 1 for k in cfg.k_grid), "k_grid entries must be >= 1")
-    _require(all(a < b for a, b in zip(cfg.k_grid, cfg.k_grid[1:])),
-             "k_grid must be strictly increasing")
-    _require(cfg.trials >= 1, "trials must be positive")
-    _require(cfg.samples >= 2, "samples must be at least 2")
-    _require(cfg.reference_samples >= 2,
-             "reference_samples must be at least 2")
-    _require(cfg.chunk_size >= 1, "chunk_size must be positive")
-    _require(cfg.param_sigma >= 0.0, "param_sigma must be non-negative")
-    _require(len(cfg.split_fractions) == 3, "split_fractions needs 3 parts")
-    _require(all(f > 0.0 for f in cfg.split_fractions),
-             "split fractions must be positive")
-    _require(sum(cfg.split_fractions) <= 1.0 + 1e-12,
-             "split fractions must sum to at most 1")
-    _require(cfg.data_n >= 10, "data_n too small to split")
-    _require(cfg.weight_scale > 0.0, "weight_scale must be positive")
-    _require(cfg.steps >= 1, "steps must be positive")
-    _require(cfg.batch_size >= 1, "batch_size must be positive")
-    _require(cfg.lr > 0.0, "lr must be positive")
-    _require(0.0 <= cfg.beta1 < 1.0 and 0.0 <= cfg.beta2 < 1.0,
-             "betas must lie in [0, 1)")
-    _require(cfg.adam_eps > 0.0, "adam_eps must be positive")
-    _require(cfg.eval_every >= 1, "eval_every must be positive")
-    _require(0.0 < cfg.trace_decay < 1.0, "trace_decay must lie in (0, 1)")
+    """The checks that span several keys."""
+    train = cfg.experiment == "train"
+    model = "vae" if train else "toy"
+    if cfg.model != model:
+        raise ConfigError(f"{cfg.experiment} runs on the {model} model")
+    for est in (cfg.estimator,) if train else cfg.estimators:
+        if est not in ESTIMATOR_IDS:
+            raise ConfigError(f"unknown estimator {est!r}")
+        if cfg.experiment == "bias-test" and est not in REFERENCE_PAIR:
+            raise ConfigError(
+                f"{est!r} has no unbiased reference to test against")
+        if est in JACKKNIFE_IDS and cfg.experiment != "toy-snr" and cfg.k < 2:
+            raise ConfigError(
+                f"{est!r} is a jackknife estimator and needs k >= 2")
 
 
 def load_config(path, experiment, seed=None, out=None):
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return resolve_config(parse_config_text(text), experiment, seed, out)
 
@@ -282,8 +238,6 @@ def load_config(path, experiment, seed=None, out=None):
 def _fmt(value):
     if isinstance(value, tuple):
         return ", ".join(_fmt(v) for v in value)
-    if isinstance(value, bool):
-        raise TypeError("no boolean config fields")
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, np.integer):
@@ -292,8 +246,8 @@ def _fmt(value):
 
 
 def manifest_text(cfg):
-    lines = [f"{f.name} = {_fmt(getattr(cfg, f.name))}"
-             for f in dataclass_fields(cfg)]
+    lines = [f"{name} = {_fmt(getattr(cfg, name))}"
+             for name, key in KEYS.items() if cfg.experiment in key.reads]
     lines.append(f"code_version = {__version__}")
     return "\n".join(lines) + "\n"
 
@@ -573,10 +527,6 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = load_config(args.config, args.experiment, args.seed, args.out)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
-    try:
         return _RUNNERS[args.experiment](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -156,6 +156,16 @@ def jvi1_coefficients(lw):
         sum_{i != j} w_j / T_i     = q_j   + wt_j   (sum r   - r_j)
         sum_{i != j} (w_j / T_i)^2 = q_j^2 + wt_j^2 (sum r^2 - r_j^2)
 
+    Near equal weights (K-1)/K times the second sum nearly equals
+    K wt_j^2, and subtracting the two loses digits.  So c2 is taken from
+    v_i = r_i^2 - 1 = u_i (2 + u_i) instead, with u_i = wt_i / (1 - wt_i)
+    exact off the argmax and v_t = -1 on it:
+
+        c2_j = wt_j^2 ((2K-1)/K - ((K-1)/K)(sum v - v_j)) - ((K-1)/K) q_j^2
+
+    The bracket is of order 1 rather than K, so nothing of size K wt_j^2
+    cancels.
+
     lw is a plain array, a LogWeightBatch, or a `ChunkWeights`, whose
     cached wt and wt^2 are then reused.
     """
@@ -175,19 +185,22 @@ def jvi1_coefficients(lw):
     r = 1.0 - weights.wt
     np.put_along_axis(r, top, np.inf, axis=-1)  # masked before dividing
     np.divide(1.0, r, out=r)  # r_i = W / T_i off the argmax, 0 on it
-    r2 = r * r
+    v = weights.wt * r  # u_i = r_i - 1 = wt_i / (1 - wt_i), 0 on the argmax
+    v *= v + 2.0  # v_i = r_i^2 - 1
+    np.put_along_axis(v, top, -1.0, axis=-1)
     loo1 = np.subtract(r.sum(axis=-1, keepdims=True), r, out=r)
     loo1 *= weights.wt
     loo1 += q
-    loo2 = np.subtract(r2.sum(axis=-1, keepdims=True), r2, out=r2)
-    loo2 *= weights.wt2
-    q *= q
-    loo2 += q
     a = (k - 1) / k
     c = np.multiply(loo1, -a, out=loo1)
     c += k * weights.wt
-    c2 = np.multiply(loo2, -a, out=loo2)
-    c2 += k * weights.wt2
+    c2 = np.subtract(v.sum(axis=-1, keepdims=True), v, out=v)
+    c2 *= -a
+    c2 += (2 * k - 1) / k
+    c2 *= weights.wt2
+    q *= q
+    q *= a
+    c2 -= q
     return c, c2
 
 

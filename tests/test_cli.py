@@ -1,10 +1,12 @@
 import os
+import tomllib
 
 import numpy as np
 import pytest
 
 from dreglab import __version__
 from dreglab.cli import (
+    KEYS,
     ConfigError,
     main,
     manifest_text,
@@ -55,6 +57,89 @@ d = 2
 """
 
 
+# the keys each runner reads, in manifest order
+READ_KEYS = {
+    "toy-snr": ["experiment", "seed", "out", "model", "d", "q_variance",
+                "estimators", "alpha", "k_grid", "trials", "samples",
+                "reference_samples", "chunk_size", "param_sigma"],
+    "bias-test": ["experiment", "seed", "out", "model", "d", "q_variance",
+                  "estimators", "alpha", "k", "samples", "chunk_size",
+                  "param_sigma"],
+    "train": ["experiment", "seed", "out", "model", "latent", "hidden", "obs",
+              "estimator", "alpha", "k", "data_source", "data_n",
+              "weight_scale", "split_fractions", "steps", "batch_size", "lr",
+              "beta1", "beta2", "adam_eps", "eval_every", "eval_k",
+              "trace_decay"],
+}
+
+# one out-of-range value per checked key, for an experiment that reads it
+RANGE_CASES = [
+    ("toy-snr", "seed", "-1"),
+    ("toy-snr", "d", "0"),
+    ("bias-test", "q_variance", "0.0"),
+    ("train", "latent", "0"),
+    ("train", "hidden", "0"),
+    ("train", "obs", "0"),
+    ("toy-snr", "estimators", "iwae, stl, iwae"),
+    ("bias-test", "alpha", "-0.5"),
+    ("bias-test", "k", "0"),
+    ("toy-snr", "k_grid", "0, 4"),
+    ("toy-snr", "trials", "0"),
+    ("bias-test", "samples", "1"),
+    ("toy-snr", "reference_samples", "1"),
+    ("bias-test", "chunk_size", "0"),
+    ("toy-snr", "param_sigma", "-0.1"),
+    ("train", "data_n", "9"),
+    ("train", "weight_scale", "0.0"),
+    ("train", "split_fractions", "0.5, 0.5"),
+    ("train", "steps", "0"),
+    ("train", "batch_size", "0"),
+    ("train", "lr", "0.0"),
+    ("train", "beta1", "1.0"),
+    ("train", "beta2", "-0.1"),
+    ("train", "adam_eps", "0.0"),
+    ("train", "eval_every", "0"),
+    ("train", "eval_k", "0"),
+    ("train", "trace_decay", "1.0"),
+]
+
+# a manifest as code version 0.1.0 wrote it: every key, read or not
+OLD_MANIFEST = """experiment = {experiment}
+seed = 4
+out = runs/old
+model = {model}
+d = 4
+q_variance = 0.6666666666666666
+latent = 2
+hidden = 4
+obs = 16
+estimator = iwae
+estimators = iwae, stl, iwae-dreg, rws-wake, rws-dreg, dreg-alpha, jvi1, jvi1-dreg
+alpha = 0.5
+k = 4
+k_grid = 1, 4, 8, 16, 64, 256, 1024
+trials = 10
+samples = 1000
+reference_samples = 100000
+chunk_size = 16384
+param_sigma = 0.1
+data_source = synthetic
+data_n = 96
+weight_scale = 2.0
+split_fractions = 0.8, 0.1, 0.1
+steps = 40
+batch_size = 8
+lr = 0.001
+beta1 = 0.9
+beta2 = 0.999
+adam_eps = 1e-08
+eval_every = 20
+eval_k = 4
+trace_decay = 0.99
+code_version = 0.1.0
+"""
+
+
 class TestConfigParsing:
     def test_comments_and_blanks_are_ignored(self):
         raw = parse_config_text("# top\nseed = 5  # inline\n\n trials=2 \n")
@@ -92,10 +177,46 @@ class TestConfigParsing:
 
     def test_validation_catches_bad_settings(self):
         for raw in ({"k_grid": "4, 4"}, {"alpha": "1.5"},
-                    {"estimators": "iwae, sgd"}, {"trials": "0"},
-                    {"split_fractions": "0.5, 0.6, 0.2"}):
+                    {"estimators": "iwae, sgd"}, {"trials": "0"}):
             with pytest.raises(ConfigError):
                 resolve_config(raw, "toy-snr")
+        with pytest.raises(ConfigError):
+            resolve_config({"split_fractions": "0.5, 0.6, 0.2"}, "train")
+
+    @pytest.mark.parametrize("experiment, key, text", RANGE_CASES)
+    def test_range_check_names_the_key(self, experiment, key, text):
+        with pytest.raises(ConfigError, match=f"^{key} must "):
+            resolve_config({key: text}, experiment)
+
+    def test_every_range_check_has_a_case(self):
+        checked = {name for name, key in KEYS.items() if key.check}
+        assert {key for _, key, _ in RANGE_CASES} == checked
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("toy-snr", "lr"), ("train", "k_grid"),
+        ("bias-test", "reference_samples")])
+    def test_unread_key_is_config_error(self, tmp_path, capsys,
+                                        experiment, key):
+        with pytest.raises(ConfigError, match=f"{experiment}.*{key}"):
+            resolve_config({key: "1"}, experiment)
+        cfg = write_config(tmp_path, f"{key} = 1\n")
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and experiment in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags", [
+        (TOY_SMOKE.replace("seed = 3", "seed = -1"), []),
+        (TOY_SMOKE, ["--seed", "-5"])], ids=["config", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, text,
+                                           flags):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["toy-snr", "--config", cfg, "--out", str(out),
+                     *flags]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed must")
+        assert not out.exists()
 
     def test_train_requires_vae_model(self):
         with pytest.raises(ConfigError, match="vae"):
@@ -104,17 +225,22 @@ class TestConfigParsing:
             resolve_config({"model": "vae"}, "bias-test")
 
     def test_manifest_round_trips(self):
-        cfg = resolve_config({"seed": "7", "lr": "0.0005"}, "train")
-        again = resolve_config(parse_config_text(manifest_text(cfg)),
-                               "train")
-        assert again == cfg
+        for experiment, raw in (
+                ("train", {"seed": "7", "lr": "0.0005"}),
+                ("toy-snr", {"seed": "7", "k_grid": "2, 8", "alpha": "0.25"}),
+                ("bias-test", {"k": "16", "estimators": "stl, rws-dreg"})):
+            cfg = resolve_config(raw, experiment)
+            again = resolve_config(parse_config_text(manifest_text(cfg)),
+                                   experiment)
+            assert again == cfg
 
-    def test_manifest_lists_every_field(self):
-        cfg = resolve_config({}, "toy-snr")
-        text = manifest_text(cfg)
-        for name in ("experiment", "seed", "k_grid", "trace_decay",
-                     "code_version"):
-            assert f"{name} = " in text
+    def test_manifest_lists_the_keys_its_experiment_reads(self):
+        for experiment, keys in READ_KEYS.items():
+            text = manifest_text(resolve_config({}, experiment))
+            names = [line.split(" = ")[0] for line in text.splitlines()]
+            assert names == keys + ["code_version"]
+            assert ("lr" in names) == (experiment == "train")
+            assert ("k_grid" in names) == (experiment == "toy-snr")
 
     def test_replay_from_another_code_version_is_config_error(self, tmp_path, capsys):
         assert f"code_version = {__version__}\n" in manifest_text(resolve_config({}, "toy-snr"))
@@ -124,6 +250,31 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "9.9.9" in err and __version__ in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", sorted(READ_KEYS))
+    def test_manifest_of_every_key_from_0_1_0_names_both_versions(
+            self, tmp_path, capsys, experiment):
+        old = write_config(tmp_path, OLD_MANIFEST.format(
+            experiment=experiment,
+            model="vae" if experiment == "train" else "toy"))
+        out = tmp_path / "o"
+        assert main([experiment, "--config", old, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "code version 0.1.0" in err and __version__ in err
+        assert not out.exists()
+
+    def test_non_ascii_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"seed = 1  # caf\xc3\xa9\n")
+        assert main(["toy-snr", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot read config")
+
+    def test_package_version_matches_pyproject(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 class TestToySnrCommand:

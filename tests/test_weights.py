@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -175,6 +176,36 @@ def test_jvi_squared_coefficients_bruteforce():
                 acc += sm * sm
             want = k * wt[j] ** 2 - (k - 1) / k * acc
             assert c2[0, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def _c2_reference(row):
+    """c2 of one row in 60-digit arithmetic, from sum_i 1 / T_i^2.
+
+    Only for rows where no weight dominates, so that W - w_i keeps its
+    digits.
+    """
+    with mpmath.workdps(60):
+        k = len(row)
+        w = [mpmath.exp(mpmath.mpf(float(v))) for v in row]
+        total = mpmath.fsum(w)
+        inv2 = [1 / (total - wi) ** 2 for wi in w]
+        s = mpmath.fsum(inv2)
+        a = mpmath.mpf(k - 1) / k
+        return np.array([float(k * (wi / total) ** 2 - a * wi ** 2 * (s - v))
+                         for wi, v in zip(w, inv2)])
+
+
+@pytest.mark.parametrize("k", [64, 512])
+def test_jvi_squared_coefficients_near_equal_weights_match_mpmath(k):
+    # at spread 1, K wt_j^2 and (K-1)/K times the sum over i != j nearly
+    # cancel (about 2e-3 each for a c2_j near 1e-8 at K = 512); taking
+    # their difference loses accuracy like K^2, the v form like K
+    rng = np.random.default_rng(17)
+    lw = rng.uniform(-1.0, 0.0, size=(4, k))
+    _, c2 = jvi1_coefficients(lw)
+    for got, row in zip(c2, lw):
+        want = _c2_reference(row)
+        assert np.max(np.abs(got - want)) <= 4e-15 * k * np.max(np.abs(want))
 
 
 def test_jvi_equal_weight_coefficients():
