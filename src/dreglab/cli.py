@@ -36,7 +36,7 @@ from .diagnostics import (
     stats_from_moments,
     t_test_from_moments,
 )
-from .estimators import ESTIMATOR_IDS, JACKKNIFE_IDS, phi_rows
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_rows
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
 from .training import train_model
@@ -215,15 +215,19 @@ def _validate(cfg):
     model = "vae" if train else "toy"
     if cfg.model != model:
         raise ConfigError(f"{cfg.experiment} runs on the {model} model")
+    # toy-snr skips the K below an estimator's min_k, but not all of them
+    name, ks = (("k_grid", cfg.k_grid) if cfg.experiment == "toy-snr"
+                else ("k", (cfg.k,)))
     for est in (cfg.estimator,) if train else cfg.estimators:
         if est not in ESTIMATOR_IDS:
             raise ConfigError(f"unknown estimator {est!r}")
         if cfg.experiment == "bias-test" and est not in REFERENCE_PAIR:
             raise ConfigError(
                 f"{est!r} has no unbiased reference to test against")
-        if est in JACKKNIFE_IDS and cfg.experiment != "toy-snr" and cfg.k < 2:
-            raise ConfigError(
-                f"{est!r} is a jackknife estimator and needs k >= 2")
+        min_k = ESTIMATORS[est].min_k
+        if max(ks) < min_k:
+            raise ConfigError(f"{est!r} needs k >= {min_k} (its min_k), "
+                              f"but {name} = {_fmt(ks)}")
 
 
 def load_config(path, experiment, seed=None, out=None):
@@ -320,7 +324,7 @@ def run_toy_snr(cfg):
     Writes ``stats.csv`` with one row per (estimator, K, trial,
     coordinate) and ``ttests.csv`` with per-coordinate paired t-tests of
     each estimator against the standard recipe pooled over trials.
-    Jackknife estimators need two samples, so they skip K = 1.
+    Each estimator skips the K below its recipe's min_k.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
@@ -333,7 +337,7 @@ def run_toy_snr(cfg):
                                  seed=cfg.seed, chunk_size=cfg.chunk_size,
                                  draw_prefix=(trial, k))
             live = [est for est in cfg.estimators
-                    if not (est in JACKKNIFE_IDS and k < 2)]
+                    if k >= ESTIMATORS[est].min_k]
             moments, diffs = _measure_trial(cfg, fam, p, x, trial, k, live)
             for est, mom in moments.items():
                 st = stats_from_moments(mom, ref.mean, k=k, estimator_id=est)

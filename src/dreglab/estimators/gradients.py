@@ -6,7 +6,10 @@ rows are path(c_path) - score(c_score) and its theta rows theta(c_theta).
 `ESTIMATORS` below is that table; each entry builds its coefficients
 from a context's `ChunkWeights` (w-tilde, w-tilde^2 and the jackknife
 pair), so the recipes run against one context normalize its log weights
-once.  The wake-sleep rows return gradients to descend (they drive a KL
+once.  Each entry also names the bound its theta coefficient
+differentiates (the IWAE bound for w-tilde rows, the jackknife bound for
+c rows) and the smallest K its coefficients are defined at.  The
+wake-sleep rows return gradients to descend (they drive a KL
 minimization); everything else is an ascent direction on its bound.
 The contraction interface is served by both the closed-form model
 contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
@@ -15,19 +18,21 @@ contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
 
 from dataclasses import dataclass
 
-from .weights import context_weights
+from .weights import context_weights, iwae_bound, jvi1_estimate
 
 
 @dataclass(frozen=True)
 class Recipe:
     """Coefficient builders of one estimator, each called as f(w, alpha)
-    on a context's ChunkWeights; None marks an absent term."""
+    on a context's ChunkWeights (None marks an absent term), and its
+    bound, called as bound(w)."""
 
     path: object
     score: object
     theta: object
+    bound: object = iwae_bound  # the objective the theta rows ascend
+    min_k: int = 1  # the smallest K the coefficients are defined at
     descent: bool = False  # the phi rows are a direction to descend
-    jackknife: bool = False  # built from the jackknife pair: needs K >= 2
 
 
 def _wt(w, alpha):
@@ -53,13 +58,12 @@ ESTIMATORS = {
     "rws-wake": Recipe(None, _wt, _wt, descent=True),
     "rws-dreg": Recipe(lambda w, a: w.wt2 - w.wt, None, _wt, descent=True),
     "dreg-alpha": Recipe(lambda w, a: a * w.wt + (1.0 - 2.0 * a) * w.wt2, None, _wt),
-    "jvi1": Recipe(_c, _c, _c, jackknife=True),
-    "jvi1-dreg": Recipe(_c2, None, _c, jackknife=True),
+    "jvi1": Recipe(_c, _c, _c, jvi1_estimate, min_k=2),
+    "jvi1-dreg": Recipe(_c2, None, _c, jvi1_estimate, min_k=2),
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
 DESCENT_IDS = tuple(kind for kind, r in ESTIMATORS.items() if r.descent)
-JACKKNIFE_IDS = tuple(kind for kind, r in ESTIMATORS.items() if r.jackknife)
 
 
 def _entry(kind):

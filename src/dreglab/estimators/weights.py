@@ -1,4 +1,4 @@
-"""Log importance weights: the tape route and the normalization kernel.
+"""Log importance weights: the tape route and the weight kernels.
 
 `log_weights` builds the K-sample weight batch on a tape and extracts
 every per-sample partial the estimator family needs, one backward per
@@ -6,17 +6,27 @@ root.  It is the reference implementation: exact but scalar, so bulk
 measurement goes through the models' closed-form contexts instead, and
 the tests hold the two routes together at near machine precision.
 
-Normalized weights are always softmax of log-weights with the max
-subtracted; squared normalized weights are exp(2 (log w - log sum w)).
-Raw weights are never exponentiated on their own.  `ChunkWeights` holds
-these kernels for one context so that every estimator recipe run on it
-shares one normalization and one set of jackknife coefficients.
+`ChunkWeights` turns one context's log weights into everything the
+estimator family reads, each built once on first use: log wt, wt, wt^2,
+the IWAE bound, the jackknife bound and the jackknife coefficients
+(c, c2).  Normalized weights are softmax of log-weights with the max
+subtracted; squared normalized weights are exp(2 log wt).  Raw weights
+are never exponentiated on their own.  The IWAE bound reuses the same
+normalization: the row max of log wt is exactly -log sum exp(lw - max).
 
-The jackknife coefficients are a closed form in log wt, wt and wt^2.
-Off a row's argmax wt_i <= 1/2, so each leave-one-out ratio
-W / T_i = 1 / (1 - wt_i) (W the total weight, T_i the total without
-sample i) lies in [1, 2] and is exact from wt; only the argmax's
-complement sum T_t can be tiny, and it alone is taken in log space.
+Both jackknife quantities are closed forms in log wt, wt and one
+complement sum per row.  Off a row's argmax t, wt_i <= 1/2, so each
+leave-one-out share T_i / W = 1 - wt_i (W the total weight, T_i the
+total without sample i) lies in [1/2, 1] and is exact from wt; only the
+argmax's share S_t = sum_{j != t} wt_j can be tiny, and it alone is
+taken in log space.  The jackknife bound is then
+
+    jvi1 = bound + (K-1) log((K-1)/K)
+                 - ((K-1)/K) (sum_{i != t} log1p(-wt_i) + log S_t)
+
+The module-level kernels (`normalized_log_weights`, `iwae_bound`,
+`jvi1_estimate`, `jvi1_coefficients`) take a plain array or a
+`ChunkWeights`.
 """
 
 import math
@@ -30,24 +40,25 @@ from ..tape import TapeGraph, TapeScalar, log_sum_exp, stop_gradient, tape_sum
 from ..models.params import lift
 
 
-def _raw(lw):
-    return np.asarray(lw.log_w if hasattr(lw, "log_w") else lw, dtype=np.float64)
-
-
-def _check_batch(lw):
-    m = lw.max(axis=-1)  # NaN wins the max, then +inf, and -inf only if all are
+def _checked_max(lw):
+    """The row max of lw with the sample axis kept; raises on a row that
+    is no usable weight batch."""
+    m = lw.max(axis=-1, keepdims=True)  # NaN wins the max, then +inf, and -inf only if all are
     if not np.all(np.isfinite(m)):
         if np.any(np.isnan(m)):
             raise ValueError("degenerate weight batch: NaN log-weight")
         if np.any(m == np.inf):
             raise ValueError("degenerate weight batch: +inf log-weight")
         raise ValueError("degenerate weight batch: every log-weight is -inf")
-    return lw
+    return m
 
 
-def _log_total(lw):
-    m = lw.max(axis=-1, keepdims=True)
-    return m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True))
+def _weights(lw):
+    return lw if isinstance(lw, ChunkWeights) else ChunkWeights(lw)
+
+
+def _scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def normalized_log_weights(lw):
@@ -55,71 +66,33 @@ def normalized_log_weights(lw):
 
     Shifting first keeps the error of log wt to a few eps of its own size;
     lw - (max + log sum) would add eps * |max lw| whatever the spread.
+    A `ChunkWeights` gives its cached log wt.
     """
-    lw = _check_batch(_raw(lw))
-    shifted = lw - lw.max(axis=-1, keepdims=True)
+    if isinstance(lw, ChunkWeights):
+        return lw.log_wt
+    lw = np.asarray(lw, dtype=np.float64)
+    shifted = lw - _checked_max(lw)
     shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
 
 
-def normalized_weights(lw):
-    return np.exp(normalized_log_weights(lw))
-
-
-def squared_normalized_weights(lw):
-    """w-tilde squared without squaring small floats: exp(2 log w-tilde)."""
-    return np.exp(2.0 * normalized_log_weights(lw))
-
-
 def iwae_bound(lw):
     """log-sum-exp(log w) - log K, along the sample axis."""
-    lw = _check_batch(_raw(lw))
-    out = _log_total(lw)[..., 0] - math.log(lw.shape[-1])
-    return float(out) if out.ndim == 0 else out
-
-
-def loo_logsumexp(lw):
-    """Leave-one-out log-sum-exp along the last axis, stable per entry.
-
-    For non-argmax entries the complement sum keeps the max term, so the
-    direct subtraction S - a_i loses nothing; the argmax entry is
-    recomputed against the second max.
-    """
-    lw = np.asarray(lw, dtype=np.float64)
-    if lw.shape[-1] < 2:
-        raise ValueError("leave-one-out needs K >= 2")
-    m1 = lw.max(axis=-1, keepdims=True)
-    a = np.exp(lw - m1)
-    total = a.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out = m1 + np.log(total - a)
-    top = lw.argmax(axis=-1)
-    masked = lw.copy()
-    np.put_along_axis(masked, top[..., None], -np.inf, axis=-1)
-    m2 = masked.max(axis=-1, keepdims=True)
-    safe = m2 + np.log(np.sum(np.exp(masked - m2), axis=-1, keepdims=True))
-    np.put_along_axis(out, top[..., None], safe, axis=-1)
-    return out
+    return _scalar(_weights(lw).bound)
 
 
 def jvi1_estimate(lw):
     """First-order jackknife debiasing of the K-sample bound.
 
     K * IWAE_K - ((K-1)/K) * sum_i IWAE_{K-1} without sample i.  Accepts
-    a LogWeightBatch, a plain array, or a list of TapeScalars (the tape
-    form is what gradient identity tests differentiate).
+    a plain array, a `ChunkWeights` (the closed form of the module
+    docstring) or a list of TapeScalars: the tape form spells out the
+    leave-one-out sums and is the reference the gradient identity tests
+    differentiate.
     """
     if isinstance(lw, (list, tuple)) and lw and isinstance(lw[0], TapeScalar):
         return _jvi1_nodes(list(lw))
-    lw = _check_batch(_raw(lw))
-    k = lw.shape[-1]
-    if k < 2:
-        raise ValueError("jackknife needs K >= 2")
-    _check_jackknife(np.partition(lw, -2, axis=-1)[..., -2])
-    full = iwae_bound(lw)
-    loo = loo_logsumexp(lw) - math.log(k - 1)
-    out = k * full - (k - 1) / k * np.sum(loo, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(_weights(lw).jvi1_bound)
 
 
 def _jvi1_nodes(lws):
@@ -165,23 +138,10 @@ def jvi1_coefficients(lw):
 
     The bracket is of order 1 rather than K, so nothing of size K wt_j^2
     cancels.
-
-    lw is a plain array, a LogWeightBatch, or a `ChunkWeights`, whose
-    cached wt and wt^2 are then reused.
     """
-    weights = lw if isinstance(lw, ChunkWeights) else ChunkWeights(lw)
-    log_wt = weights.log_wt
-    k = log_wt.shape[-1]
-    if k < 2:
-        raise ValueError("jackknife needs K >= 2")
-    top = log_wt.argmax(axis=-1)[..., None]
-    q = log_wt.copy()
-    np.put_along_axis(q, top, -np.inf, axis=-1)
-    m2 = q.max(axis=-1, keepdims=True)
-    _check_jackknife(m2)
-    q -= m2
-    np.exp(q, out=q)
-    q /= q.sum(axis=-1, keepdims=True)  # q_j = w_j / T_t
+    weights = _weights(lw)
+    top, q, _ = _complement(weights.log_wt)
+    k = q.shape[-1]
     r = 1.0 - weights.wt
     np.put_along_axis(r, top, np.inf, axis=-1)  # masked before dividing
     np.divide(1.0, r, out=r)  # r_i = W / T_i off the argmax, 0 on it
@@ -204,24 +164,39 @@ def jvi1_coefficients(lw):
     return c, c2
 
 
-def _check_jackknife(second_max):
-    if not np.all(second_max > -np.inf):
+def _complement(log_wt):
+    """(t, q, log S_t) per row: the argmax t (sample axis kept), the
+    softmax q of log wt over j != t (q_t = 0), and the log of
+    S_t = sum_{j != t} wt_j, taken in log space."""
+    if log_wt.shape[-1] < 2:
+        raise ValueError("jackknife needs K >= 2")
+    top = log_wt.argmax(axis=-1)[..., None]
+    q = log_wt.copy()
+    np.put_along_axis(q, top, -np.inf, axis=-1)
+    m2 = q.max(axis=-1, keepdims=True)
+    if not np.all(m2 > -np.inf):
         raise ValueError("degenerate weight batch: jackknife needs two finite log-weights")
+    q -= m2
+    np.exp(q, out=q)
+    s = q.sum(axis=-1, keepdims=True)
+    q /= s  # q_j = w_j / T_t
+    return top, q, m2 + np.log(s)
 
 
 class ChunkWeights:
     """The weight kernels of one context's log weights, each built once.
 
-    wt, wt^2 and the jackknife pair are computed on first use and kept,
-    so the estimator recipes run against one context share a single
-    normalization and a single `jvi1_coefficients` call.  That call
-    reads the cached log wt, wt and wt^2: off a row's argmax wt_i <= 1/2,
-    so every leave-one-out ratio W / T_i = 1 / (1 - wt_i) is exact from
-    wt, and only the argmax's complement sum needs log space.
+    Every estimator recipe and training objective run against one
+    context reads this object, so they share a single normalization and
+    a single `jvi1_coefficients` call.  The jackknife bound takes its own
+    `_complement` pass rather than keeping t and log S_t from the
+    coefficients' one: only jackknife training steps read both, on small
+    (batch, K) arrays, while keeping them raised the peak RSS of
+    `bias-test`, which reads the coefficients alone.
     """
 
     def __init__(self, lw):
-        self.lw = lw
+        self.lw = np.asarray(lw, dtype=np.float64)
 
     @cached_property
     def log_wt(self):
@@ -237,8 +212,27 @@ class ChunkWeights:
         return np.exp(wt2, out=wt2)  # in place: one (n, K) array less at peak
 
     @cached_property
+    def bound(self):
+        """The IWAE bound per row, max lw + log sum exp(lw - max) - log K."""
+        k = self.lw.shape[-1]
+        return self.lw.max(axis=-1) - self.log_wt.max(axis=-1) - math.log(k)
+
+    @cached_property
     def jvi1(self):
         return jvi1_coefficients(self)
+
+    @cached_property
+    def jvi1_bound(self):
+        """The jackknife bound per row, in the closed form of the module
+        docstring."""
+        top, _, log_s = _complement(self.log_wt)
+        k = self.lw.shape[-1]
+        loo = np.negative(self.wt)
+        np.put_along_axis(loo, top, 0.0, axis=-1)  # wt_t may be 1
+        np.log1p(loo, out=loo)  # log(T_i / W) = log1p(-wt_i) off the argmax
+        np.put_along_axis(loo, top, log_s, axis=-1)
+        a = (k - 1) / k
+        return self.bound + (k - 1) * math.log1p(-1.0 / k) - a * loo.sum(axis=-1)
 
 
 def context_weights(ctx):
@@ -323,7 +317,7 @@ def log_weights(model, params, x, eps):
         lq_fixed_nodes.append(log_prob(q, [stop_gradient(zj) for zj in z]))
 
     log_w = np.array([n.value for n in lw_nodes])
-    _check_batch(log_w)
+    _checked_max(log_w)  # raises on a degenerate batch
 
     dlogw_dz = np.empty((k, d))
     dlogw_dtheta = np.empty((k, len(theta_ids)))

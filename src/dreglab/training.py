@@ -20,8 +20,7 @@ from .data import Dataset, dynamic_binarize
 from .diagnostics import VarianceTraceEma
 from .estimators import (
     ESTIMATOR_IDS,
-    iwae_bound,
-    jvi1_estimate,
+    context_weights,
     phi_rows,
     recipe,
     theta_rows,
@@ -80,12 +79,6 @@ class TrainResult:
     failed_step: int = -1
 
 
-def _batch_objective(jackknife, lw):
-    if jackknife:
-        return float(np.mean(jvi1_estimate(lw)))
-    return float(np.mean(iwae_bound(lw)))
-
-
 def train_model(fam, train, valid, mode, k, *, steps, batch_size,
                 lr=1e-3, beta1=0.9, beta2=0.999, adam_eps=1e-8,
                 eval_every=20, eval_k=None, trace_decay=0.99,
@@ -112,8 +105,8 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         raise ValueError("steps, batch_size, eval_every must be positive")
     if k < 1:
         raise ValueError("k must be positive")
-    if entry.jackknife and k < 2:
-        raise ValueError(f"{mode} is a jackknife estimator and needs k >= 2")
+    if k < entry.min_k:
+        raise ValueError(f"{mode!r} needs k >= {entry.min_k} (its min_k)")
     eval_k = k if eval_k is None else eval_k
 
     p = fam.init_params(seed) if init_params is None else init_params
@@ -131,7 +124,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
 
     def heldout_bound(params):
         ctx = fam.weight_context(params, x_eval, eval_eps)
-        return float(np.mean(iwae_bound(ctx.lw)))
+        return float(np.mean(context_weights(ctx).bound))
 
     n = train.n
     rows = []
@@ -155,7 +148,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
                 ctx = fam.weight_context(p, xb, eps)
                 phi_mean = phi_rows(mode, ctx, alpha).mean(axis=0)
                 theta_mean = theta_rows(mode, ctx).mean(axis=0)
-                objective = _batch_objective(entry.jackknife, ctx.lw)
+                objective = float(np.mean(entry.bound(context_weights(ctx))))
             if not (np.isfinite(phi_mean).all()
                     and np.isfinite(theta_mean).all()
                     and math.isfinite(objective)):

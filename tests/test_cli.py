@@ -313,6 +313,15 @@ class TestToySnrCommand:
         assert jvi_ks == {"4"}
         assert {r[1] for r in rows if r[0] == "iwae"} == {"1", "4"}
 
+    def test_jackknife_grid_below_min_k_is_config_error(self, tmp_path, capsys):
+        # every K of the grid is skipped, which would leave header-only csvs
+        cfg = write_config(tmp_path, TOY_SMOKE.replace("k_grid = 1, 4", "k_grid = 1")
+                           + "estimators = jvi1, jvi1-dreg\n")
+        out = tmp_path / "o"
+        assert main(["toy-snr", "--config", cfg, "--out", str(out)]) == 1
+        assert "'jvi1' needs k >= 2 (its min_k)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_changes_results(self, tmp_path):
         cfg = write_config(tmp_path, TOY_SMOKE)
         out1 = str(tmp_path / "a")
@@ -407,7 +416,7 @@ class TestTrainCommand:
                            + "estimator = jvi1\n")
         out = tmp_path / "o"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
-        assert "jackknife" in capsys.readouterr().err
+        assert "'jvi1' needs k >= 2 (its min_k)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_split_is_config_error(self, tmp_path, capsys):

@@ -6,11 +6,12 @@ import pytest
 from dreglab.estimators import (
     DESCENT_IDS,
     ESTIMATOR_IDS,
+    ESTIMATORS,
+    ChunkWeights,
+    context_weights,
     jvi1_estimate,
     log_weights,
-    normalized_weights,
     phi_rows,
-    squared_normalized_weights,
     theta_rows,
 )
 from dreglab.gaussian import Streams, log_prob, noise_block, sample_reparam
@@ -134,7 +135,7 @@ def test_decompose_sums_to_standard_grad():
     fam, p, x = toy_fixture()
     eps = noise_block(12, Streams.MEASURE, 7, (6, 3))
     lwb = log_weights(fam, p, x, eps)
-    wt = normalized_weights(lwb.log_w)
+    wt = ChunkWeights(lwb.log_w).wt
     score_terms = -(wt[:, None] * lwb.dlogq_dphi)
     path_terms = np.array([lwb.path(wt * (np.arange(6) == i)) for i in range(6)])
     assert score_terms.shape == path_terms.shape == (6, p.phi_indices.size)
@@ -149,7 +150,7 @@ def test_score_term_mean_zero_at_k1():
     n = 200_000
     eps = noise_block(11, Streams.MEASURE, 1, (n, 1, 3))
     ctx = fam.weight_context(p, x, eps)
-    rows = ctx.score(normalized_weights(ctx.lw))
+    rows = ctx.score(ChunkWeights(ctx.lw).wt)
     t = rows.mean(0) / (rows.std(0, ddof=1) / math.sqrt(n))
     assert np.abs(t).max() < 5.0
 
@@ -159,7 +160,7 @@ def test_score_term_mean_nonzero_at_k2():
     n = 200_000
     eps = noise_block(11, Streams.MEASURE, 2, (n, 2, 3))
     ctx = fam.weight_context(p, x, eps)
-    rows = ctx.score(normalized_weights(ctx.lw))
+    rows = ctx.score(ChunkWeights(ctx.lw).wt)
     t = rows.mean(0) / (rows.std(0, ddof=1) / math.sqrt(n))
     assert np.abs(t).max() > 8.0
 
@@ -170,7 +171,7 @@ def test_stl_bias_visible_under_common_noise():
     n, k = 20_000, 64
     eps = noise_block(12, Streams.MEASURE, 5, (n, k, 3))
     ctx = fam.weight_context(p, x, eps)
-    diff = ctx.score(normalized_weights(ctx.lw))
+    diff = ctx.score(ChunkWeights(ctx.lw).wt)
     t = diff.mean(0) / (diff.std(0, ddof=1) / math.sqrt(n))
     assert np.abs(t).max() > 10.0
 
@@ -180,8 +181,8 @@ def test_dreg_unbiasedness_smoke():
     n, k = 20_000, 8
     eps = noise_block(13, Streams.MEASURE, 6, (n, k, 3))
     ctx = fam.weight_context(p, x, eps)
-    wt = normalized_weights(ctx.lw)
-    diff = (ctx.path(wt) - ctx.score(wt)) - ctx.path(squared_normalized_weights(ctx.lw))
+    w = ChunkWeights(ctx.lw)
+    diff = (ctx.path(w.wt) - ctx.score(w.wt)) - ctx.path(w.wt2)
     t = diff.mean(0) / (diff.std(0, ddof=1) / math.sqrt(n))
     assert np.abs(t).max() < 4.5
 
@@ -191,9 +192,9 @@ def test_dreg_variance_below_standard():
     n, k = 4000, 64
     eps = noise_block(14, Streams.MEASURE, 7, (n, k, 3))
     ctx = fam.weight_context(p, x, eps)
-    wt = normalized_weights(ctx.lw)
-    std_rows = ctx.path(wt) - ctx.score(wt)
-    dreg_rows = ctx.path(squared_normalized_weights(ctx.lw))
+    w = ChunkWeights(ctx.lw)
+    std_rows = ctx.path(w.wt) - ctx.score(w.wt)
+    dreg_rows = ctx.path(w.wt2)
     assert np.all(dreg_rows.var(0, ddof=1) < std_rows.var(0, ddof=1))
 
 
@@ -259,6 +260,8 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
         ctx = fam.weight_context(p, x, eps)
         rows = {kind: (phi_rows(kind, ctx, alpha=alphas[kind]), theta_rows(kind, ctx))
                 for kind in ESTIMATOR_IDS}
+        for r in ESTIMATORS.values():  # the training objectives read the same weights
+            r.bound(context_weights(ctx))
         assert calls == {"normalized_log_weights": 1, "jvi1_coefficients": 1,
                          "decoder_backward": decoder_backward}
         # the shared weights and the cached decoder pullback change no bit,

@@ -10,11 +10,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dreglab.estimators import (
+    ChunkWeights,
     iwae_bound,
     jvi1_coefficients,
     jvi1_estimate,
-    normalized_weights,
-    squared_normalized_weights,
 )
 from dreglab.tape import TapeGraph
 
@@ -40,10 +39,11 @@ def test_shift_invariance(case, shift):
     lw, spread = case
     tol = _tol(lw, spread + abs(shift))
     moved = lw + shift
-    assert np.allclose(normalized_weights(moved), normalized_weights(lw), rtol=0, atol=tol)
-    assert np.allclose(squared_normalized_weights(moved), squared_normalized_weights(lw),
+    assert np.allclose(ChunkWeights(moved).wt, ChunkWeights(lw).wt, rtol=0, atol=tol)
+    assert np.allclose(ChunkWeights(moved).wt2, ChunkWeights(lw).wt2,
                        rtol=0, atol=tol)
     assert abs(iwae_bound(moved) - (iwae_bound(lw) + shift)) <= tol
+    assert abs(jvi1_estimate(moved) - (jvi1_estimate(lw) + shift)) <= tol
     # c and c2 entries reach K, so their tolerance carries one more K
     for got, want in zip(jvi1_coefficients(moved), jvi1_coefficients(lw)):
         assert np.allclose(got, want, rtol=0, atol=tol * lw.size)
@@ -55,10 +55,11 @@ def test_permutation_equivariance(case, rand):
     lw, spread = case
     perm = np.array(rand.sample(range(lw.size), lw.size))
     tol = _tol(lw, spread)
-    assert np.allclose(normalized_weights(lw[perm]), normalized_weights(lw)[perm], rtol=0, atol=tol)
-    assert np.allclose(squared_normalized_weights(lw[perm]), squared_normalized_weights(lw)[perm],
+    assert np.allclose(ChunkWeights(lw[perm]).wt, ChunkWeights(lw).wt[perm], rtol=0, atol=tol)
+    assert np.allclose(ChunkWeights(lw[perm]).wt2, ChunkWeights(lw).wt2[perm],
                        rtol=0, atol=tol)
     assert abs(iwae_bound(lw[perm]) - iwae_bound(lw)) <= tol
+    assert abs(jvi1_estimate(lw[perm]) - jvi1_estimate(lw)) <= tol
     for got, want in zip(jvi1_coefficients(lw[perm]), jvi1_coefficients(lw)):
         assert np.allclose(got, want[perm], rtol=0, atol=tol * lw.size)
 
@@ -67,10 +68,10 @@ def test_permutation_equivariance(case, rand):
 @given(lw_rows())
 def test_sums_and_finiteness(case):
     lw, spread = case
-    wt = normalized_weights(lw)
-    wt2 = squared_normalized_weights(lw)
+    wt = ChunkWeights(lw).wt
+    wt2 = ChunkWeights(lw).wt2
     c, c2 = jvi1_coefficients(lw)
-    for out in (wt, wt2, c, c2, iwae_bound(lw)):
+    for out in (wt, wt2, c, c2, iwae_bound(lw), jvi1_estimate(lw)):
         assert np.all(np.isfinite(out))
     assert np.all(wt >= 0) and np.all(wt2 >= 0)
     # log wt = lw - (max + log sum) is resolved to eps * |max lw| as well

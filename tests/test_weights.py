@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from dreglab.estimators import (
+    ChunkWeights,
     iwae_bound,
     jvi1_coefficients,
     jvi1_estimate,
     log_weights,
-    loo_logsumexp,
-    normalized_weights,
-    squared_normalized_weights,
 )
 from dreglab.gaussian import Streams, noise_block
 from dreglab.models import Toy, Vae, perturb_params
@@ -35,7 +33,7 @@ def test_normalized_weights_probability_vector():
     rng = np.random.default_rng(0)
     for _ in range(20):
         lw = rng.uniform(-700, 700, size=16)
-        wt = normalized_weights(lw)
+        wt = ChunkWeights(lw).wt
         assert np.all(wt >= 0)
         assert np.sum(wt) == pytest.approx(1.0, abs=1e-12)
 
@@ -44,23 +42,23 @@ def test_normalized_weights_probability_vector():
 def test_normalized_weights_sum_to_one_at_any_row_offset(k):
     # log wt must carry an error of a few eps, not eps * |max lw|
     eps = np.finfo(np.float64).eps
-    assert abs(np.sum(normalized_weights(np.full(k, -513.0))) - 1.0) <= k * eps
+    assert abs(np.sum(ChunkWeights(np.full(k, -513.0)).wt) - 1.0) <= k * eps
     base = np.random.default_rng(17).uniform(-30.0, 0.0, size=(16, k))
     for offset in (-1e4, -2999.5, -513.0, 0.0, 513.0, 2999.5, 1e4):
-        wt = normalized_weights(base + offset)
+        wt = ChunkWeights(base + offset).wt
         assert np.max(np.abs(wt.sum(axis=-1) - 1.0)) <= k * eps, offset
 
 
 def test_squared_weights_match_squares():
     rng = np.random.default_rng(1)
     lw = rng.standard_normal((4, 8))
-    assert np.allclose(squared_normalized_weights(lw), normalized_weights(lw) ** 2, rtol=1e-13)
+    assert np.allclose(ChunkWeights(lw).wt2, ChunkWeights(lw).wt ** 2, rtol=1e-13)
 
 
 def test_squared_weights_survive_extreme_logits():
     # unshifted exp(2 lw) would underflow to 0 for every entry
     lw = np.array([-800.0, -801.0, -803.0])
-    wt2 = squared_normalized_weights(lw)
+    wt2 = ChunkWeights(lw).wt2
     w = np.exp(lw - lw.max())
     want = (w / w.sum()) ** 2
     assert np.allclose(wt2, want, rtol=1e-12)
@@ -69,7 +67,7 @@ def test_squared_weights_survive_extreme_logits():
 
 def test_degenerate_batch_raises():
     with pytest.raises(ValueError):
-        normalized_weights(np.array([-np.inf, -np.inf]))
+        ChunkWeights(np.array([-np.inf, -np.inf])).wt
     with pytest.raises(ValueError):
         iwae_bound(np.array([np.nan, 0.0]))
 
@@ -90,27 +88,6 @@ def test_iwae_bound_converges_to_marginal():
     assert abs(bounds.mean() - want) < max(0.01, 5 * se)
 
 
-def test_loo_logsumexp_matches_bruteforce():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        lw = rng.uniform(-40, 40, size=(3, 6))
-        got = loo_logsumexp(lw)
-        for n in range(3):
-            for i in range(6):
-                rest = np.delete(lw[n], i)
-                m = rest.max()
-                want = m + math.log(np.sum(np.exp(rest - m)))
-                assert got[n, i] == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_loo_logsumexp_dominant_weight():
-    lw = np.array([[0.0, -50.0, -60.0, -55.0]])
-    got = loo_logsumexp(lw)
-    rest = lw[0, 1:]
-    m = rest.max()
-    assert got[0, 0] == pytest.approx(m + math.log(np.sum(np.exp(rest - m))), rel=1e-12)
-
-
 def test_jvi_equal_weights_is_identity():
     assert jvi1_estimate(np.full(6, 1.3)) == pytest.approx(1.3, abs=1e-12)
 
@@ -128,6 +105,41 @@ def test_jvi_matches_direct_formula():
             iwae_bound(np.delete(lw, i)) for i in range(k)
         )
         assert jvi1_estimate(lw) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _jvi1_reference(row):
+    """jvi1 of one row in 60-digit arithmetic.
+
+    Each leave-one-out sum is a sum over j != i (a prefix plus a suffix
+    sum), never W - w_i.
+    """
+    with mpmath.workdps(60):
+        k = len(row)
+        w = [mpmath.exp(mpmath.mpf(float(v))) for v in row]
+        prefix = [mpmath.mpf(0)]
+        for wi in w:
+            prefix.append(prefix[-1] + wi)
+        suffix = [mpmath.mpf(0)]
+        for wi in reversed(w):
+            suffix.append(suffix[-1] + wi)
+        suffix.reverse()
+        loo = mpmath.fsum(mpmath.log((prefix[i] + suffix[i + 1]) / (k - 1))
+                          for i in range(k))
+        full = mpmath.log(prefix[k] / k)
+        return float(k * full - mpmath.mpf(k - 1) / k * loo)
+
+
+@pytest.mark.parametrize("k", [64, 512])
+@pytest.mark.parametrize("spread", [1.0, 10.0])
+def test_jvi_estimate_matches_mpmath(k, spread):
+    # K IWAE_K and the K leave-one-out bounds are each of size K |bound|
+    # and cancel to the bound's size; the closed form never forms them
+    rng = np.random.default_rng(18)
+    lw = rng.uniform(-spread, 0.0, size=(4, k))
+    lw[:, 0] = 0.0
+    for got, row in zip(jvi1_estimate(lw), lw):
+        want = _jvi1_reference(row)
+        assert abs(got - want) <= 4e-15 * (1.0 + abs(want))
 
 
 def test_jvi_rejects_single_sample():
@@ -272,7 +284,7 @@ def test_log_weights_matches_vae_context():
 def test_log_weights_k1_weight_is_one():
     fam, p, x = toy_fixture()
     lwb = log_weights(fam, p, x, noise_block(1, Streams.MEASURE, 3, (1, 3)))
-    assert normalized_weights(lwb.log_w).tolist() == [1.0]
+    assert ChunkWeights(lwb.log_w).wt.tolist() == [1.0]
 
 
 def test_log_weights_constant_at_exact_posterior():
@@ -306,7 +318,9 @@ def test_jvi_coefficients_match_tape_across_gaps(gap):
     vals = np.array([0.0, -gap, -gap - 1.0])
     g = TapeGraph()
     nodes = g.input_vector(vals)
-    grads = g.backward(jvi1_estimate(nodes))
+    root = jvi1_estimate(nodes)
+    assert jvi1_estimate(vals) == pytest.approx(root.value, rel=1e-12)
+    grads = g.backward(root)
     c, c2 = jvi1_coefficients(vals[None, :])
     want = np.array([grads[node.idx] for node in nodes])
     assert np.allclose(c[0], want, rtol=1e-12, atol=1e-14)
@@ -339,17 +353,17 @@ def test_jvi_coefficients_finite_at_wide_spreads(spread):
 
 def test_nan_log_weight_is_named():
     with pytest.raises(ValueError, match="NaN log-weight"):
-        normalized_weights(np.array([[0.0, -1.0], [np.nan, 0.0]]))
+        ChunkWeights(np.array([[0.0, -1.0], [np.nan, 0.0]])).wt
 
 
 def test_positive_infinite_log_weight_is_named():
     with pytest.raises(ValueError, match=r"\+inf log-weight"):
-        normalized_weights(np.array([[0.0, -1.0], [np.inf, 0.0]]))
+        ChunkWeights(np.array([[0.0, -1.0], [np.inf, 0.0]])).wt
 
 
 def test_all_negative_infinite_row_is_named():
     with pytest.raises(ValueError, match="every log-weight is -inf"):
-        normalized_weights(np.array([[0.0, -1.0], [-np.inf, -np.inf]]))
+        ChunkWeights(np.array([[0.0, -1.0], [-np.inf, -np.inf]])).wt
 
 
 @pytest.mark.parametrize("row", [[0.0, -np.inf], [0.0, -np.inf, -np.inf]])
