@@ -324,7 +324,8 @@ def run_toy_snr(cfg):
     Writes ``stats.csv`` with one row per (estimator, K, trial,
     coordinate) and ``ttests.csv`` with per-coordinate paired t-tests of
     each estimator against the standard recipe pooled over trials.
-    Each estimator skips the K below its recipe's min_k.
+    Each estimator skips the K below its recipe's min_k, and a K that
+    no estimator reaches is not measured.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
@@ -333,11 +334,13 @@ def run_toy_snr(cfg):
     for trial in range(cfg.trials):
         p, x = _trial_point(cfg, fam, trial)
         for k in cfg.k_grid:
+            live = [est for est in cfg.estimators
+                    if k >= ESTIMATORS[est].min_k]
+            if not live:
+                continue
             ref = reference_mean(fam, p, x, k, cfg.reference_samples,
                                  seed=cfg.seed, chunk_size=cfg.chunk_size,
                                  draw_prefix=(trial, k))
-            live = [est for est in cfg.estimators
-                    if k >= ESTIMATORS[est].min_k]
             moments, diffs = _measure_trial(cfg, fam, p, x, trial, k, live)
             for est, mom in moments.items():
                 st = stats_from_moments(mom, ref.mean, k=k, estimator_id=est)

@@ -1,27 +1,37 @@
 """Measurement statistics: moments, SNR, paired tests, slopes, EMA traces.
 
 Every bulk measurement is one pipeline: a noise key gives a chunk of
-noise, the chunk gives one weight context, the context gives estimator
+noise, the chunk gives weight contexts, the contexts give estimator
 rows, and the rows fold into RunningMoments.  `fold_rows` is that
 pipeline, written once; the reference mean, the CLI experiments and the
-acceptance gate call it with their own keys and row streams.  The next
-chunk's noise is drawn on a worker thread while the current chunk is
-contracted; since each chunk's noise depends on its key alone and the
-merge order is fixed, a fixed chunk schedule gives bit-stable results.
+acceptance gate call it with their own keys and row streams.  The chunk
+is the key and merge unit: its noise comes from one Philox stream, and
+its rows fold into moments at once, in chunk order.  The slab, at most
+SLAB normals of a chunk, is the memory and pipeline unit: one worker
+thread draws slabs ahead while the calling thread contracts the current
+one.  Rows are per sample, so the moments are those of whole-chunk
+contexts, and a fixed chunk schedule gives bit-stable results whatever
+the thread timing.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .estimators.gradients import phi_rows
-from .gaussian import Streams, noise_block
+from .gaussian import Streams, noise_slabs
 
 # below this many pairs the t CDF is evaluated exactly; above, the
 # normal approximation is indistinguishable at reporting precision
 EXACT_T_CUTOFF = 10_000
+
+# normals per slab (8 MiB of float64), the unit in which `fold_rows`
+# draws noise and builds weight contexts
+SLAB = 1 << 20
 
 
 @dataclass
@@ -207,41 +217,94 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
               draw_prefix=(), chunk_size):
     """Moments of n draws of every named row stream, folded chunk by chunk.
 
-    Chunk c draws noise_block(seed, stream, (*draw_prefix, c), (m, k,
-    model.latent)), builds one weight context on ``x`` (one observation,
-    which the context shares across the chunk), and merges each (name, rows)
-    pair that ``rows_of(ctx)`` yields into that name's RunningMoments.
-    Every name in a chunk reads the same noise, so differences of rows
-    are common-random-number pairs.  Returns {name: RunningMoments}.
+    Chunk c reads noise_block(seed, stream, (*draw_prefix, c), (m, k,
+    model.latent)).  Its rows come from weight contexts on ``x`` (one
+    observation, which a context shares across its rows), and each
+    (name, rows) pair that ``rows_of(ctx)`` yields is folded into that
+    name's RunningMoments, one `RunningMoments.from_samples` per chunk,
+    merged in chunk order.  Every name in a chunk reads the same noise,
+    so differences of rows are common-random-number pairs.  Returns
+    {name: RunningMoments}.
 
-    While chunk c is contracted, one worker thread draws chunk c + 1
-    (NumPy's normal fill releases the GIL).  The results cannot depend on
-    that overlap: a chunk's Philox stream is keyed by its index alone
-    (counter-based, Salmon et al. 2011), and the merges run on the
-    calling thread in chunk order.  A one-chunk fold starts no thread,
-    and the worker is joined before this returns or raises.
+    The chunk is the key and merge unit; the slab is the memory and
+    pipeline unit.  A chunk's noise is drawn from its one generator
+    (`noise_slabs`) in the fewest even slabs of at most max(1, SLAB //
+    (k * latent)) rows, and each slab gets its own context, whose rows
+    are copied into per-chunk buffers.  That needs the fold contract:
+    row i depends on noise row i alone, and every slab yields the same
+    names; a slab that breaks it raises ValueError.  Under it, the
+    buffers hold the rows that one whole-chunk context would give, bit
+    for bit (`_even_cut` says why no slab has a single row).
+
+    While slab s is contracted, one worker thread draws up to two slabs
+    ahead (NumPy's normal fill releases the GIL).  The results cannot
+    depend on that overlap: a chunk's Philox stream is keyed by its
+    index alone (counter-based, Salmon et al. 2011), only the worker
+    draws, and the merges run on the calling thread in chunk order.  A
+    one-slab fold starts no thread, and the worker is joined before this
+    returns or raises.
     """
     sizes = [min(chunk_size, n - done) for done in range(0, n, chunk_size)]
+    step = max(1, SLAB // (k * model.latent))
+    cuts = [_even_cut(m, step) for m in sizes]
+    plan = [(chunk, start, m)  # every slab, in draw order
+            for chunk, cut in enumerate(cuts)
+            for start, m in zip(accumulate(cut, initial=0), cut)]
+    draws = (eps for chunk, cut in enumerate(cuts)
+             for eps in noise_slabs(seed, stream, (*draw_prefix, chunk),
+                                    (sizes[chunk], k, model.latent), cut))
     moments = {}
+    buffers = {}  # name -> the current chunk's rows
 
-    def draw(chunk):
-        return noise_block(seed, stream, (*draw_prefix, chunk),
-                           (sizes[chunk], k, model.latent))
-
-    def fold(eps):
+    def fold(chunk, start, m, eps):
+        where = f"chunk {chunk}, rows {start}:{start + m}"
+        named = set()
         for name, rows in rows_of(model.weight_context(params, x, eps)):
-            part = RunningMoments.from_samples(rows)
-            moments[name] = part if name not in moments else moments[name].merge(part)
+            rows = np.asarray(rows)
+            if start == 0 and name not in buffers:
+                buffers[name] = np.empty((sizes[chunk], *rows.shape[1:]))
+            if name not in buffers or name in named:
+                raise _contract_error(f"{where}: {name!r} is new or repeated")
+            if rows.shape != (m, *buffers[name].shape[1:]):
+                raise _contract_error(f"{where}: {name!r} rows have shape "
+                                      f"{rows.shape}")
+            buffers[name][start:start + m] = rows
+            named.add(name)
+        if len(named) != len(buffers):
+            missing = sorted(map(repr, buffers.keys() - named))
+            raise _contract_error(f"{where}: no rows for {', '.join(missing)}")
+        if start + m == sizes[chunk]:
+            for name, rows in buffers.items():
+                part = RunningMoments.from_samples(rows)
+                moments[name] = part if name not in moments else moments[name].merge(part)
+            buffers.clear()
 
-    eps = draw(0) if sizes else None
+    depth = 3 if len(plan) > 1 else 0  # slab s and the two after it
     with ThreadPoolExecutor(1) as pool:  # no thread until the first submit
-        for chunk in range(len(sizes)):
-            ahead = pool.submit(draw, chunk + 1) if chunk + 1 < len(sizes) else None
-            fold(eps)
-            eps = None  # let chunk c go before chunk c + 1 lands
-            if ahead is not None:
-                eps = ahead.result()
+        ahead = deque()
+        for s, slab in enumerate(plan):
+            while len(ahead) < depth and s + len(ahead) < len(plan):
+                ahead.append(pool.submit(next, draws))
+            fold(*slab, ahead.popleft().result() if ahead else next(draws))
     return moments
+
+
+def _even_cut(m, step):
+    """Row counts of the fewest slabs of at most ``step`` rows that cover
+    ``m`` rows, differing by at most one.
+
+    Even cuts keep a one-row slab out of any chunk of two or more rows
+    while step >= 2: a one-row batch sends `VaeContext`'s 2-D matmuls
+    through BLAS gemv instead of gemm, whose sums round differently.
+    """
+    count = -(-m // step)
+    return [m // count + (i < m % count) for i in range(count)]
+
+
+def _contract_error(detail):
+    return ValueError("rows_of broke the fold contract (row i depends on "
+                      "noise row i alone; every slab yields the same "
+                      f"names): {detail}")
 
 
 def reference_mean(model, params, x, k, n_ref, seed=0, chunk_size=16384,

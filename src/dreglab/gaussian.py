@@ -10,7 +10,8 @@ keyed by a short integer tuple (seed, stream-id, counters...), so any
 noise block is reproducible from its key alone, with no dependence on
 draw order.  Stream ids are centralized in `Streams` to keep purposes
 from colliding.  Noise is always a plain float array: `noise_block`
-returns one of any shape, and every consumer (weight contexts, the tape
+returns one of any shape, `noise_slabs` yields the same block in
+consecutive row slabs, and every consumer (weight contexts, the tape
 route, surrogates) takes eps as such an array.
 """
 
@@ -47,13 +48,30 @@ def stream_rng(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(k) for k in key])))
 
 
+def noise_slabs(seed, stream, draw, shape, rows):
+    """The block ``noise_block(seed, stream, draw, shape)`` in row slabs.
+
+    Yields one slab of ``r`` leading rows per entry r of ``rows``, drawn
+    in order from the block's one generator, so the concatenation of the
+    slabs along axis 0 is bit-equal to the whole block.  ``rows`` must
+    sum to ``shape[0]``.
+    """
+    n, *rest = (shape,) if isinstance(shape, int) else shape
+    if sum(rows) != n:
+        raise ValueError(f"slab rows {rows!r} do not sum to the block's {n}")
+    key = draw if isinstance(draw, tuple) else (draw,)
+    rng = stream_rng(seed, stream, *key)
+    for r in rows:
+        yield rng.standard_normal((r, *rest))
+
+
 def noise_block(seed, stream, draw, shape):
     """Standard-normal array of ``shape`` keyed by (seed, stream, draw).
 
     ``draw`` may be an int or a tuple of ints (multi-level draw key).
     """
-    key = draw if isinstance(draw, tuple) else (draw,)
-    return stream_rng(seed, stream, *key).standard_normal(shape)
+    n = shape if isinstance(shape, int) else shape[0]
+    return next(noise_slabs(seed, stream, draw, shape, [n]))
 
 
 # generic-element helpers: float in, float out; TapeScalar in, TapeScalar out

@@ -4,7 +4,7 @@ import tomllib
 import numpy as np
 import pytest
 
-from dreglab import __version__
+from dreglab import __version__, cli
 from dreglab.cli import (
     KEYS,
     ConfigError,
@@ -312,6 +312,25 @@ class TestToySnrCommand:
         jvi_ks = {r[1] for r in rows if r[0].startswith("jvi1")}
         assert jvi_ks == {"4"}
         assert {r[1] for r in rows if r[0] == "iwae"} == {"1", "4"}
+
+    def test_k_below_every_min_k_is_not_measured(self, tmp_path, monkeypatch):
+        # k_grid = 1, 4 with jackknife ids only: nothing is written at K = 1,
+        # so nothing may be folded there either
+        cfg = write_config(tmp_path, TOY_SMOKE + "estimators = jvi1, jvi1-dreg\n")
+        folded_at = []
+        for name, k_arg in (("reference_mean", 3), ("_measure_trial", 5)):
+            real = getattr(cli, name)
+
+            def spy(*args, real=real, name=name, k_arg=k_arg, **kwargs):
+                folded_at.append((name, args[k_arg]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / "o"
+        assert main(["toy-snr", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(set(folded_at)) == [("_measure_trial", 4), ("reference_mean", 4)]
+        rows = read(out / "stats.csv").decode().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"4"}
 
     def test_jackknife_grid_below_min_k_is_config_error(self, tmp_path, capsys):
         # every K of the grid is skipped, which would leave header-only csvs

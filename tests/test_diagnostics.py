@@ -19,7 +19,7 @@ from dreglab.diagnostics import (
     t_test_from_moments,
 )
 from dreglab.estimators import phi_rows, theta_rows
-from dreglab.gaussian import Streams, noise_block
+from dreglab.gaussian import Streams, noise_block, noise_slabs
 from dreglab.models import Toy, Vae, perturb_params
 
 
@@ -303,21 +303,109 @@ def test_fold_rows_counts_a_ragged_tail():
     assert {name: mom.n for name, mom in folded.items()} == {"phi": 1000, "theta": 1000}
 
 
-def test_fold_rows_reads_each_chunks_noise():
-    fam, p, x = fold_fixture()
-    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
-                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+def whole_chunk_fold(fam, p, x, seed, sizes):
+    """The fold of `fold_rows` by hand: one context per whole chunk."""
     want = {}
-    for chunk, m in enumerate((384, 384, 232)):
-        eps = noise_block(31, Streams.MEASURE, (2, 4, chunk), (m, 4, 3))
+    for chunk, m in enumerate(sizes):
+        eps = noise_block(seed, Streams.MEASURE, (2, 4, chunk), (m, 4, fam.latent))
         for name, rows in phi_and_theta(fam.weight_context(p, x, eps)):
             part = RunningMoments.from_samples(rows)
             want[name] = want[name].merge(part) if name in want else part
+    return want
+
+
+def assert_same_moments(folded, want):
     assert folded.keys() == want.keys()
     for name, mom in folded.items():
         assert mom.n == want[name].n
         assert np.array_equal(mom.mean, want[name].mean)
         assert np.array_equal(mom.m2, want[name].m2)
+
+
+def test_fold_rows_reads_each_chunks_noise():
+    fam, p, x = fold_fixture()
+    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+
+
+def vae_fold_fixture():
+    fam = Vae(latent=2, hidden=3, obs=5)
+    return fam, fam.init_params(seed=4), np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("family, slab_rows", [
+    ("toy", 1), ("toy", 7), ("toy", 100), ("toy", 384),
+    ("vae", 2), ("vae", 7), ("vae", 100), ("vae", 384),
+])
+def test_fold_rows_in_slabs_equals_the_whole_chunk_fold(monkeypatch, family, slab_rows):
+    # 7 and 100 cut the chunks into slabs of unequal sizes; 1 gives one
+    # context per draw (the VAE's one-row batches run gemv, not gemm, so
+    # it starts at 2); 384 leaves one slab per chunk
+    fam, p, x = fold_fixture() if family == "toy" else vae_fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", slab_rows * 4 * fam.latent)
+    slabs = []
+
+    def rows_of(ctx):
+        slabs.append((ctx.lw.shape[0], threading.active_count() - before))
+        yield from phi_and_theta(ctx)
+
+    before = threading.active_count()
+    folded = fold_rows(fam, p, x, 4, 1000, rows_of, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+    assert len(slabs) == sum(-(-m // slab_rows) for m in (384, 384, 232))
+    assert max(m for m, _ in slabs) <= slab_rows
+    # even cuts: no one-row slab (232 rows in slabs of 7 would end in one)
+    assert min(m for m, _ in slabs) >= min(2, slab_rows)
+    assert {workers for _, workers in slabs} == {1}
+    assert threading.active_count() == before
+    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+
+
+def renamed_at_the_third_slab(ctx, calls):
+    yield ("phi" if calls < 3 else "phi2"), phi_rows("iwae", ctx)
+    yield "theta", theta_rows("iwae", ctx)
+
+
+def dropped_at_the_third_slab(ctx, calls):
+    yield "phi", phi_rows("iwae", ctx)
+    if calls < 3:
+        yield "theta", theta_rows("iwae", ctx)
+
+
+@pytest.mark.parametrize("rows_of, detail", [
+    (renamed_at_the_third_slab, "'phi2' is new or repeated"),
+    (dropped_at_the_third_slab, "no rows for 'theta'"),
+])
+def test_fold_rows_rejects_names_that_change_across_slabs(monkeypatch, rows_of, detail):
+    fam, p, x = fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * 3)
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        yield from rows_of(ctx, len(calls))
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="every slab yields the same names") as info:
+        fold_rows(fam, p, x, 4, 1000, counted, seed=37,
+                  stream=Streams.MEASURE, chunk_size=384)
+    assert str(info.value).endswith("chunk 0, rows 192:288: " + detail)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_fold_rows_rejects_rows_that_are_not_one_per_noise_row(monkeypatch):
+    fam, p, x = fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * 3)
+
+    def rows_of(ctx):
+        yield "phi", phi_rows("iwae", ctx)[:50]
+
+    with pytest.raises(ValueError, match=r"row i depends on noise row i alone.*"
+                                         r"chunk 0, rows 0:96: 'phi' rows have shape \(50, "):
+        fold_rows(fam, p, x, 4, 1000, rows_of, seed=38,
+                  stream=Streams.MEASURE, chunk_size=384)
 
 
 def test_fold_rows_draw_prefix_separates_streams():
@@ -387,12 +475,12 @@ def test_fold_rows_reraises_a_draw_failure_from_the_worker(monkeypatch):
     fam, p, x = fold_fixture()
     failure = ChunkFailure("draw 2")
 
-    def noise_block_failing_at_chunk_2(seed, stream, draw, shape):
+    def noise_slabs_failing_at_chunk_2(seed, stream, draw, shape, rows):
         if draw[-1] == 2:
             raise failure
-        return noise_block(seed, stream, draw, shape)
+        return noise_slabs(seed, stream, draw, shape, rows)
 
-    monkeypatch.setattr("dreglab.diagnostics.noise_block", noise_block_failing_at_chunk_2)
+    monkeypatch.setattr("dreglab.diagnostics.noise_slabs", noise_slabs_failing_at_chunk_2)
     before = threading.active_count()
     with pytest.raises(ChunkFailure) as info:
         fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=36,

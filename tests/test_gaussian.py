@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreglab.gaussian import (
     DiagGaussian,
     bernoulli_log_prob,
     log_prob,
     noise_block,
+    noise_slabs,
     sample_reparam,
     stream_rng,
 )
@@ -144,6 +146,25 @@ def test_noise_block_reproducible_from_key():
     assert np.array_equal(a, b)
     assert np.array_equal(a, stream_rng(12, 3, 44).standard_normal((8, 5)))
     assert a.shape == (8, 5)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 6), st.integers(1, 4),
+       st.lists(st.integers(0, 40), max_size=6), st.integers(0, 2**32))
+def test_noise_slabs_concatenate_to_the_block(n, k, d, cuts, draw):
+    block = noise_block(5, 3, (draw, 7), (n, k, d))
+    bounds = [0, *sorted(c for c in cuts if c <= n), n]
+    ragged = [b - a for a, b in zip(bounds, bounds[1:])]
+    for rows in (ragged, [1] * n, [n]):
+        slabs = list(noise_slabs(5, 3, (draw, 7), (n, k, d), rows))
+        assert [slab.shape for slab in slabs] == [(r, k, d) for r in rows]
+        whole = np.concatenate(slabs) if slabs else np.empty((0, k, d))
+        assert np.array_equal(whole, block)
+
+
+def test_noise_slabs_must_cover_the_block():
+    with pytest.raises(ValueError, match="do not sum to the block's 5"):
+        next(noise_slabs(5, 3, 0, (5, 2), [2, 2]))
 
 
 def test_noise_blocks_differ_across_keys():
