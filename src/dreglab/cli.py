@@ -36,7 +36,7 @@ from .diagnostics import (
     stats_from_moments,
     t_test_from_moments,
 )
-from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_rows
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
 from .training import train_model
@@ -280,8 +280,8 @@ def _prepare_out(cfg):
     _write_text(os.path.join(cfg.out, "manifest.txt"), manifest_text(cfg))
 
 
-def _phi_alpha(cfg, est):
-    return cfg.alpha if est == "dreg-alpha" else None
+def _phi_alpha(cfg, kinds):
+    return cfg.alpha if "dreg-alpha" in kinds else None
 
 
 def _trial_point(cfg, fam, trial):
@@ -301,15 +301,14 @@ def _measure_trial(cfg, fam, p, x, trial, k, estimators):
     Every estimator reads the same noise chunk, so per-row differences
     against the standard recipe are common-random-number pairs.
     """
+    kinds = ("iwae", *estimators)
+
     def rows_of(ctx):
-        base = phi_rows("iwae", ctx)
+        rows = phi_row_set(kinds, ctx, _phi_alpha(cfg, kinds))
         for est in estimators:
-            if est == "iwae":
-                yield est, base
-            else:
-                rows = phi_rows(est, ctx, _phi_alpha(cfg, est))
-                yield est, rows
-                yield (est, "diff"), rows - base
+            yield est, rows[est]
+            if est != "iwae":
+                yield (est, "diff"), rows[est] - rows["iwae"]
 
     folded = fold_rows(fam, p, x, k, cfg.samples, rows_of, seed=cfg.seed,
                        stream=Streams.MEASURE, draw_prefix=(trial, k),
@@ -385,9 +384,10 @@ def _bias_pairs(cfg, fam, p, x):
         ref = REFERENCE_PAIR[est]
         needed.update(_MIX_PARTS if ref == "alpha-mix" else (ref,))
 
+    kinds = sorted(needed)
+
     def rows_of(ctx):
-        rows = {est: phi_rows(est, ctx, _phi_alpha(cfg, est))
-                for est in sorted(needed)}
+        rows = phi_row_set(kinds, ctx, _phi_alpha(cfg, kinds))
         for est in cfg.estimators:
             ref = REFERENCE_PAIR[est]
             if ref == "alpha-mix":
@@ -493,7 +493,7 @@ def run_train(cfg):
         steps=cfg.steps, batch_size=cfg.batch_size, lr=cfg.lr,
         beta1=cfg.beta1, beta2=cfg.beta2, adam_eps=cfg.adam_eps,
         eval_every=cfg.eval_every, eval_k=cfg.eval_k,
-        trace_decay=cfg.trace_decay, alpha=_phi_alpha(cfg, cfg.estimator),
+        trace_decay=cfg.trace_decay, alpha=_phi_alpha(cfg, (cfg.estimator,)),
         seed=cfg.seed)
     rows = [(r.step, cfg.estimator, cfg.k, r.train_objective,
              r.heldout_bound, r.var_trace_theta, r.var_trace_phi)

@@ -2,6 +2,7 @@ from .gradients import (
     DESCENT_IDS,
     ESTIMATOR_IDS,
     ESTIMATORS,
+    phi_row_set,
     phi_rows,
     recipe,
     theta_rows,
@@ -31,6 +32,7 @@ __all__ = [
     "jvi1_estimate",
     "log_weights",
     "normalized_log_weights",
+    "phi_row_set",
     "phi_rows",
     "recipe",
     "surrogate_loss",

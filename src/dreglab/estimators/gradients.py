@@ -1,18 +1,23 @@
-"""The gradient estimator family as one coefficient table.
+"""The gradient estimator family as one table, linear in four bases.
 
 Every estimator is a triple of per-sample coefficient vectors
 (c_path, c_score, c_theta) contracted against three partials: its phi
 rows are path(c_path) - score(c_score) and its theta rows theta(c_theta).
-`ESTIMATORS` below is that table; each entry builds its coefficients
-from a context's `ChunkWeights` (w-tilde, w-tilde^2 and the jackknife
-pair), so the recipes run against one context normalize its log weights
-once.  Each entry also names the bound its theta coefficient
-differentiates (the IWAE bound for w-tilde rows, the jackknife bound for
-c rows) and the smallest K its coefficients are defined at.  The
-wake-sleep rows return gradients to descend (they drive a KL
-minimization); everything else is an ascent direction on its bound.
-The contraction interface is served by both the closed-form model
-contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
+Each coefficient is built from the same four named bases of a context's
+`ChunkWeights`: w-tilde (``wt``), w-tilde^2 (``wt2``) and the jackknife
+pair (``c``, ``c2``).  `ESTIMATORS` below is that table: an entry's path
+and score terms map bases to weights (dreg-alpha's are functions of
+alpha), and its theta term names one base.  Contractions are linear, so
+the phi rows of an entry are the weighted sum of its contracted bases,
+and `phi_row_set` contracts each distinct base once for any set of ids
+on one context; the recipes run against one context also normalize its
+log weights once.  Each entry also names the bound its theta
+coefficient differentiates (the IWAE bound for w-tilde rows, the
+jackknife bound for c rows) and the smallest K its coefficients are
+defined at.  The wake-sleep rows return gradients to descend (they
+drive a KL minimization); everything else is an ascent direction on its
+bound.  The contraction interface is served by both the closed-form
+model contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
 (reference); tests pin the routes against each other.
 """
 
@@ -23,43 +28,31 @@ from .weights import context_weights, iwae_bound, jvi1_estimate
 
 @dataclass(frozen=True)
 class Recipe:
-    """Coefficient builders of one estimator, each called as f(w, alpha)
-    on a context's ChunkWeights (None marks an absent term), and its
-    bound, called as bound(w)."""
+    """One estimator on the bases of `ChunkWeights`.
 
-    path: object
-    score: object
-    theta: object
+    ``path`` and ``score`` map a base name to its weight, a number or a
+    function of alpha, and their coefficients are sum weight * base (an
+    empty map marks an absent term); ``theta`` names a single base.
+    ``bound`` is called as bound(w) on the context's ChunkWeights."""
+
+    path: dict
+    score: dict
+    theta: str
     bound: object = iwae_bound  # the objective the theta rows ascend
     min_k: int = 1  # the smallest K the coefficients are defined at
     descent: bool = False  # the phi rows are a direction to descend
 
 
-def _wt(w, alpha):
-    return w.wt
-
-
-def _wt2(w, alpha):
-    return w.wt2
-
-
-def _c(w, alpha):
-    return w.jvi1[0]
-
-
-def _c2(w, alpha):
-    return w.jvi1[1]
-
-
 ESTIMATORS = {
-    "iwae": Recipe(_wt, _wt, _wt),
-    "stl": Recipe(_wt, None, _wt),
-    "iwae-dreg": Recipe(_wt2, None, _wt),
-    "rws-wake": Recipe(None, _wt, _wt, descent=True),
-    "rws-dreg": Recipe(lambda w, a: w.wt2 - w.wt, None, _wt, descent=True),
-    "dreg-alpha": Recipe(lambda w, a: a * w.wt + (1.0 - 2.0 * a) * w.wt2, None, _wt),
-    "jvi1": Recipe(_c, _c, _c, jvi1_estimate, min_k=2),
-    "jvi1-dreg": Recipe(_c2, None, _c, jvi1_estimate, min_k=2),
+    "iwae": Recipe({"wt": 1.0}, {"wt": 1.0}, "wt"),
+    "stl": Recipe({"wt": 1.0}, {}, "wt"),
+    "iwae-dreg": Recipe({"wt2": 1.0}, {}, "wt"),
+    "rws-wake": Recipe({}, {"wt": 1.0}, "wt", descent=True),
+    "rws-dreg": Recipe({"wt2": 1.0, "wt": -1.0}, {}, "wt", descent=True),
+    "dreg-alpha": Recipe({"wt": lambda a: a, "wt2": lambda a: 1.0 - 2.0 * a},
+                         {}, "wt"),
+    "jvi1": Recipe({"c": 1.0}, {"c": 1.0}, "c", jvi1_estimate, min_k=2),
+    "jvi1-dreg": Recipe({"c2": 1.0}, {}, "c", jvi1_estimate, min_k=2),
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
@@ -72,28 +65,79 @@ def _entry(kind):
     return ESTIMATORS[kind]
 
 
+def _check_alpha(kinds, alpha):
+    if (alpha is not None) != ("dreg-alpha" in kinds):
+        raise ValueError("alpha must be given exactly for dreg-alpha")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError("dreg-alpha needs alpha in [0, 1]")
+
+
 def recipe(kind, alpha=None):
     """The table entry of ``kind``; alpha, in [0, 1], is given exactly
     for dreg-alpha."""
     entry = _entry(kind)
-    if (alpha is not None) != (kind == "dreg-alpha"):
-        raise ValueError("alpha must be given exactly for dreg-alpha")
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ValueError("dreg-alpha needs alpha in [0, 1]")
+    _check_alpha((kind,), alpha)
     return entry
 
 
-def phi_rows(kind, ctx, alpha=None):
-    """Inference-network gradient rows for one weight context."""
-    r = recipe(kind, alpha)
+def _terms_at(term, alpha):
+    """The (base, weight) pairs of a path or score map at ``alpha``; a
+    zero weight drops its base."""
+    pairs = ((base, weight(alpha) if callable(weight) else weight)
+             for base, weight in term.items())
+    return [(base, weight) for base, weight in pairs if weight != 0.0]
+
+
+def _weighted_sum(terms, value_of):
+    """sum weight * value_of(key) over the (key, weight) pairs, in order;
+    None for no pairs."""
+    total = None
+    for key, weight in terms:
+        part = value_of(key)
+        if weight != 1.0:
+            part = weight * part
+        total = part if total is None else total + part
+    return total
+
+
+def coefficients(term, weights, alpha=None):
+    """The coefficient vector sum weight * base of a path or score map
+    on one `ChunkWeights`; None for an absent term."""
+    return _weighted_sum(_terms_at(term, alpha),
+                         lambda base: getattr(weights, base))
+
+
+def phi_row_set(kinds, ctx, alpha=None):
+    """Inference-network gradient rows of every id in ``kinds`` for one
+    weight context, as {kind: rows}.
+
+    An id's rows are sum w path(base) - sum w score(base) over its
+    recipe's terms, and each distinct (side, base) pair is contracted
+    once for all of ``kinds``: the eight ids take four path and two
+    score contractions.  alpha, in [0, 1], is given exactly when
+    dreg-alpha is in ``kinds``.  Ids whose terms coincide (dreg-alpha at
+    alpha = 0 and iwae-dreg) share one rows array.
+    """
+    entries = {kind: _entry(kind) for kind in kinds}
+    _check_alpha(entries, alpha)
+    terms = {kind: [(("path", base), weight)
+                    for base, weight in _terms_at(r.path, alpha)]
+             + [(("score", base), -weight)
+                for base, weight in _terms_at(r.score, alpha)]
+             for kind, r in entries.items()}
     w = context_weights(ctx)
-    rows = None if r.path is None else ctx.path(r.path(w, alpha))
-    if r.score is not None:
-        score = ctx.score(r.score(w, alpha))
-        rows = -score if rows is None else rows - score
-    return rows
+    parts = {(side, base): getattr(ctx, side)(getattr(w, base))
+             for side, base in dict.fromkeys(key for t in terms.values()
+                                             for key, _ in t)}
+    return {kind: _weighted_sum(t, parts.__getitem__)
+            for kind, t in terms.items()}
+
+
+def phi_rows(kind, ctx, alpha=None):
+    """Inference-network gradient rows of one id for one weight context."""
+    return phi_row_set((kind,), ctx, alpha)[kind]
 
 
 def theta_rows(kind, ctx):
     """Generative-model gradient rows for one weight context."""
-    return ctx.theta(_entry(kind).theta(context_weights(ctx), None))
+    return ctx.theta(getattr(context_weights(ctx), _entry(kind).theta))

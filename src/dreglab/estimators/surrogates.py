@@ -4,8 +4,8 @@ Each surrogate is one TapeScalar built from K reparameterized samples,
 with the gradient-stopped quantities entering as plain numbers instead
 of tape nodes.  The noise eps is a plain (K, d) array, the same one a
 weight context takes for a single draw.  The estimator table in
-`gradients` supplies the coefficients, and three freeze channels carry
-its three terms:
+`gradients` supplies the coefficients, each its recipe's weighted sum of
+`ChunkWeights` bases, and three freeze channels carry its three terms:
 
   weight coefficients   c_path, c_score and c_theta, computed
                         numerically from the frozen log weights; a
@@ -45,7 +45,7 @@ import numpy as np
 from ..gaussian import DiagGaussian, log_prob, sample_reparam
 from ..models.params import lift
 from ..tape import TapeGraph, tape_sum
-from .gradients import recipe
+from .gradients import coefficients, recipe
 from .weights import ChunkWeights
 
 
@@ -111,8 +111,9 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
         return -sigma * (log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i]))
 
     terms = []
-    for make, term in ((r.theta, theta_term), (r.path, path_term), (r.score, score_term)):
-        if make is not None:
-            c = make(w, alpha)
+    for c, term in ((getattr(w, r.theta), theta_term),
+                    (coefficients(r.path, w, alpha), path_term),
+                    (coefficients(r.score, w, alpha), score_term)):
+        if c is not None:
             terms += [c[i] * term(i) for i in range(k)]
     return SurrogateLoss(kind, tape_sum(terms), lifted, alpha=alpha)

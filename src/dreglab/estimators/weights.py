@@ -221,6 +221,16 @@ class ChunkWeights:
     def jvi1(self):
         return jvi1_coefficients(self)
 
+    @property
+    def c(self):
+        """The jackknife coefficients, d jvi1 / d log w."""
+        return self.jvi1[0]
+
+    @property
+    def c2(self):
+        """The jackknife coefficients' DReG partner."""
+        return self.jvi1[1]
+
     @cached_property
     def jvi1_bound(self):
         """The jackknife bound per row, in the closed form of the module

@@ -11,6 +11,7 @@ from dreglab.estimators import (
     context_weights,
     jvi1_estimate,
     log_weights,
+    phi_row_set,
     phi_rows,
     theta_rows,
 )
@@ -231,7 +232,7 @@ def test_jvi_grad_matches_tape_backward():
 
 def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
     from dreglab.estimators import weights
-    from dreglab.models import vae
+    from dreglab.models import toy, vae
 
     calls = {}
 
@@ -253,19 +254,96 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
         return backward(layers, h1, h2, seed)
 
     monkeypatch.setattr(vae, "_backward", counted_backward)
+    for context in (toy.ToyContext, vae.VaeContext):  # one call per distinct base
+        for side in ("path", "score"):
+            contract = getattr(context, side)
+
+            def counted_side(self, c, side=side, contract=contract):
+                calls[side] += 1
+                return contract(self, c)
+
+            monkeypatch.setattr(context, side, counted_side)
     alphas = {kind: 0.3 if kind == "dreg-alpha" else None for kind in ESTIMATOR_IDS}
     for (fam, p, x), decoder_backward in ((toy_fixture(), 0), (vae_fixture(), 1)):
-        calls.update(normalized_log_weights=0, jvi1_coefficients=0, decoder_backward=0)
+        calls.update(normalized_log_weights=0, jvi1_coefficients=0, decoder_backward=0,
+                     path=0, score=0)
         eps = noise_block(13, Streams.MEASURE, 8, (5, 8, fam.latent))
         ctx = fam.weight_context(p, x, eps)
-        rows = {kind: (phi_rows(kind, ctx, alpha=alphas[kind]), theta_rows(kind, ctx))
-                for kind in ESTIMATOR_IDS}
+        phi = phi_row_set(ESTIMATOR_IDS, ctx, alpha=0.3)
+        rows = {kind: (phi[kind], theta_rows(kind, ctx)) for kind in ESTIMATOR_IDS}
         for r in ESTIMATORS.values():  # the training objectives read the same weights
             r.bound(context_weights(ctx))
         assert calls == {"normalized_log_weights": 1, "jvi1_coefficients": 1,
-                         "decoder_backward": decoder_backward}
+                         "decoder_backward": decoder_backward, "path": 4, "score": 2}
         # the shared weights and the cached decoder pullback change no bit,
         # and no recipe's c leaks into them: each recipe alone on a fresh context
         for kind, (phi, theta) in rows.items():
             assert np.array_equal(phi, phi_rows(kind, fam.weight_context(p, x, eps), alpha=alphas[kind]))
             assert np.array_equal(theta, theta_rows(kind, fam.weight_context(p, x, eps)))
+
+
+def test_phi_row_set_equals_each_ids_phi_rows():
+    # one contraction per distinct base changes no bit of any id's rows
+    for fam, p, x in (toy_fixture(), vae_fixture()):
+        eps = noise_block(15, Streams.MEASURE, 9, (5, 8, fam.latent))
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            rows = phi_row_set(ESTIMATOR_IDS, fam.weight_context(p, x, eps), alpha)
+            assert list(rows) == list(ESTIMATOR_IDS)
+            for kind in ESTIMATOR_IDS:
+                alone = phi_rows(kind, fam.weight_context(p, x, eps),
+                                 alpha if kind == "dreg-alpha" else None)
+                assert np.array_equal(rows[kind], alone), (kind, alpha)
+
+
+def test_phi_row_set_agrees_with_the_tape_route():
+    fam, p, x = toy_fixture()
+    eps = noise_block(16, Streams.MEASURE, 10, (6, 3))
+    tape = phi_row_set(ESTIMATOR_IDS, log_weights(fam, p, x, eps), 0.3)
+    bulk = phi_row_set(ESTIMATOR_IDS, fam.weight_context(p, x, eps), 0.3)
+    for kind in ESTIMATOR_IDS:
+        assert tape[kind].shape == (p.phi_indices.size,)
+        assert np.allclose(tape[kind], bulk[kind][0], rtol=1e-9, atol=1e-11), kind
+
+
+def test_phi_row_set_takes_alpha_exactly_with_dreg_alpha():
+    fam, p, x = toy_fixture()
+    ctx = fam.weight_context(p, x, noise_block(1, Streams.MEASURE, 11, (4, 3)))
+    with pytest.raises(ValueError, match="alpha must be given"):
+        phi_row_set(("iwae", "dreg-alpha"), ctx)
+    with pytest.raises(ValueError, match="alpha must be given"):
+        phi_row_set(("iwae", "stl"), ctx, alpha=0.3)
+    with pytest.raises(ValueError, match="alpha in"):
+        phi_row_set(("iwae", "dreg-alpha"), ctx, alpha=-0.1)
+    with pytest.raises(ValueError, match="unknown estimator id"):
+        phi_row_set(("iwae", "nope"), ctx)
+    assert set(phi_row_set(("stl", "dreg-alpha"), ctx, alpha=0.3)) == {"stl", "dreg-alpha"}
+    assert phi_row_set((), ctx) == {}
+
+
+def _identity_contexts():
+    toy = Toy(4)
+    rng = np.random.default_rng(3)
+    p = perturb_params(toy.init_params(rng.standard_normal(4)), 0.3, 5)
+    yield toy, p, p.view("theta") + 1.4 * rng.standard_normal(4), 400
+    vae = Vae(10, 20, 64)
+    x = (np.random.default_rng(4).random((50, 64)) < 0.5).astype(float)
+    yield vae, perturb_params(vae.init_params(seed=2), 0.25, 7), x, 50
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
+def test_wake_and_alpha_rows_differ_from_their_baselines_by_the_dreg_difference(alpha):
+    # row by row, rws-dreg - rws-wake = iwae-dreg - iwae and
+    # dreg-alpha - ((1 - a) iwae - a rws-wake) = (1 - 2a)(iwae-dreg - iwae),
+    # so bias-test's rws-dreg and dreg-alpha pairs test the iwae-dreg null
+    for fam, p, x, n in _identity_contexts():
+        for k in (8, 64):
+            eps = noise_block(13, Streams.MEASURE, k, (n, k, fam.latent))
+            r = phi_row_set(ESTIMATOR_IDS, fam.weight_context(p, x, eps), alpha)
+            scale = max(np.abs(r[kind]).max() for kind in
+                        ("iwae", "iwae-dreg", "rws-wake", "rws-dreg", "dreg-alpha"))
+            dreg = r["iwae-dreg"] - r["iwae"]
+            wake = r["rws-dreg"] - r["rws-wake"]
+            mix = (1.0 - alpha) * r["iwae"] - alpha * r["rws-wake"]
+            assert np.abs(wake - dreg).max() <= 1e-15 * scale, (type(fam), k)
+            assert np.abs((r["dreg-alpha"] - mix) - (1.0 - 2.0 * alpha) * dreg).max() \
+                <= 1e-15 * scale, (type(fam), k)
