@@ -7,13 +7,11 @@ pipeline, written once; the reference mean, the CLI experiments and the
 acceptance gate call it with their own keys and row streams.  The chunk
 is the key and merge unit: its noise comes from one Philox stream, and
 its rows fold into moments at once, in chunk order.  The slab, at most
-SLAB = 2^17 normals (1 MiB) of a chunk, is the memory and pipeline
-unit: one worker thread draws slabs ahead while the calling thread
-contracts the current one, and at K = 64 a slab's eps, log weights and
-coefficient vectors fit a 2 MiB per-core L2 cache, so each of its
-contractions reads them from cache.  Rows are per sample, so the
-moments are those of whole-chunk contexts, and a fixed chunk schedule
-gives bit-stable results whatever the thread timing.
+SLAB normals of a chunk, is the memory and pipeline unit: one worker
+thread draws slabs ahead while the calling thread contracts the current
+one.  Rows are per sample, so the moments are those of whole-chunk
+contexts, and a fixed chunk schedule gives bit-stable results whatever
+the thread timing.
 """
 
 import math
@@ -31,10 +29,9 @@ from .gaussian import Streams, noise_slabs
 # normal approximation is indistinguishable at reporting precision
 EXACT_T_CUTOFF = 10_000
 
-# normals per slab (1 MiB of float64), the unit in which `fold_rows`
-# draws noise and builds weight contexts; at K = 64 a slab's eps, log
-# weights and coefficient vectors stay in a 2 MiB per-core L2 cache
-SLAB = 1 << 17
+# normals per slab (8 MiB of float64), the unit in which `fold_rows`
+# draws noise and builds weight contexts
+SLAB = 1 << 20
 
 
 @dataclass
@@ -235,8 +232,7 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     pipeline unit.  A chunk's noise is drawn from its one generator
     (`noise_slabs`) in the fewest even slabs of at most max(1, SLAB //
     (k * latent)) rows, and each slab gets its own context, whose rows
-    are copied into per-chunk buffers (allocated once per fold: fresh
-    ones cost each chunk its page faults).  That needs the fold contract:
+    are copied into per-chunk buffers.  That needs the fold contract:
     row i depends on noise row i alone, and every slab yields the same
     names; a slab that breaks it raises ValueError.  Under it, the
     buffers hold the rows that one whole-chunk context would give, bit
@@ -260,8 +256,7 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
              for eps in noise_slabs(seed, stream, (*draw_prefix, chunk),
                                     (sizes[chunk], k, model.latent), cut))
     moments = {}
-    store = {}  # name -> rows of the first (largest) chunk, reused by the rest
-    buffers = {}  # name -> the current chunk's rows, a view of its store
+    buffers = {}  # name -> the current chunk's rows
 
     def fold(chunk, start, m, eps):
         where = f"chunk {chunk}, rows {start}:{start + m}"
@@ -269,9 +264,7 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
         for name, rows in rows_of(model.weight_context(params, x, eps)):
             rows = np.asarray(rows)
             if start == 0 and name not in buffers:
-                if name not in store:
-                    store[name] = np.empty((sizes[0], *rows.shape[1:]))
-                buffers[name] = store[name][:sizes[chunk]]
+                buffers[name] = np.empty((sizes[chunk], *rows.shape[1:]))
             if name not in buffers or name in named:
                 raise _contract_error(f"{where}: {name!r} is new or repeated")
             if rows.shape != (m, *buffers[name].shape[1:]):
