@@ -36,17 +36,18 @@ from .diagnostics import (
     stats_from_moments,
     t_test_from_moments,
 )
-from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set, weighted_sum
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
 from .training import train_model
 
 EXPERIMENTS = ("toy-snr", "train", "bias-test")
 
-# each testable estimator against an unbiased recipe for the same
-# expectation (descent recipes pair with the descent baseline; the
-# alpha recipe targets the (1 - alpha, alpha) mix of the standard
-# ascent gradient and the negated wake gradient)
+# each testable estimator against an unbiased reference for the same
+# expectation (descent recipes pair with the descent baseline), and each
+# reference as a weight map over table ids in the form of a Recipe's path
+# and score terms (alpha-mix is the (1 - alpha, alpha) mix of the standard
+# ascent gradient and the negated wake gradient that dreg-alpha targets)
 REFERENCE_PAIR = {
     "stl": "iwae",
     "iwae-dreg": "iwae",
@@ -54,7 +55,8 @@ REFERENCE_PAIR = {
     "rws-dreg": "rws-wake",
     "jvi1-dreg": "jvi1",
 }
-_MIX_PARTS = ("iwae", "rws-wake")
+REFERENCES = {ref: {ref: 1.0} for ref in ("iwae", "rws-wake", "jvi1")}
+REFERENCES["alpha-mix"] = {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: -a}
 
 BIAS_ALPHA = 0.01
 
@@ -295,26 +297,31 @@ def _trial_point(cfg, fam, trial):
     return p, x
 
 
-def _measure_trial(cfg, fam, p, x, trial, k, estimators):
-    """Folded phi-gradient moments per estimator, plus paired diffs.
+def _paired_fold(cfg, fam, p, x, trial, k, pairs):
+    """Folded phi-gradient moments of each id in ``pairs``, and of its
+    paired difference against its reference, as ({id: moments},
+    {id: diff moments}).
 
-    Every estimator reads the same noise chunk, so per-row differences
-    against the standard recipe are common-random-number pairs.
+    ``pairs`` maps an id to a `REFERENCES` name, or to None for no
+    difference.  One `phi_row_set` per context serves every id and every
+    reference part, so each difference is a common-random-number pair.
     """
-    kinds = ("iwae", *estimators)
+    refs = {est: REFERENCES[ref] for est, ref in pairs.items() if ref}
+    kinds = sorted({*pairs, *(kind for ref in refs.values() for kind in ref)})
 
     def rows_of(ctx):
         rows = phi_row_set(kinds, ctx, _phi_alpha(cfg, kinds))
-        for est in estimators:
+        for est in pairs:
             yield est, rows[est]
-            if est != "iwae":
-                yield (est, "diff"), rows[est] - rows["iwae"]
+            if est in refs:
+                yield (est, "diff"), rows[est] - weighted_sum(
+                    refs[est], rows.__getitem__, cfg.alpha)
 
     folded = fold_rows(fam, p, x, k, cfg.samples, rows_of, seed=cfg.seed,
                        stream=Streams.MEASURE, draw_prefix=(trial, k),
                        chunk_size=cfg.chunk_size)
-    return ({est: folded[est] for est in estimators},
-            {est: folded[est, "diff"] for est in estimators if est != "iwae"})
+    return ({est: folded[est] for est in pairs},
+            {est: folded[est, "diff"] for est in refs})
 
 
 def run_toy_snr(cfg):
@@ -322,9 +329,10 @@ def run_toy_snr(cfg):
 
     Writes ``stats.csv`` with one row per (estimator, K, trial,
     coordinate) and ``ttests.csv`` with per-coordinate paired t-tests of
-    each estimator against the standard recipe pooled over trials.
-    Each estimator skips the K below its recipe's min_k, and a K that
-    no estimator reaches is not measured.
+    each estimator against the standard recipe pooled over trials: one
+    `_paired_fold` per (trial, K) with every id paired to the weight map
+    {iwae: 1}.  Each estimator skips the K below its recipe's min_k, and
+    a K that no estimator reaches is not measured.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
@@ -340,7 +348,8 @@ def run_toy_snr(cfg):
             ref = reference_mean(fam, p, x, k, cfg.reference_samples,
                                  seed=cfg.seed, chunk_size=cfg.chunk_size,
                                  draw_prefix=(trial, k))
-            moments, diffs = _measure_trial(cfg, fam, p, x, trial, k, live)
+            pairs = {est: None if est == "iwae" else "iwae" for est in live}
+            moments, diffs = _paired_fold(cfg, fam, p, x, trial, k, pairs)
             for est, mom in moments.items():
                 st = stats_from_moments(mom, ref.mean, k=k, estimator_id=est)
                 for coord in range(mom.mean.size):
@@ -371,51 +380,21 @@ def run_toy_snr(cfg):
     return 0
 
 
-def _bias_pairs(cfg, fam, p, x):
-    """Paired diff moments of each estimator against its reference.
-
-    Also returns second-moment accumulators of the raw estimator rows;
-    they set the scale that separates real disagreement from rounding
-    residue (some pairs coincide exactly in real arithmetic).
-    """
-    needed = set()
-    for est in cfg.estimators:
-        needed.add(est)
-        ref = REFERENCE_PAIR[est]
-        needed.update(_MIX_PARTS if ref == "alpha-mix" else (ref,))
-
-    kinds = sorted(needed)
-
-    def rows_of(ctx):
-        rows = phi_row_set(kinds, ctx, _phi_alpha(cfg, kinds))
-        for est in cfg.estimators:
-            ref = REFERENCE_PAIR[est]
-            if ref == "alpha-mix":
-                ref_rows = ((1.0 - cfg.alpha) * rows["iwae"]
-                            - cfg.alpha * rows["rws-wake"])
-            else:
-                ref_rows = rows[ref]
-            yield (est, "diff"), rows[est] - ref_rows
-            yield est, rows[est]
-
-    folded = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of, seed=cfg.seed,
-                       stream=Streams.MEASURE, draw_prefix=(0, cfg.k),
-                       chunk_size=cfg.chunk_size)
-    return ({est: folded[est, "diff"] for est in cfg.estimators},
-            {est: folded[est] for est in cfg.estimators})
-
-
 def run_bias_test(cfg):
     """Paired test of each estimator mean against its unbiased baseline.
 
-    One operating point, common noise per pair.  Writes ``ttests.csv``
+    The same `_paired_fold` as ``toy-snr`` at trial 0 and K = ``k``,
+    with each id paired to its `REFERENCE_PAIR` weight map, so it reads
+    the noise ``toy-snr`` folds there.  Writes ``ttests.csv``
     (per-coordinate statistics) and ``report.txt`` with one verdict line
     per estimator; the verdict text also goes to stdout.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
     p, x = _trial_point(cfg, fam, 0)
-    diffs, scales = _bias_pairs(cfg, fam, p, x)
+    scales, diffs = _paired_fold(
+        cfg, fam, p, x, 0, cfg.k,
+        {est: REFERENCE_PAIR[est] for est in cfg.estimators})
     t_rows = []
     verdicts = []
     for est in sorted(cfg.estimators):
@@ -505,8 +484,8 @@ def run_train(cfg):
     save_checkpoint(result.params, os.path.join(cfg.out, "checkpoint.bin"))
     if result.diverged:
         sys.stderr.write(
-            f"diverged at step {result.failed_step}; wrote last finite "
-            f"parameters to checkpoint.bin\n")
+            f"diverged at step {result.failed_step} ({result.cause}); wrote "
+            f"last finite parameters to checkpoint.bin\n")
         return 2
     return 0
 

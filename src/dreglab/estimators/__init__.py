@@ -6,6 +6,7 @@ from .gradients import (
     phi_rows,
     recipe,
     theta_rows,
+    weighted_sum,
 )
 from .surrogates import SurrogateLoss, surrogate_loss
 from .weights import (
@@ -37,4 +38,5 @@ __all__ = [
     "recipe",
     "surrogate_loss",
     "theta_rows",
+    "weighted_sum",
 ]

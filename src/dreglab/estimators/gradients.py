@@ -100,11 +100,12 @@ def _weighted_sum(terms, value_of):
     return total
 
 
-def coefficients(term, weights, alpha=None):
-    """The coefficient vector sum weight * base of a path or score map
-    on one `ChunkWeights`; None for an absent term."""
-    return _weighted_sum(_terms_at(term, alpha),
-                         lambda base: getattr(weights, base))
+def weighted_sum(term, value_of, alpha=None):
+    """sum weight * value_of(key) over a weight map at ``alpha``: a
+    recipe's path or score map on the bases of one `ChunkWeights`
+    (value_of(base) its coefficient vector), or a map over table ids
+    (value_of(id) its rows); None for an absent term."""
+    return _weighted_sum(_terms_at(term, alpha), value_of)
 
 
 def phi_row_set(kinds, ctx, alpha=None):

@@ -40,12 +40,14 @@ Every surrogate is an ascent objective: its gradient is sigma times the
 direct phi rows and exactly the direct theta rows.
 """
 
+from functools import partial
+
 import numpy as np
 
 from ..gaussian import DiagGaussian, log_prob, sample_reparam
 from ..models.params import lift
 from ..tape import TapeGraph, tape_sum
-from .gradients import coefficients, recipe
+from .gradients import recipe, weighted_sum
 from .weights import ChunkWeights
 
 
@@ -111,9 +113,10 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
         return -sigma * (log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i]))
 
     terms = []
-    for c, term in ((getattr(w, r.theta), theta_term),
-                    (coefficients(r.path, w, alpha), path_term),
-                    (coefficients(r.score, w, alpha), score_term)):
+    base = partial(getattr, w)
+    for c, term in ((base(r.theta), theta_term),
+                    (weighted_sum(r.path, base, alpha), path_term),
+                    (weighted_sum(r.score, base, alpha), score_term)):
         if c is not None:
             terms += [c[i] * term(i) for i in range(k)]
     return SurrogateLoss(kind, tape_sum(terms), lifted, alpha=alpha)

@@ -208,6 +208,7 @@ class ToyContext:
         self._g = g
         self._path_eps = s * (1.0 / v - 2.0)
         self._mean_offset = mean - theta
+        self._s1_of = None  # the coefficients of the kept S1
 
     @property
     def n(self):
@@ -218,8 +219,15 @@ class ToyContext:
         return self.lw.shape[1]
 
     def _s1(self, c):
-        # S1 = sum_i c_i eps_i, (n, d); S0 is c.sum(axis=1, keepdims=True)
-        return np.matmul(c[:, None, :], self.eps)[:, 0, :]
+        # S1 = sum_i c_i eps_i, (n, d); S0 is c.sum(axis=1, keepdims=True).
+        # The path, score and theta contractions of one base read the same
+        # array back to back, so the last S1 is kept, keyed on the identity
+        # of c (held here, so the id cannot be reused); coefficient arrays
+        # are never mutated once built
+        if c is not self._s1_of:
+            self._s1_of = c
+            self._s1_last = np.matmul(c[:, None, :], self.eps)[:, 0, :]
+        return self._s1_last
 
     def _phi_rows(self, u):
         # u: (n, d) seed at the q mean; A gets the outer product with x

@@ -77,6 +77,7 @@ class TrainResult:
     params: object
     diverged: bool
     failed_step: int = -1
+    cause: str = ""  # why the failing step failed, when diverged
 
 
 def train_model(fam, train, valid, mode, k, *, steps, batch_size,
@@ -91,8 +92,10 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     ``steps``; each reflects the parameters before that step's update,
     with variance traces over the batch-mean gradients seen so far.
 
-    On a non-finite gradient or objective the loop stops and returns the
-    parameters from before the failing step with ``diverged`` set.
+    On a non-finite gradient or objective, or a weight kernel's
+    ValueError, the loop stops and returns the parameters from before
+    the failing step with ``diverged`` set and ``cause`` naming the
+    non-finite value or quoting the kernel.
     """
     if mode not in ESTIMATOR_IDS:
         raise ValueError(f"unknown training mode {mode!r}")
@@ -131,6 +134,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     epoch = -1
     binarized = None
     step = 0
+    cause = ""
     diverged = False
     while step <= steps:
         step_epoch = (step * batch_size) // n
@@ -149,12 +153,14 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
                 phi_mean = phi_rows(mode, ctx, alpha).mean(axis=0)
                 theta_mean = theta_rows(mode, ctx).mean(axis=0)
                 objective = float(np.mean(entry.bound(context_weights(ctx))))
-            if not (np.isfinite(phi_mean).all()
-                    and np.isfinite(theta_mean).all()
-                    and math.isfinite(objective)):
-                raise ValueError("non-finite gradient or objective")
-        except (ValueError, FloatingPointError, OverflowError):
-            diverged = True
+            for name, finite in (("phi gradient", np.isfinite(phi_mean).all()),
+                                 ("theta gradient",
+                                  np.isfinite(theta_mean).all()),
+                                 ("objective", math.isfinite(objective))):
+                if not finite:
+                    raise ValueError(f"non-finite {name}")
+        except (ValueError, FloatingPointError, OverflowError) as exc:
+            diverged, cause = True, str(exc)
             break
         trace_phi.update(phi_mean)
         trace_theta.update(theta_mean)
@@ -168,4 +174,4 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         grad[theta_idx] = -theta_mean
         p = p.with_flat(opt.update(p.flat, grad))
         step += 1
-    return TrainResult(rows, p, diverged, step if diverged else -1)
+    return TrainResult(rows, p, diverged, step if diverged else -1, cause)

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from dreglab import __version__, cli
+from dreglab.diagnostics import fold_rows
+from dreglab.estimators import phi_rows
+from dreglab.gaussian import Streams
+from dreglab.models import Toy
 from dreglab.cli import (
     KEYS,
     ConfigError,
@@ -318,7 +322,7 @@ class TestToySnrCommand:
         # so nothing may be folded there either
         cfg = write_config(tmp_path, TOY_SMOKE + "estimators = jvi1, jvi1-dreg\n")
         folded_at = []
-        for name, k_arg in (("reference_mean", 3), ("_measure_trial", 5)):
+        for name, k_arg in (("reference_mean", 3), ("_paired_fold", 5)):
             real = getattr(cli, name)
 
             def spy(*args, real=real, name=name, k_arg=k_arg, **kwargs):
@@ -328,7 +332,7 @@ class TestToySnrCommand:
             monkeypatch.setattr(cli, name, spy)
         out = tmp_path / "o"
         assert main(["toy-snr", "--config", cfg, "--out", str(out)]) == 0
-        assert sorted(set(folded_at)) == [("_measure_trial", 4), ("reference_mean", 4)]
+        assert sorted(set(folded_at)) == [("_paired_fold", 4), ("reference_mean", 4)]
         rows = read(out / "stats.csv").decode().splitlines()[1:]
         assert {row.split(",")[1] for row in rows} == {"4"}
 
@@ -396,6 +400,72 @@ class TestBiasTestCommand:
                      "--out", str(tmp_path / "o")]) == 1
         assert "jvi1-dreg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_paired_fold_diffs_match_hand_built_references(self, alpha):
+        # each reference's weight map gives the bits of the reference rows
+        # written out by hand, alpha-mix included
+        raw = parse_config_text(BIAS_SMOKE)
+        raw.update(alpha=repr(alpha), samples="300", chunk_size="128")
+        cfg = resolve_config(raw, "bias-test")
+        fam = Toy(cfg.d, cfg.q_variance)
+        p, x = cli._trial_point(cfg, fam, 0)
+        moments, diffs = cli._paired_fold(cfg, fam, p, x, 0, cfg.k,
+                                          cli.REFERENCE_PAIR)
+
+        def rows_of(ctx):
+            def rows(kind):
+                return phi_rows(kind, ctx,
+                                alpha if kind == "dreg-alpha" else None)
+
+            for est, ref in cli.REFERENCE_PAIR.items():
+                ref_rows = ((1.0 - alpha) * rows("iwae")
+                            - alpha * rows("rws-wake")
+                            if ref == "alpha-mix" else rows(ref))
+                yield est, rows(est)
+                yield (est, "diff"), rows(est) - ref_rows
+
+        hand = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of,
+                         seed=cfg.seed, stream=Streams.MEASURE,
+                         draw_prefix=(0, cfg.k), chunk_size=cfg.chunk_size)
+        for est in cli.REFERENCE_PAIR:
+            for got, want in ((moments[est], hand[est]),
+                              (diffs[est], hand[est, "diff"])):
+                assert got.n == want.n == cfg.samples
+                assert np.array_equal(got.mean, want.mean), (est, alpha)
+                assert np.array_equal(got.m2, want.m2), (est, alpha)
+
+    def test_reads_the_pairs_toy_snr_folds_at_trial_0(self, tmp_path,
+                                                      monkeypatch):
+        folds = {}
+        real = cli._paired_fold
+
+        def spy(cfg, fam, p, x, trial, k, pairs):
+            folds[cfg.experiment, trial, k] = real(cfg, fam, p, x, trial, k,
+                                                   pairs)
+            return folds[cfg.experiment, trial, k]
+
+        monkeypatch.setattr(cli, "_paired_fold", spy)
+        toy = write_config(tmp_path, BIAS_SMOKE.replace("k = 8", "k_grid = 4, 8")
+                           + "trials = 2\nreference_samples = 80\n"
+                           "estimators = iwae, iwae-dreg\n", "toy.txt")
+        bias = write_config(tmp_path, BIAS_SMOKE + "estimators = iwae-dreg\n",
+                            "bias.txt")
+        assert main(["toy-snr", "--config", toy,
+                     "--out", str(tmp_path / "t")]) == 0
+        assert main(["bias-test", "--config", bias,
+                     "--out", str(tmp_path / "b")]) == 0
+        assert sorted(folds) == [("bias-test", 0, 8), ("toy-snr", 0, 4),
+                                 ("toy-snr", 0, 8), ("toy-snr", 1, 4),
+                                 ("toy-snr", 1, 8)]
+        toy_diff = folds["toy-snr", 0, 8][1]["iwae-dreg"]
+        bias_diff = folds["bias-test", 0, 8][1]["iwae-dreg"]
+        assert toy_diff.n == bias_diff.n == 2000
+        assert np.array_equal(toy_diff.mean, bias_diff.mean)
+        assert np.array_equal(toy_diff.m2, bias_diff.m2)
+        # another trial's operating point and noise give other moments
+        assert not np.array_equal(folds["toy-snr", 1, 8][1]["iwae-dreg"].mean,
+                                  bias_diff.mean)
+
 
 class TestTrainCommand:
     def test_outputs_and_replay(self, tmp_path):
@@ -423,10 +493,13 @@ class TestTrainCommand:
         assert steps == [0, 20, 40]
         assert all(ln.split(",")[1] == "iwae" for ln in lines[1:])
 
-    def test_divergence_exits_2_with_outputs(self, tmp_path):
+    def test_divergence_exits_2_with_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TRAIN_SMOKE + "lr = 3000.0\n")
         out = str(tmp_path / "o")
         assert main(["train", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "diverged at step 1 (degenerate weight batch: NaN log-weight); "
+            "wrote last finite parameters to checkpoint.bin\n")
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
         assert os.path.exists(os.path.join(out, "train.csv"))
 

@@ -263,13 +263,25 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
                 return contract(self, c)
 
             monkeypatch.setattr(context, side, counted_side)
+    s1, s1_computed = toy.ToyContext._s1, []
+
+    def counted_s1(self, c):  # an S1 computed, not the kept one read back
+        s1_computed.append(c is not self._s1_of)
+        return s1(self, c)
+
+    monkeypatch.setattr(toy.ToyContext, "_s1", counted_s1)
     alphas = {kind: 0.3 if kind == "dreg-alpha" else None for kind in ESTIMATOR_IDS}
-    for (fam, p, x), decoder_backward in ((toy_fixture(), 0), (vae_fixture(), 1)):
+    # per fixture: decoder pullbacks, and S1s computed for the 8 ids' phi rows
+    for (fam, p, x), decoder_backward, s1_count in ((toy_fixture(), 0, 4),
+                                                    (vae_fixture(), 1, 0)):
         calls.update(normalized_log_weights=0, jvi1_coefficients=0, decoder_backward=0,
                      path=0, score=0)
+        s1_computed.clear()
         eps = noise_block(13, Streams.MEASURE, 8, (5, 8, fam.latent))
         ctx = fam.weight_context(p, x, eps)
         phi = phi_row_set(ESTIMATOR_IDS, ctx, alpha=0.3)
+        # the toy's path and score of one base share one S1: four for six contractions
+        assert sum(s1_computed) == s1_count
         rows = {kind: (phi[kind], theta_rows(kind, ctx)) for kind in ESTIMATOR_IDS}
         for r in ESTIMATORS.values():  # the training objectives read the same weights
             r.bound(context_weights(ctx))

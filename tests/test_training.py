@@ -121,7 +121,21 @@ class TestTrainModel:
                           batch_size=8, seed=5, lr=3e3)
         assert res.diverged
         assert res.failed_step >= 1
+        assert res.cause == "degenerate weight batch: NaN log-weight"
         assert np.isfinite(res.params.flat).all()
+
+    def test_divergence_names_the_non_finite_value(self, monkeypatch):
+        from dreglab import training
+
+        fam, train, valid = tiny_problem()
+        theta_rows = training.theta_rows
+        monkeypatch.setattr(training, "theta_rows",
+                            lambda kind, ctx: theta_rows(kind, ctx) / 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = train_model(fam, train, valid, "iwae", 4, steps=10,
+                              batch_size=8, seed=5)
+        assert res.diverged and res.failed_step == 0 and res.rows == []
+        assert res.cause == "non-finite theta gradient"
 
     def test_traces_are_nonnegative_and_move(self):
         fam, train, valid = tiny_problem()
