@@ -9,9 +9,12 @@ is the key and merge unit: its noise comes from one Philox stream, and
 its rows fold into moments at once, in chunk order.  The slab, at most
 SLAB normals of a chunk, is the memory and pipeline unit: one worker
 thread draws slabs ahead while the calling thread contracts the current
-one.  Rows are per sample, so the moments are those of whole-chunk
-contexts, and a fixed chunk schedule gives bit-stable results whatever
-the thread timing.
+one.  Each slab's rows are copied into row buffers that a fold allocates
+once and reuses for every chunk (a ragged last chunk uses their leading
+rows), so a fold of many chunks does not fault fresh pages in for each.
+Rows are per sample, so the moments are those of whole-chunk contexts,
+and a fixed chunk schedule gives bit-stable results whatever the thread
+timing.
 """
 
 import math
@@ -232,11 +235,15 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     pipeline unit.  A chunk's noise is drawn from its one generator
     (`noise_slabs`) in the fewest even slabs of at most max(1, SLAB //
     (k * latent)) rows, and each slab gets its own context, whose rows
-    are copied into per-chunk buffers.  That needs the fold contract:
-    row i depends on noise row i alone, and every slab yields the same
-    names; a slab that breaks it raises ValueError.  Under it, the
-    buffers hold the rows that one whole-chunk context would give, bit
-    for bit (`_even_cut` says why no slab has a single row).
+    are copied into one buffer per name.  The buffers are allocated once
+    per fold, at the largest chunk size, and reused by every chunk; a
+    ragged last chunk fills and folds their leading rows, a C-contiguous
+    view.  That needs the fold contract: row i depends on noise row i
+    alone, and every slab yields the same names, each with rows of the
+    shape it had in the first slab; a slab that breaks it raises
+    ValueError.  Under it, the buffers hold the rows that one
+    whole-chunk context would give, bit for bit (`_even_cut` says why no
+    slab has a single row).
 
     While slab s is contracted, one worker thread draws up to two slabs
     ahead (NumPy's normal fill releases the GIL).  The results cannot
@@ -256,20 +263,21 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
              for eps in noise_slabs(seed, stream, (*draw_prefix, chunk),
                                     (sizes[chunk], k, model.latent), cut))
     moments = {}
-    buffers = {}  # name -> the current chunk's rows
+    buffers = {}  # name -> row buffer, made in chunk 0 and reused by every chunk
 
     def fold(chunk, start, m, eps):
         where = f"chunk {chunk}, rows {start}:{start + m}"
         named = set()
         for name, rows in rows_of(model.weight_context(params, x, eps)):
             rows = np.asarray(rows)
-            if start == 0 and name not in buffers:
-                buffers[name] = np.empty((sizes[chunk], *rows.shape[1:]))
+            if chunk == start == 0 and name not in buffers:
+                buffers[name] = np.empty((sizes[0], *rows.shape[1:]))
             if name not in buffers or name in named:
                 raise _contract_error(f"{where}: {name!r} is new or repeated")
-            if rows.shape != (m, *buffers[name].shape[1:]):
+            want = (m, *buffers[name].shape[1:])
+            if rows.shape != want:
                 raise _contract_error(f"{where}: {name!r} rows have shape "
-                                      f"{rows.shape}")
+                                      f"{rows.shape}, not {want}")
             buffers[name][start:start + m] = rows
             named.add(name)
         if len(named) != len(buffers):
@@ -277,9 +285,8 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
             raise _contract_error(f"{where}: no rows for {', '.join(missing)}")
         if start + m == sizes[chunk]:
             for name, rows in buffers.items():
-                part = RunningMoments.from_samples(rows)
+                part = RunningMoments.from_samples(rows[:sizes[chunk]])
                 moments[name] = part if name not in moments else moments[name].merge(part)
-            buffers.clear()
 
     depth = 3 if len(plan) > 1 else 0  # slab s and the two after it
     with ThreadPoolExecutor(1) as pool:  # no thread until the first submit
@@ -306,7 +313,7 @@ def _even_cut(m, step):
 def _contract_error(detail):
     return ValueError("rows_of broke the fold contract (row i depends on "
                       "noise row i alone; every slab yields the same "
-                      f"names): {detail}")
+                      f"names, each with rows of one shape): {detail}")
 
 
 def reference_mean(model, params, x, k, n_ref, seed=0, chunk_size=16384,

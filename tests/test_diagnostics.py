@@ -395,6 +395,44 @@ def test_fold_rows_rejects_names_that_change_across_slabs(monkeypatch, rows_of, 
     assert threading.active_count() == before
 
 
+def test_fold_rows_rejects_rows_whose_shape_changes_across_chunks():
+    # without the check, reused buffers would broadcast the (384, 1) rows
+    # of chunk 1 into moments of 768 rows of the chunk-0 shape
+    fam, p, x = fold_fixture()
+    calls = []
+
+    def rows_of(ctx):
+        calls.append(ctx)
+        rows = phi_rows("iwae", ctx)
+        yield "phi", rows if len(calls) == 1 else rows[:, :1]
+
+    with pytest.raises(ValueError, match="every slab yields the same names") as info:
+        fold_rows(fam, p, x, 4, 1000, rows_of, seed=39,
+                  stream=Streams.MEASURE, chunk_size=384)
+    assert str(info.value).endswith(
+        "chunk 1, rows 0:384: 'phi' rows have shape (384, 1), not (384, 12)")
+    assert len(calls) == 2
+
+
+def test_fold_rows_allocates_each_buffer_once(monkeypatch):
+    fam, p, x = fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * 3)
+    empty, shapes = np.empty, []
+
+    def counted(shape, *args, **kwargs):
+        shapes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counted)
+    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+    monkeypatch.undo()
+    buffers = [s for s in shapes if np.ndim(s) == 1 and len(s) == 2
+               and s[0] in (384, 232)]
+    assert sorted(buffers) == [(384, 3), (384, 12)]
+    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+
+
 def test_fold_rows_rejects_rows_that_are_not_one_per_noise_row(monkeypatch):
     fam, p, x = fold_fixture()
     monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * 3)
