@@ -15,7 +15,6 @@ from .gaussian import Streams, stream_rng
 from .models.vae import Vae
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 _MAX_ELEMENTS = 2**40  # dimension-overflow guard for hostile headers
 
 SPLIT_IDS = ("train", "valid", "test")
@@ -50,22 +49,18 @@ class Dataset:
 
 
 def read_idx(path):
-    """Raw IDX payload as a uint8 array, images (3-d) or labels (1-d)."""
+    """Raw IDX3 image payload as a (n, rows, cols) uint8 array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
         raise ValueError(f"{path}: truncated IDX header")
     (magic,) = struct.unpack(">I", raw[:4])
-    if magic == IDX_IMAGES_MAGIC:
-        ndim = 3
-    elif magic == IDX_LABELS_MAGIC:
-        ndim = 1
-    else:
-        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
-    header = 4 + 4 * ndim
+    if magic != IDX_IMAGES_MAGIC:
+        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}, expected an IDX3 image file")
+    header = 16  # the magic and three big-endian dimensions
     if len(raw) < header:
         raise ValueError(f"{path}: truncated IDX header")
-    dims = struct.unpack(f">{ndim}I", raw[4:header])
+    dims = struct.unpack(">3I", raw[4:header])
     total = 1
     for d in dims:
         total *= d
@@ -80,25 +75,18 @@ def read_idx(path):
 
 
 def write_idx(path, array):
-    """Serialize a uint8 array back to IDX (3-d images or 1-d labels)."""
+    """Serialize a 3-d uint8 image array back to IDX3."""
     array = np.ascontiguousarray(array, dtype=np.uint8)
-    if array.ndim == 3:
-        magic = IDX_IMAGES_MAGIC
-    elif array.ndim == 1:
-        magic = IDX_LABELS_MAGIC
-    else:
-        raise ValueError("IDX writer handles 3-d images or 1-d labels")
+    if array.ndim != 3:
+        raise ValueError("IDX writer handles 3-d images")
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", magic))
-        fh.write(struct.pack(f">{array.ndim}I", *array.shape))
+        fh.write(struct.pack(">4I", IDX_IMAGES_MAGIC, *array.shape))
         fh.write(array.tobytes())
 
 
 def load_idx(path):
     """IDX3 image file as a Dataset with row-major flattening, /255."""
     raw = read_idx(path)
-    if raw.ndim != 3:
-        raise ValueError(f"{path}: expected an IDX3 image file")
     n = raw.shape[0]
     images = raw.reshape(n, -1).astype(np.float64) / 255.0
     return Dataset(images=images, source_tag="idx")

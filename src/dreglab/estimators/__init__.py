@@ -13,7 +13,6 @@ from .weights import (
     ChunkWeights,
     LogWeightBatch,
     context_weights,
-    iwae_bound,
     jvi1_coefficients,
     jvi1_estimate,
     log_weights,
@@ -28,7 +27,6 @@ __all__ = [
     "LogWeightBatch",
     "SurrogateLoss",
     "context_weights",
-    "iwae_bound",
     "jvi1_coefficients",
     "jvi1_estimate",
     "log_weights",

@@ -11,10 +11,11 @@ alpha), and its theta term names one base.  Contractions are linear, so
 the phi rows of an entry are the weighted sum of its contracted bases,
 and `phi_row_set` contracts each distinct base once for any set of ids
 on one context; the recipes run against one context also normalize its
-log weights once.  Each entry also names the bound its theta
-coefficient differentiates (the IWAE bound for w-tilde rows, the
-jackknife bound for c rows) and the smallest K its coefficients are
-defined at.  The wake-sleep rows return gradients to descend (they
+log weights once.  Each entry also names, as a `ChunkWeights`
+attribute just as its theta base is named, the bound its theta
+coefficient differentiates (``iwae_bound`` for w-tilde rows,
+``jvi1_bound`` for c rows), and gives the smallest K its coefficients
+are defined at.  The wake-sleep rows return gradients to descend (they
 drive a KL minimization); everything else is an ascent direction on its
 bound.  The contraction interface is served by both the closed-form
 model contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
@@ -23,7 +24,7 @@ model contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
 
 from dataclasses import dataclass
 
-from .weights import context_weights, iwae_bound, jvi1_estimate
+from .weights import context_weights
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,13 @@ class Recipe:
 
     ``path`` and ``score`` map a base name to its weight, a number or a
     function of alpha, and their coefficients are sum weight * base (an
-    empty map marks an absent term); ``theta`` names a single base.
-    ``bound`` is called as bound(w) on the context's ChunkWeights."""
+    empty map marks an absent term); ``theta`` names a single base, and
+    ``bound`` the `ChunkWeights` attribute its theta rows ascend."""
 
     path: dict
     score: dict
     theta: str
-    bound: object = iwae_bound  # the objective the theta rows ascend
+    bound: str = "iwae_bound"  # the objective the theta rows ascend
     min_k: int = 1  # the smallest K the coefficients are defined at
     descent: bool = False  # the phi rows are a direction to descend
 
@@ -51,8 +52,8 @@ ESTIMATORS = {
     "rws-dreg": Recipe({"wt2": 1.0, "wt": -1.0}, {}, "wt", descent=True),
     "dreg-alpha": Recipe({"wt": lambda a: a, "wt2": lambda a: 1.0 - 2.0 * a},
                          {}, "wt"),
-    "jvi1": Recipe({"c": 1.0}, {"c": 1.0}, "c", jvi1_estimate, min_k=2),
-    "jvi1-dreg": Recipe({"c2": 1.0}, {}, "c", jvi1_estimate, min_k=2),
+    "jvi1": Recipe({"c": 1.0}, {"c": 1.0}, "c", "jvi1_bound", min_k=2),
+    "jvi1-dreg": Recipe({"c2": 1.0}, {}, "c", "jvi1_bound", min_k=2),
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)

@@ -6,13 +6,15 @@ root.  It is the reference implementation: exact but scalar, so bulk
 measurement goes through the models' closed-form contexts instead, and
 the tests hold the two routes together at near machine precision.
 
-`ChunkWeights` turns one context's log weights into everything the
-estimator family reads, each built once on first use: log wt, wt, wt^2,
-the IWAE bound, the jackknife bound and the jackknife coefficients
-(c, c2).  Normalized weights are softmax of log-weights with the max
-subtracted; squared normalized weights are exp(2 log wt).  Raw weights
-are never exponentiated on their own.  The IWAE bound reuses the same
-normalization: the row max of log wt is exactly -log sum exp(lw - max).
+`ChunkWeights` is the one entry point to the weight kernels.  It turns
+one context's log weights into everything the estimator family reads,
+each built once on first use: log wt, wt, wt^2, the IWAE bound
+(`iwae_bound`), the jackknife bound (`jvi1_bound`) and the jackknife
+coefficients (c, c2).  Normalized weights are softmax of log-weights
+with the max subtracted; squared normalized weights are exp(2 log wt).
+Raw weights are never exponentiated on their own.  The IWAE bound
+reuses the same normalization: the row max of log wt is exactly
+-log sum exp(lw - max).
 
 Both jackknife quantities are closed forms in log wt, wt and one
 complement sum per row.  Off a row's argmax t, wt_i <= 1/2, so each
@@ -24,9 +26,11 @@ taken in log space.  The jackknife bound is then
     jvi1 = bound + (K-1) log((K-1)/K)
                  - ((K-1)/K) (sum_{i != t} log1p(-wt_i) + log S_t)
 
-The module-level kernels (`normalized_log_weights`, `iwae_bound`,
-`jvi1_estimate`, `jvi1_coefficients`) take a plain array or a
-`ChunkWeights`.
+It calls its two costly kernels through this module's namespace:
+`normalized_log_weights` on the array of log weights and
+`jvi1_coefficients` on the `ChunkWeights` itself.  `jvi1_estimate` is
+the jackknife spelled out on tape nodes, the reference the gradient
+tests differentiate.
 """
 
 import math
@@ -36,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ..gaussian import log_prob, sample_reparam
-from ..tape import TapeGraph, TapeScalar, log_sum_exp, stop_gradient, tape_sum
+from ..tape import TapeGraph, log_sum_exp, stop_gradient, tape_sum
 from ..models.params import lift
 
 
@@ -53,49 +57,25 @@ def _checked_max(lw):
     return m
 
 
-def _weights(lw):
-    return lw if isinstance(lw, ChunkWeights) else ChunkWeights(lw)
-
-
-def _scalar(out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def normalized_log_weights(lw):
     """(lw - max) - log sum exp(lw - max), in place on the shifted copy.
 
     Shifting first keeps the error of log wt to a few eps of its own size;
     lw - (max + log sum) would add eps * |max lw| whatever the spread.
-    A `ChunkWeights` gives its cached log wt.
     """
-    if isinstance(lw, ChunkWeights):
-        return lw.log_wt
-    lw = np.asarray(lw, dtype=np.float64)
     shifted = lw - _checked_max(lw)
     shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
 
 
-def iwae_bound(lw):
-    """log-sum-exp(log w) - log K, along the sample axis."""
-    return _scalar(_weights(lw).bound)
+def jvi1_estimate(lws):
+    """First-order jackknife debiasing of the K-sample bound, on the tape.
 
-
-def jvi1_estimate(lw):
-    """First-order jackknife debiasing of the K-sample bound.
-
-    K * IWAE_K - ((K-1)/K) * sum_i IWAE_{K-1} without sample i.  Accepts
-    a plain array, a `ChunkWeights` (the closed form of the module
-    docstring) or a list of TapeScalars: the tape form spells out the
-    leave-one-out sums and is the reference the gradient identity tests
-    differentiate.
+    K * IWAE_K - ((K-1)/K) * sum_i IWAE_{K-1} without sample i, with the
+    leave-one-out sums spelled out over a sequence of TapeScalars; the
+    closed form of the module docstring is `ChunkWeights.jvi1_bound`.
     """
-    if isinstance(lw, (list, tuple)) and lw and isinstance(lw[0], TapeScalar):
-        return _jvi1_nodes(list(lw))
-    return _scalar(_weights(lw).jvi1_bound)
-
-
-def _jvi1_nodes(lws):
+    lws = list(lws)
     k = len(lws)
     if k < 2:
         raise ValueError("jackknife needs K >= 2")
@@ -107,8 +87,9 @@ def _jvi1_nodes(lws):
     return k * full - (k - 1) / k * tape_sum(loo_terms)
 
 
-def jvi1_coefficients(lw):
-    """Per-sample coefficients (c, c2) of the jackknife gradient forms.
+def jvi1_coefficients(weights):
+    """Per-sample coefficients (c, c2) of the jackknife gradient forms,
+    from a `ChunkWeights`.
 
     c contracts total derivatives (the linear combination applied to the
     standard per-term gradients); c2 contracts the path term only (the
@@ -139,7 +120,6 @@ def jvi1_coefficients(lw):
     The bracket is of order 1 rather than K, so nothing of size K wt_j^2
     cancels.
     """
-    weights = _weights(lw)
     top, q, _ = _complement(weights.log_wt)
     k = q.shape[-1]
     r = 1.0 - weights.wt
@@ -212,7 +192,7 @@ class ChunkWeights:
         return np.exp(wt2, out=wt2)  # in place: one (n, K) array less at peak
 
     @cached_property
-    def bound(self):
+    def iwae_bound(self):
         """The IWAE bound per row, max lw + log sum exp(lw - max) - log K."""
         k = self.lw.shape[-1]
         return self.lw.max(axis=-1) - self.log_wt.max(axis=-1) - math.log(k)
@@ -242,7 +222,7 @@ class ChunkWeights:
         np.log1p(loo, out=loo)  # log(T_i / W) = log1p(-wt_i) off the argmax
         np.put_along_axis(loo, top, log_s, axis=-1)
         a = (k - 1) / k
-        return self.bound + (k - 1) * math.log1p(-1.0 / k) - a * loo.sum(axis=-1)
+        return self.iwae_bound + (k - 1) * math.log1p(-1.0 / k) - a * loo.sum(axis=-1)
 
 
 def context_weights(ctx):
@@ -258,7 +238,7 @@ def context_weights(ctx):
 class LogWeightBatch:
     """One K-sample weight batch with tape-extracted partials.
 
-    Shapes: log_w (K,), dlogw_dz (K, d), dlogw_dtheta (K, P_theta),
+    Shapes: lw (K,), dlogw_dz (K, d), dlogw_dtheta (K, P_theta),
     dlogq_dphi (K, P_phi) with z held fixed, jac_mean and jac_log_scale
     (d, P_phi) so that dz_i/dphi = jac_mean + (z_i - mean) * jac_log_scale
     row-wise.
@@ -268,7 +248,7 @@ class LogWeightBatch:
     runs unchanged on either route.
     """
 
-    log_w: np.ndarray
+    lw: np.ndarray
     dlogw_dz: np.ndarray
     dlogw_dtheta: np.ndarray
     dlogq_dphi: np.ndarray
@@ -278,12 +258,8 @@ class LogWeightBatch:
     mean: np.ndarray
 
     @property
-    def lw(self):
-        return self.log_w
-
-    @property
     def k(self):
-        return self.log_w.shape[0]
+        return self.lw.shape[0]
 
     def path(self, c):
         u = c[:, None] * self.dlogw_dz  # (K, d)
@@ -326,8 +302,8 @@ def log_weights(model, params, x, eps):
         lw_nodes.append(model.log_joint(lp, x, z) - log_prob(q, z))
         lq_fixed_nodes.append(log_prob(q, [stop_gradient(zj) for zj in z]))
 
-    log_w = np.array([n.value for n in lw_nodes])
-    _checked_max(log_w)  # raises on a degenerate batch
+    lw = np.array([n.value for n in lw_nodes])
+    _checked_max(lw)  # raises on a degenerate batch
 
     dlogw_dz = np.empty((k, d))
     dlogw_dtheta = np.empty((k, len(theta_ids)))
@@ -348,7 +324,7 @@ def log_weights(model, params, x, eps):
         jac_log_scale[j] = [grads[t] for t in phi_ids]
 
     return LogWeightBatch(
-        log_w=log_w,
+        lw=lw,
         dlogw_dz=dlogw_dz,
         dlogw_dtheta=dlogw_dtheta,
         dlogq_dphi=dlogq_dphi,

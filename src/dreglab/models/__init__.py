@@ -7,7 +7,7 @@ from .params import (
     perturb_params,
     save_checkpoint,
 )
-from .toy import Toy, ToyModel, toy_log_joint, toy_log_marginal, toy_optimal_inference
+from .toy import Toy, toy_optimal_inference
 from .vae import Vae
 
 __all__ = [
@@ -19,9 +19,6 @@ __all__ = [
     "perturb_params",
     "save_checkpoint",
     "Toy",
-    "ToyModel",
-    "toy_log_joint",
-    "toy_log_marginal",
     "toy_optimal_inference",
     "Vae",
 ]

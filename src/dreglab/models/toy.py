@@ -11,9 +11,11 @@ and with z = mu + s eps the log weight is quadratic in eps and its
 z-partial affine in eps.  So `weight_context`, the vectorized bulk route
 used for measurement, reduces every gradient contraction with
 per-sample coefficients c to two primitives, sum_i c_i and
-sum_i c_i eps_i (see `ToyContext`).  The tape route goes through
-`log_joint`/`inference` with lifted parameters and must agree with the
-closed forms to near machine precision (the tests pin this).
+sum_i c_i eps_i (see `ToyContext`).  The generic route is `inference`,
+`log_joint` and `log_marginal`: like `Vae`'s, they read `source.nodes`,
+floats from a `ParamVector` or TapeScalars from `LiftedParams`, so the
+tape route runs the same code on lifted parameters and must agree with
+the closed forms to near machine precision (the tests pin this).
 
 The shared mode ties the inference map to the generative mean by
 A = diag(theta) with a free bias, giving every theta coordinate both
@@ -22,23 +24,12 @@ no closed-form context.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..gaussian import LOG_TWO_PI, DiagGaussian, gsquare, gsum
 from ..tape import TapeScalar
 from .params import build_params
-
-
-@dataclass
-class ToyModel:
-    """Parameter container with generic elements (floats or TapeScalars)."""
-
-    theta: list
-    a_matrix: list  # d rows of d entries
-    b: list
-    q_variance: float
 
 
 def toy_optimal_inference(theta):
@@ -81,38 +72,41 @@ class Toy:
             values = theta + [v for row in a_opt for v in row] + b_opt
         return build_params(self.template(), values)
 
-    def model_from(self, source):
-        """Numeric ToyModel from a ParamVector, or lifted from LiftedParams."""
+    def inference(self, source, x):
         nodes = source.nodes
         d = self.d
-        theta = nodes["theta"]
-        b = nodes["b"]
-        if self.shared:
-            a = [[theta[j] if j == k else 0.0 for k in range(d)] for j in range(d)]
+        if self.shared:  # A = diag(theta)
+            a = [[nodes["theta"][j] if j == k else 0.0 for k in range(d)] for j in range(d)]
         else:
-            flat_a = nodes["a"]
-            a = [flat_a[j * d : (j + 1) * d] for j in range(d)]
-        return ToyModel(theta, a, b, self.q_variance)
-
-    def _resolve(self, source):
-        return source if isinstance(source, ToyModel) else self.model_from(source)
-
-    def inference(self, source, x):
-        m = self._resolve(source)
+            a = [nodes["a"][j * d : (j + 1) * d] for j in range(d)]
         mean = []
-        for j in range(self.d):
-            acc = [m.a_matrix[j][k] * float(x[k]) for k in range(self.d) if _nonzero(m.a_matrix[j][k])]
-            acc.append(m.b[j])
+        for j in range(d):
+            acc = [a[j][k] * float(x[k]) for k in range(d) if _nonzero(a[j][k])]
+            acc.append(nodes["b"][j])
             mean.append(gsum(acc))
-        ls_value = 0.5 * math.log(m.q_variance)
-        log_scale = [_frozen_scale(mean, ls_value) for _ in range(self.d)]
+        ls_value = 0.5 * math.log(self.q_variance)
+        log_scale = [_frozen_scale(mean, ls_value) for _ in range(d)]
         return DiagGaussian(mean=mean, log_scale=log_scale)
 
     def log_joint(self, source, x, z):
-        return toy_log_joint(self._resolve(source), x, z)
+        """log N(z; theta, I) + log N(x; z, I), generic elements."""
+        theta = source.nodes["theta"]
+        d = self.d
+        if len(x) != d or len(z) != d:
+            raise ValueError("dimension mismatch in log joint")
+        terms = []
+        for j in range(d):
+            prior = (z[j] - theta[j])
+            lik = (float(x[j]) - z[j])
+            terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(prior))
+            terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(lik))
+        return gsum(terms)
 
     def log_marginal(self, source, x):
-        return toy_log_marginal(self._resolve(source), x)
+        """log N(x; theta, 2I), exact."""
+        theta = np.array([float(t) for t in source.nodes["theta"]])
+        x = np.asarray(x, dtype=np.float64)
+        return float(-0.5 * self.d * math.log(4.0 * math.pi) - 0.25 * np.sum((x - theta) ** 2))
 
     def weight_context(self, p, x, eps):
         if self.shared:
@@ -131,28 +125,6 @@ def _frozen_scale(mean, value):
         if isinstance(entry, TapeScalar):
             return entry.graph.constant(value)
     return value
-
-
-def toy_log_joint(m, x, z):
-    """log N(z; theta, I) + log N(x; z, I), generic elements."""
-    d = len(m.theta)
-    if len(x) != d or len(z) != d:
-        raise ValueError("dimension mismatch in log joint")
-    terms = []
-    for j in range(d):
-        prior = (z[j] - m.theta[j])
-        lik = (float(x[j]) - z[j])
-        terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(prior))
-        terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(lik))
-    return gsum(terms)
-
-
-def toy_log_marginal(m, x):
-    """log N(x; theta, 2I), exact."""
-    theta = np.array([float(t) for t in m.theta])
-    x = np.asarray(x, dtype=np.float64)
-    d = theta.size
-    return float(-0.5 * d * math.log(4.0 * math.pi) - 0.25 * np.sum((x - theta) ** 2))
 
 
 class ToyContext:

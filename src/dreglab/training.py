@@ -127,7 +127,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
 
     def heldout_bound(params):
         ctx = fam.weight_context(params, x_eval, eval_eps)
-        return float(np.mean(context_weights(ctx).bound))
+        return float(np.mean(context_weights(ctx).iwae_bound))
 
     n = train.n
     rows = []
@@ -152,7 +152,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
                 ctx = fam.weight_context(p, xb, eps)
                 phi_mean = phi_rows(mode, ctx, alpha).mean(axis=0)
                 theta_mean = theta_rows(mode, ctx).mean(axis=0)
-                objective = float(np.mean(entry.bound(context_weights(ctx))))
+                objective = float(np.mean(getattr(context_weights(ctx), entry.bound)))
             for name, finite in (("phi gradient", np.isfinite(phi_mean).all()),
                                  ("theta gradient",
                                   np.isfinite(theta_mean).all()),

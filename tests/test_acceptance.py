@@ -12,6 +12,7 @@ a real behavior change, not noise.
 import math
 
 import numpy as np
+import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from dreglab.cli import main, parse_config_text
@@ -20,15 +21,13 @@ from dreglab.diagnostics import fold_rows, loglog_slope, t_test_from_moments
 from dreglab.estimators import (
     DESCENT_IDS,
     ESTIMATOR_IDS,
-    iwae_bound,
-    jvi1_estimate,
+    ChunkWeights,
     phi_rows,
     surrogate_loss,
     theta_rows,
 )
 from dreglab.gaussian import Streams, noise_block, stream_rng
 from dreglab.models import Toy, Vae, perturb_params
-from dreglab.models.toy import toy_log_joint, toy_log_marginal
 from dreglab.training import train_model
 
 
@@ -52,6 +51,7 @@ def toy_trial_point(seed, d, sigma=0.1):
 # --------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_snr_and_variance_scaling():
     seed = 20260822
     d = 4
@@ -238,13 +238,13 @@ def test_criterion_4_oracle_checks():
 
     # (c) closed-form log marginal against z-grid quadrature of the joint
     fam1 = Toy(1)
-    model = fam1.model_from(fam1.init_params([0.37]))
+    p1 = fam1.init_params([0.37])
     x1 = [1.9]
     grid = np.linspace(0.37 - 14.0, 0.37 + 14.0, 20_001)
-    lj = np.array([toy_log_joint(model, x1, [z]) for z in grid])
+    lj = np.array([fam1.log_joint(p1, x1, [z]) for z in grid])
     mx = lj.max()
     quad = mx + math.log(np.trapezoid(np.exp(lj - mx), grid))
-    exact = toy_log_marginal(model, x1)
+    exact = fam1.log_marginal(p1, x1)
     assert abs(quad - exact) <= 1e-5 * (1.0 + abs(exact)), (quad, exact)
 
     print(
@@ -265,15 +265,15 @@ def test_criterion_5_jackknife_bias_ordering():
     fam = Toy(1)
     p = perturb_params(fam.init_params([0.4]), 0.2, seed, draw=0)
     x = np.array([1.3])
-    logp = toy_log_marginal(fam.model_from(p), x)
+    logp = fam.log_marginal(p, x)
     n = 100_000
 
     lines = []
     for k in (4, 8, 16):
         eps = noise_block(seed, Streams.MEASURE, (1, k, 0), (n, k, 1))
-        lw = fam.weight_context(p, x, eps).lw
-        a = iwae_bound(lw)
-        b = jvi1_estimate(lw)
+        w = ChunkWeights(fam.weight_context(p, x, eps).lw)
+        a = w.iwae_bound
+        b = w.jvi1_bound
         gap_iwae = abs(float(a.mean()) - logp)
         gap_jvi = abs(float(b.mean()) - logp)
         assert gap_jvi < gap_iwae, (k, gap_jvi, gap_iwae)
@@ -298,6 +298,7 @@ def test_criterion_5_jackknife_bias_ordering():
 # --------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_training_gains_and_trace_ordering():
     fam = Vae(latent=10, hidden=20, obs=64)
     data = synthetic_dataset(512, 64, 10, seed=0, hidden=20, weight_scale=2.0)

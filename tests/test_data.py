@@ -30,14 +30,6 @@ def test_load_hand_built_idx3(tmp_path):
     assert d.images[0, 128] == 128.0 / 255.0
 
 
-def test_read_idx_labels(tmp_path):
-    path = tmp_path / "labels.idx1"
-    path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([7, 0, 9, 2]))
-    labels = read_idx(path)
-    assert labels.dtype == np.uint8
-    assert labels.tolist() == [7, 0, 9, 2]
-
-
 def test_load_idx_rejects_label_file(tmp_path):
     path = tmp_path / "labels.idx1"
     path.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes([3]))

@@ -17,7 +17,7 @@ from dreglab.estimators import (
 )
 from dreglab.gaussian import Streams, log_prob, noise_block, sample_reparam
 from dreglab.models import Toy, Vae, lift, perturb_params
-from dreglab.tape import TapeGraph
+from dreglab.tape import TapeGraph, log_sum_exp
 
 
 def toy_fixture(d=3, seed=9):
@@ -45,6 +45,35 @@ def one_draw(fam, p, x, eps, kind, alpha=None):
 def test_registry_contents():
     assert set(DESCENT_IDS) <= set(ESTIMATOR_IDS)
     assert len(ESTIMATOR_IDS) == 8
+
+
+# each bound a recipe can name, as a function of the tape nodes of one row
+TAPE_BOUNDS = {
+    "iwae_bound": lambda nodes: log_sum_exp(nodes) - math.log(len(nodes)),
+    "jvi1_bound": jvi1_estimate,
+}
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_IDS)
+def test_each_recipes_bound_and_theta_base_match_the_tape(kind):
+    # the bound a recipe names is its tape reference's value, and its
+    # theta base that reference's gradient in log w
+    r = ESTIMATORS[kind]
+    assert r.bound in TAPE_BOUNDS, f"{kind}: no tape reference for {r.bound!r}"
+    rng = np.random.default_rng(19)
+    for k in (2, 5):
+        for spread in (1.0, 30.0, 355.0, 700.0):
+            lw = rng.uniform(-spread, 0.0, size=(3, k))
+            w = ChunkWeights(lw)
+            bound, base = getattr(w, r.bound), getattr(w, r.theta)
+            for row, got_bound, got_base in zip(lw, bound, base):
+                g = TapeGraph()
+                nodes = g.input_vector(row)
+                root = TAPE_BOUNDS[r.bound](nodes)
+                grads = g.backward(root)
+                want = np.array([grads[node.idx] for node in nodes])
+                assert got_bound == pytest.approx(root.value, rel=1e-12), (k, spread)
+                assert np.allclose(got_base, want, rtol=1e-12, atol=1e-14), (k, spread)
 
 
 def test_grad_estimate_validation():
@@ -136,7 +165,7 @@ def test_decompose_sums_to_standard_grad():
     fam, p, x = toy_fixture()
     eps = noise_block(12, Streams.MEASURE, 7, (6, 3))
     lwb = log_weights(fam, p, x, eps)
-    wt = ChunkWeights(lwb.log_w).wt
+    wt = ChunkWeights(lwb.lw).wt
     score_terms = -(wt[:, None] * lwb.dlogq_dphi)
     path_terms = np.array([lwb.path(wt * (np.arange(6) == i)) for i in range(6)])
     assert score_terms.shape == path_terms.shape == (6, p.phi_indices.size)
@@ -284,7 +313,7 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
         assert sum(s1_computed) == s1_count
         rows = {kind: (phi[kind], theta_rows(kind, ctx)) for kind in ESTIMATOR_IDS}
         for r in ESTIMATORS.values():  # the training objectives read the same weights
-            r.bound(context_weights(ctx))
+            getattr(context_weights(ctx), r.bound)
         assert calls == {"normalized_log_weights": 1, "jvi1_coefficients": 1,
                          "decoder_backward": decoder_backward, "path": 4, "score": 2}
         # the shared weights and the cached decoder pullback change no bit,

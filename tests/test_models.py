@@ -12,8 +12,6 @@ from dreglab.models import (
     load_checkpoint,
     perturb_params,
     save_checkpoint,
-    toy_log_joint,
-    toy_log_marginal,
     toy_optimal_inference,
 )
 from dreglab.tape import TapeGraph
@@ -32,8 +30,8 @@ def toy_fixture(d=3, seed=9, q_variance=2.0 / 3.0, sigma=0.01):
 
 
 def test_log_joint_at_origin():
-    m = Toy(1).model_from(Toy(1).init_params([0.0]))
-    assert toy_log_joint(m, [0.0], [0.0]) == pytest.approx(-LOG_2PI, abs=1e-14)
+    fam = Toy(1)
+    assert fam.log_joint(fam.init_params([0.0]), [0.0], [0.0]) == pytest.approx(-LOG_2PI, abs=1e-14)
 
 
 def test_log_joint_translation_invariance():
@@ -42,8 +40,8 @@ def test_log_joint_translation_invariance():
     for _ in range(10):
         theta = rng.standard_normal(2)
         x, z, c = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal()
-        a = toy_log_joint(fam.model_from(fam.init_params(theta)), x, z)
-        b = toy_log_joint(fam.model_from(fam.init_params(theta + c)), x + c, z + c)
+        a = fam.log_joint(fam.init_params(theta), x, z)
+        b = fam.log_joint(fam.init_params(theta + c), x + c, z + c)
         assert b == pytest.approx(a, abs=1e-11)
 
 
@@ -54,7 +52,7 @@ def test_log_joint_theta_gradient_is_prior_residual():
     z = [1.0, -0.7]
     g = TapeGraph()
     lp = lift(g, p)
-    root = toy_log_joint(fam.model_from(lp), x, z)
+    root = fam.log_joint(lp, x, z)
     grads = g.backward(root)
     theta_nodes = lp.nodes["theta"]
     for j, node in enumerate(theta_nodes):
@@ -62,19 +60,19 @@ def test_log_joint_theta_gradient_is_prior_residual():
 
 
 def test_log_marginal_at_origin():
-    m = Toy(1).model_from(Toy(1).init_params([0.0]))
-    assert toy_log_marginal(m, [0.0]) == pytest.approx(-HALF_LOG_4PI, abs=1e-14)
+    fam = Toy(1)
+    assert fam.log_marginal(fam.init_params([0.0]), [0.0]) == pytest.approx(-HALF_LOG_4PI, abs=1e-14)
 
 
 def test_log_marginal_matches_grid_quadrature():
     fam = Toy(1)
-    m = fam.model_from(fam.init_params([0.45]))
+    p = fam.init_params([0.45])
     x = [1.3]
     zs = np.linspace(-12.0, 12.0, 240001)
-    logs = np.array([toy_log_joint(m, x, [z]) for z in zs])
+    logs = np.array([fam.log_joint(p, x, [z]) for z in zs])
     h = zs[1] - zs[0]
     quad = np.logaddexp.reduce(logs) + math.log(h)
-    assert quad == pytest.approx(toy_log_marginal(m, x), abs=1e-5)
+    assert quad == pytest.approx(fam.log_marginal(p, x), abs=1e-5)
 
 
 def test_optimal_inference_is_posterior_mean_map():
@@ -98,7 +96,7 @@ def test_exact_posterior_makes_log_weight_constant():
     p = fam.init_params([0.2, -1.0, 0.8])
     x = np.array([1.0, 0.4, -0.3])
     ctx = fam.weight_context(p, x, noise_block(1, 50, 0, (4, 6, 3)))
-    want = toy_log_marginal(fam.model_from(p), x)
+    want = fam.log_marginal(p, x)
     assert np.allclose(ctx.lw, want, atol=1e-10)
 
 
@@ -106,12 +104,11 @@ def test_context_lw_matches_generic_route():
     fam, p, x = toy_fixture(d=3)
     eps = noise_block(7, 50, 1, (2, 5, 3))
     ctx = fam.weight_context(p, x, eps)
-    m = fam.model_from(p)
     for n in range(2):
         for i in range(5):
-            q = fam.inference(m, x)
+            q = fam.inference(p, x)
             z = sample_reparam(q, eps[n, i])
-            direct = toy_log_joint(m, x, z) - log_prob(q, z)
+            direct = fam.log_joint(p, x, z) - log_prob(q, z)
             assert ctx.lw[n, i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -390,8 +387,7 @@ def test_vae_smoke_desk_scale():
 def test_shared_toy_ties_inference_to_theta():
     fam = Toy(2, shared=True)
     p = fam.init_params([0.4, -0.6])
-    m = fam.model_from(p)
-    q = fam.inference(m, [1.0, 2.0])
+    q = fam.inference(p, [1.0, 2.0])
     assert q.mean[0] == pytest.approx(0.4 * 1.0 + 0.2)
     assert q.mean[1] == pytest.approx(-0.6 * 2.0 - 0.3)
     with pytest.raises(ValueError):

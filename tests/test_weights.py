@@ -6,7 +6,6 @@ import pytest
 
 from dreglab.estimators import (
     ChunkWeights,
-    iwae_bound,
     jvi1_coefficients,
     jvi1_estimate,
     log_weights,
@@ -69,31 +68,31 @@ def test_degenerate_batch_raises():
     with pytest.raises(ValueError):
         ChunkWeights(np.array([-np.inf, -np.inf])).wt
     with pytest.raises(ValueError):
-        iwae_bound(np.array([np.nan, 0.0]))
+        ChunkWeights(np.array([np.nan, 0.0])).iwae_bound
 
 
 def test_iwae_bound_cases():
-    assert iwae_bound(np.array([0.7])) == pytest.approx(0.7, abs=1e-15)
-    assert iwae_bound(np.full(16, -3.2)) == pytest.approx(-3.2, abs=1e-12)
+    assert ChunkWeights(np.array([0.7])).iwae_bound == pytest.approx(0.7, abs=1e-15)
+    assert ChunkWeights(np.full(16, -3.2)).iwae_bound == pytest.approx(-3.2, abs=1e-12)
     lw = np.array([[0.0, math.log(3.0)]])
-    assert iwae_bound(lw)[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert ChunkWeights(lw).iwae_bound[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_iwae_bound_converges_to_marginal():
     fam, p, x = toy_fixture(d=2, seed=3)
     eps = noise_block(3, Streams.MEASURE, 9, (10_000, 1024, 2))
-    bounds = iwae_bound(fam.weight_context(p, x, eps).lw)
+    bounds = ChunkWeights(fam.weight_context(p, x, eps).lw).iwae_bound
     want = fam.log_marginal(p, x)
     se = bounds.std(ddof=1) / math.sqrt(bounds.size)
     assert abs(bounds.mean() - want) < max(0.01, 5 * se)
 
 
 def test_jvi_equal_weights_is_identity():
-    assert jvi1_estimate(np.full(6, 1.3)) == pytest.approx(1.3, abs=1e-12)
+    assert ChunkWeights(np.full(6, 1.3)).jvi1_bound == pytest.approx(1.3, abs=1e-12)
 
 
 def test_jvi_frozen_two_sample_value():
-    assert jvi1_estimate(np.array([0.0, 1.0])) == pytest.approx(JVI_K2_VALUE, abs=1e-12)
+    assert ChunkWeights(np.array([0.0, 1.0])).jvi1_bound == pytest.approx(JVI_K2_VALUE, abs=1e-12)
 
 
 def test_jvi_matches_direct_formula():
@@ -101,10 +100,10 @@ def test_jvi_matches_direct_formula():
     for _ in range(10):
         lw = rng.standard_normal(5)
         k = 5
-        want = k * iwae_bound(lw) - (k - 1) / k * sum(
-            iwae_bound(np.delete(lw, i)) for i in range(k)
+        want = k * ChunkWeights(lw).iwae_bound - (k - 1) / k * sum(
+            ChunkWeights(np.delete(lw, i)).iwae_bound for i in range(k)
         )
-        assert jvi1_estimate(lw) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert ChunkWeights(lw).jvi1_bound == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def _jvi1_reference(row):
@@ -137,16 +136,16 @@ def test_jvi_estimate_matches_mpmath(k, spread):
     rng = np.random.default_rng(18)
     lw = rng.uniform(-spread, 0.0, size=(4, k))
     lw[:, 0] = 0.0
-    for got, row in zip(jvi1_estimate(lw), lw):
+    for got, row in zip(ChunkWeights(lw).jvi1_bound, lw):
         want = _jvi1_reference(row)
         assert abs(got - want) <= 4e-15 * (1.0 + abs(want))
 
 
 def test_jvi_rejects_single_sample():
     with pytest.raises(ValueError):
-        jvi1_estimate(np.array([0.0]))
+        ChunkWeights(np.array([0.0])).jvi1_bound
     with pytest.raises(ValueError):
-        jvi1_coefficients(np.array([[0.0]]))
+        jvi1_coefficients(ChunkWeights(np.array([[0.0]])))
 
 
 def test_jvi_tape_route_matches_array_route():
@@ -155,7 +154,7 @@ def test_jvi_tape_route_matches_array_route():
     g = TapeGraph()
     nodes = g.input_vector(vals)
     root = jvi1_estimate(nodes)
-    assert root.value == pytest.approx(jvi1_estimate(vals), rel=1e-12)
+    assert root.value == pytest.approx(ChunkWeights(vals).jvi1_bound, rel=1e-12)
 
 
 def test_jvi_coefficients_are_estimate_gradient():
@@ -166,7 +165,7 @@ def test_jvi_coefficients_are_estimate_gradient():
         g = TapeGraph()
         nodes = g.input_vector(vals)
         grads = g.backward(jvi1_estimate(nodes))
-        c, _ = jvi1_coefficients(vals[None, :])
+        c, _ = jvi1_coefficients(ChunkWeights(vals[None, :]))
         for j, node in enumerate(nodes):
             assert c[0, j] == pytest.approx(grads[node.idx], rel=1e-11, abs=1e-12)
 
@@ -178,7 +177,7 @@ def test_jvi_squared_coefficients_bruteforce():
         lw = rng.uniform(-2, 2, size=k)
         w = np.exp(lw)
         wt = w / w.sum()
-        _, c2 = jvi1_coefficients(lw[None, :])
+        _, c2 = jvi1_coefficients(ChunkWeights(lw[None, :]))
         for j in range(k):
             acc = 0.0
             for i in range(k):
@@ -214,7 +213,7 @@ def test_jvi_squared_coefficients_near_equal_weights_match_mpmath(k):
     # their difference loses accuracy like K^2, the v form like K
     rng = np.random.default_rng(17)
     lw = rng.uniform(-1.0, 0.0, size=(4, k))
-    _, c2 = jvi1_coefficients(lw)
+    _, c2 = jvi1_coefficients(ChunkWeights(lw))
     for got, row in zip(c2, lw):
         want = _c2_reference(row)
         assert np.max(np.abs(got - want)) <= 4e-15 * k * np.max(np.abs(want))
@@ -222,7 +221,7 @@ def test_jvi_squared_coefficients_near_equal_weights_match_mpmath(k):
 
 def test_jvi_equal_weight_coefficients():
     lw = np.zeros((1, 8))
-    c, c2 = jvi1_coefficients(lw)
+    c, c2 = jvi1_coefficients(ChunkWeights(lw))
     assert np.allclose(c, 1.0 / 8.0, atol=1e-13)
     assert np.allclose(c2, 0.0, atol=1e-13)
 
@@ -232,7 +231,7 @@ def test_log_weights_matches_toy_context():
     eps = noise_block(4, Streams.MEASURE, 0, (6, 3))
     lwb = log_weights(fam, p, x, eps)
     ctx = fam.weight_context(p, x, eps)
-    assert np.allclose(lwb.log_w, ctx.lw[0], rtol=1e-12, atol=1e-12)
+    assert np.allclose(lwb.lw, ctx.lw[0], rtol=1e-12, atol=1e-12)
     rng = np.random.default_rng(2)
     for _ in range(3):
         c = rng.standard_normal(6)
@@ -271,7 +270,7 @@ def test_log_weights_matches_vae_context():
     ctx = fam.weight_context(p, x, eps)
     lwbs = [log_weights(fam, p, x[b], eps[b]) for b in range(3)]
     for b, lwb in enumerate(lwbs):
-        assert np.allclose(lwb.log_w, ctx.lw[b], rtol=1e-12, atol=1e-12)
+        assert np.allclose(lwb.lw, ctx.lw[b], rtol=1e-12, atol=1e-12)
     for _ in range(3):
         c = rng.standard_normal((3, 4))
         path, score, theta = ctx.path(c), ctx.score(c), ctx.theta(c)
@@ -284,7 +283,7 @@ def test_log_weights_matches_vae_context():
 def test_log_weights_k1_weight_is_one():
     fam, p, x = toy_fixture()
     lwb = log_weights(fam, p, x, noise_block(1, Streams.MEASURE, 3, (1, 3)))
-    assert ChunkWeights(lwb.log_w).wt.tolist() == [1.0]
+    assert ChunkWeights(lwb.lw).wt.tolist() == [1.0]
 
 
 def test_log_weights_constant_at_exact_posterior():
@@ -292,7 +291,7 @@ def test_log_weights_constant_at_exact_posterior():
     p = fam.init_params([0.3, -0.4])
     x = [1.0, 0.2]
     lwb = log_weights(fam, p, x, noise_block(2, Streams.MEASURE, 4, (8, 2)))
-    assert np.allclose(lwb.log_w, fam.log_marginal(p, x), atol=1e-10)
+    assert np.allclose(lwb.lw, fam.log_marginal(p, x), atol=1e-10)
 
 
 def test_log_weights_rejects_shared_roles():
@@ -307,7 +306,7 @@ def test_log_weights_deterministic():
     eps = noise_block(5, Streams.MEASURE, 6, (3, 3))
     a = log_weights(fam, p, x, eps)
     b = log_weights(fam, p, x, noise_block(5, Streams.MEASURE, 6, (3, 3)))
-    assert np.array_equal(a.log_w, b.log_w)
+    assert np.array_equal(a.lw, b.lw)
     assert np.array_equal(a.dlogw_dz, b.dlogw_dz)
     assert np.array_equal(a.dlogq_dphi, b.dlogq_dphi)
 
@@ -319,9 +318,9 @@ def test_jvi_coefficients_match_tape_across_gaps(gap):
     g = TapeGraph()
     nodes = g.input_vector(vals)
     root = jvi1_estimate(nodes)
-    assert jvi1_estimate(vals) == pytest.approx(root.value, rel=1e-12)
+    assert ChunkWeights(vals).jvi1_bound == pytest.approx(root.value, rel=1e-12)
     grads = g.backward(root)
-    c, c2 = jvi1_coefficients(vals[None, :])
+    c, c2 = jvi1_coefficients(ChunkWeights(vals[None, :]))
     want = np.array([grads[node.idx] for node in nodes])
     assert np.allclose(c[0], want, rtol=1e-12, atol=1e-14)
     if gap >= 40.0:  # the limit K - 2 (K-1)/K once e^-gap is below rounding
@@ -335,7 +334,7 @@ def test_jvi_coefficients_sum_to_one():
     for k in (2, 5, 64):
         for spread in (1.0, 30.0, 700.0, 1e4):
             lw = rng.uniform(-spread, 0.0, size=(4, k))
-            c, _ = jvi1_coefficients(lw)
+            c, _ = jvi1_coefficients(ChunkWeights(lw))
             # lw is only resolved to its own rounding, ~eps * spread
             tol = 1e-15 * k * (1.0 + spread)
             assert np.max(np.abs(c.sum(axis=-1) - 1.0)) <= tol
@@ -347,7 +346,7 @@ def test_jvi_coefficients_finite_at_wide_spreads(spread):
     lw = rng.uniform(-spread, 0.0, size=(8, 16))
     lw[:, 0] = 0.0
     lw[:, 1] = -spread  # a sample at the far end of every row
-    c, c2 = jvi1_coefficients(lw)
+    c, c2 = jvi1_coefficients(ChunkWeights(lw))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(c2))
 
 
@@ -367,14 +366,17 @@ def test_all_negative_infinite_row_is_named():
 
 
 @pytest.mark.parametrize("row", [[0.0, -np.inf], [0.0, -np.inf, -np.inf]])
-@pytest.mark.parametrize("kernel", [jvi1_coefficients, jvi1_estimate])
+@pytest.mark.parametrize("kernel", [
+    pytest.param(jvi1_coefficients, id="jvi1_coefficients"),
+    pytest.param(lambda w: w.jvi1_bound, id="jvi1_estimate"),
+])
 def test_jackknife_with_one_finite_log_weight_is_named(kernel, row):
     with pytest.raises(ValueError, match="jackknife needs two finite log-weights"):
-        kernel(np.array([row]))
+        kernel(ChunkWeights(np.array([row])))
 
 
 def test_jvi_coefficients_zero_on_a_negative_infinite_sample():
-    c, c2 = jvi1_coefficients(np.array([[0.0, -1.0, -np.inf]]))
+    c, c2 = jvi1_coefficients(ChunkWeights(np.array([[0.0, -1.0, -np.inf]])))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(c2))
     assert c[0, 2] == 0.0 and c2[0, 2] == 0.0
     assert c[0].sum() == pytest.approx(1.0, abs=1e-15)
