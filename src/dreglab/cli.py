@@ -30,13 +30,12 @@ import numpy as np
 from . import __version__
 from .data import load_idx, split, synthetic_dataset
 from .diagnostics import (
-    TTestResult,
     fold_rows,
     reference_mean,
     stats_from_moments,
     t_test_from_moments,
 )
-from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set, weighted_sum
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
 from .training import train_model
@@ -45,9 +44,9 @@ EXPERIMENTS = ("toy-snr", "train", "bias-test")
 
 # each testable estimator against an unbiased reference for the same
 # expectation (descent recipes pair with the descent baseline), and each
-# reference as a weight map over table ids in the form of a Recipe's path
-# and score terms (alpha-mix is the (1 - alpha, alpha) mix of the standard
-# ascent gradient and the negated wake gradient that dreg-alpha targets)
+# reference as a weight map over table ids, in `phi_row_set`'s form
+# (alpha-mix is the (1 - alpha, alpha) mix of the standard ascent
+# gradient and the negated wake gradient that dreg-alpha targets)
 REFERENCE_PAIR = {
     "stl": "iwae",
     "iwae-dreg": "iwae",
@@ -297,31 +296,29 @@ def _trial_point(cfg, fam, trial):
     return p, x
 
 
-def _paired_fold(cfg, fam, p, x, trial, k, pairs):
-    """Folded phi-gradient moments of each id in ``pairs``, and of its
-    paired difference against its reference, as ({id: moments},
-    {id: diff moments}).
+def _difference(est, ref):
+    """The weight map of ``est``'s rows less those of the `REFERENCES`
+    map ``ref``, so that `phi_row_set` cancels their shared terms."""
+    return {est: 1.0, **{kind: (lambda a, w=w: -w(a)) if callable(w) else -w
+                         for kind, w in REFERENCES[ref].items()}}
 
-    ``pairs`` maps an id to a `REFERENCES` name, or to None for no
-    difference.  One `phi_row_set` per context serves every id and every
-    reference part, so each difference is a common-random-number pair.
+
+def _paired_fold(cfg, fam, p, x, trial, k, maps):
+    """Folded phi-gradient moments of each named weight map over table
+    ids (`phi_row_set`'s maps), as {name: moments}.
+
+    One `phi_row_set` per context serves every map, so the maps are
+    common-random-number pairs, and a `_difference` map's rows are its
+    two sides' paired difference with their shared terms cancelled.
     """
-    refs = {est: REFERENCES[ref] for est, ref in pairs.items() if ref}
-    kinds = sorted({*pairs, *(kind for ref in refs.values() for kind in ref)})
+    alpha = _phi_alpha(cfg, {kind for m in maps.values() for kind in m})
 
     def rows_of(ctx):
-        rows = phi_row_set(kinds, ctx, _phi_alpha(cfg, kinds))
-        for est in pairs:
-            yield est, rows[est]
-            if est in refs:
-                yield (est, "diff"), rows[est] - weighted_sum(
-                    refs[est], rows.__getitem__, cfg.alpha)
+        return phi_row_set(maps, ctx, alpha).items()
 
-    folded = fold_rows(fam, p, x, k, cfg.samples, rows_of, seed=cfg.seed,
-                       stream=Streams.MEASURE, draw_prefix=(trial, k),
-                       chunk_size=cfg.chunk_size)
-    return ({est: folded[est] for est in pairs},
-            {est: folded[est, "diff"] for est in refs})
+    return fold_rows(fam, p, x, k, cfg.samples, rows_of, seed=cfg.seed,
+                     stream=Streams.MEASURE, draw_prefix=(trial, k),
+                     chunk_size=cfg.chunk_size)
 
 
 def run_toy_snr(cfg):
@@ -330,9 +327,9 @@ def run_toy_snr(cfg):
     Writes ``stats.csv`` with one row per (estimator, K, trial,
     coordinate) and ``ttests.csv`` with per-coordinate paired t-tests of
     each estimator against the standard recipe pooled over trials: one
-    `_paired_fold` per (trial, K) with every id paired to the weight map
-    {iwae: 1}.  Each estimator skips the K below its recipe's min_k, and
-    a K that no estimator reaches is not measured.
+    `_paired_fold` per (trial, K) of every live id alone and, past
+    iwae, less iwae.  Each estimator skips the K below its recipe's
+    min_k, and a K that no estimator reaches is not measured.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
@@ -348,18 +345,21 @@ def run_toy_snr(cfg):
             ref = reference_mean(fam, p, x, k, cfg.reference_samples,
                                  seed=cfg.seed, chunk_size=cfg.chunk_size,
                                  draw_prefix=(trial, k))
-            pairs = {est: None if est == "iwae" else "iwae" for est in live}
-            moments, diffs = _paired_fold(cfg, fam, p, x, trial, k, pairs)
-            for est, mom in moments.items():
-                st = stats_from_moments(mom, ref.mean, k=k, estimator_id=est)
-                for coord in range(mom.mean.size):
+            diffs = {(est, k): _difference(est, "iwae")
+                     for est in live if est != "iwae"}
+            moments = _paired_fold(cfg, fam, p, x, trial, k,
+                                   {**{est: {est: 1.0} for est in live},
+                                    **diffs})
+            for est in live:
+                st = stats_from_moments(moments[est], ref.mean, k=k,
+                                        estimator_id=est)
+                for coord in range(st.mean.size):
                     stat_rows.append((est, k, trial, coord,
                                       st.mean[coord], st.variance[coord],
                                       st.bias_sq[coord], st.snr[coord]))
-            for est, dmom in diffs.items():
-                key = (est, k)
-                pooled[key] = dmom if key not in pooled \
-                    else pooled[key].merge(dmom)
+            for key in diffs:
+                pooled[key] = moments[key] if key not in pooled \
+                    else pooled[key].merge(moments[key])
     stat_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     write_csv(os.path.join(cfg.out, "stats.csv"),
               ("estimator", "K", "trial", "coordinate",
@@ -383,46 +383,36 @@ def run_toy_snr(cfg):
 def run_bias_test(cfg):
     """Paired test of each estimator mean against its unbiased baseline.
 
-    The same `_paired_fold` as ``toy-snr`` at trial 0 and K = ``k``,
-    with each id paired to its `REFERENCE_PAIR` weight map, so it reads
-    the noise ``toy-snr`` folds there.  Writes ``ttests.csv``
+    The same `_paired_fold` as ``toy-snr`` at trial 0 and K = ``k``, of
+    each id's `_difference` from its `REFERENCE_PAIR` map alone, so it
+    reads the noise ``toy-snr`` folds there.  A difference whose weights
+    cancel (dreg-alpha's at alpha = 1/2) has exact-zero rows, which the
+    t-test reports as t = 0, p = 1.  Writes ``ttests.csv``
     (per-coordinate statistics) and ``report.txt`` with one verdict line
     per estimator; the verdict text also goes to stdout.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
     p, x = _trial_point(cfg, fam, 0)
-    scales, diffs = _paired_fold(
-        cfg, fam, p, x, 0, cfg.k,
-        {est: REFERENCE_PAIR[est] for est in cfg.estimators})
+    diffs = _paired_fold(cfg, fam, p, x, 0, cfg.k, {
+        est: _difference(est, REFERENCE_PAIR[est]) for est in cfg.estimators})
     t_rows = []
     verdicts = []
     for est in sorted(cfg.estimators):
-        dmom = diffs[est]
-        smom = scales[est]
-        rms = np.sqrt(smom.m2 / smom.n + smom.mean**2)
-        results = []
-        for c in range(dmom.mean.size):
-            # a diff at rounding scale relative to the rows themselves
-            # is exact agreement, not evidence about bias
-            if math.sqrt(dmom.variance[c]) <= 1e-12 * (1.0 + rms[c]) \
-                    and abs(dmom.mean[c]) <= 1e-12 * (1.0 + rms[c]):
-                results.append(TTestResult(0.0, 1.0, dmom.n, c))
-            else:
-                results.append(t_test_from_moments(
-                    dmom.mean[c], dmom.variance[c], dmom.n, c))
-        for res in results:
-            t_rows.append((est, REFERENCE_PAIR[est], res.coordinate,
-                           res.t_statistic, res.p_value, res.n))
+        dmom, ref = diffs[est], REFERENCE_PAIR[est]
+        results = [t_test_from_moments(dmom.mean[c], dmom.variance[c],
+                                       dmom.n, c)
+                   for c in range(dmom.mean.size)]
+        t_rows += [(est, ref, res.coordinate, res.t_statistic, res.p_value,
+                    res.n) for res in results]
         worst = min(results, key=lambda r: r.p_value)
         if worst.p_value < BIAS_ALPHA:
             verdicts.append(
-                f"{est} vs {REFERENCE_PAIR[est]}: bias detected "
-                f"(min p = {worst.p_value:.3g} at coordinate "
-                f"{worst.coordinate})")
+                f"{est} vs {ref}: bias detected (min p = "
+                f"{worst.p_value:.3g} at coordinate {worst.coordinate})")
         else:
             verdicts.append(
-                f"{est} vs {REFERENCE_PAIR[est]}: no bias detected "
+                f"{est} vs {ref}: no bias detected "
                 f"(min p = {worst.p_value:.3g})")
     write_csv(os.path.join(cfg.out, "ttests.csv"),
               ("estimator", "reference", "coordinate", "t_statistic",

@@ -6,7 +6,6 @@ from .gradients import (
     phi_rows,
     recipe,
     theta_rows,
-    weighted_sum,
 )
 from .surrogates import SurrogateLoss, surrogate_loss
 from .weights import (
@@ -36,5 +35,4 @@ __all__ = [
     "recipe",
     "surrogate_loss",
     "theta_rows",
-    "weighted_sum",
 ]

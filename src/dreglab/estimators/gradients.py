@@ -9,9 +9,12 @@ pair (``c``, ``c2``).  `ESTIMATORS` below is that table: an entry's path
 and score terms map bases to weights (dreg-alpha's are functions of
 alpha), and its theta term names one base.  Contractions are linear, so
 the phi rows of an entry are the weighted sum of its contracted bases,
-and `phi_row_set` contracts each distinct base once for any set of ids
-on one context; the recipes run against one context also normalize its
-log weights once.  Each entry also names, as a `ChunkWeights`
+and so are those of any weight map over ids, such as an estimator less
+its reference: `phi_row_set` adds a map's weights per contracted base
+before it sums, so shared terms cancel in the coefficients, and it
+contracts each distinct base once for all the maps it is given on one
+context; the recipes run against one context also normalize its log
+weights once.  Each entry also names, as a `ChunkWeights`
 attribute just as its theta base is named, the bound its theta
 coefficient differentiates (``iwae_bound`` for w-tilde rows,
 ``jvi1_bound`` for c rows), and gives the smallest K its coefficients
@@ -23,6 +26,8 @@ model contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .weights import context_weights
 
@@ -66,9 +71,10 @@ def _entry(kind):
     return ESTIMATORS[kind]
 
 
-def _check_alpha(kinds, alpha):
-    if (alpha is not None) != ("dreg-alpha" in kinds):
-        raise ValueError("alpha must be given exactly for dreg-alpha")
+def _check_alpha(needs, alpha):
+    if (alpha is not None) != needs:
+        raise ValueError("alpha must be given exactly when a weight is a "
+                         "function of it, as dreg-alpha's are")
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ValueError("dreg-alpha needs alpha in [0, 1]")
 
@@ -77,67 +83,88 @@ def recipe(kind, alpha=None):
     """The table entry of ``kind``; alpha, in [0, 1], is given exactly
     for dreg-alpha."""
     entry = _entry(kind)
-    _check_alpha((kind,), alpha)
+    _check_alpha(kind == "dreg-alpha", alpha)
     return entry
 
 
 def _terms_at(term, alpha):
-    """The (base, weight) pairs of a path or score map at ``alpha``; a
-    zero weight drops its base."""
-    pairs = ((base, weight(alpha) if callable(weight) else weight)
-             for base, weight in term.items())
-    return [(base, weight) for base, weight in pairs if weight != 0.0]
+    """The (key, weight) pairs of a weight map at ``alpha``; a zero
+    weight drops its key."""
+    pairs = ((key, weight(alpha) if callable(weight) else weight)
+             for key, weight in term.items())
+    return [(key, weight) for key, weight in pairs if weight != 0.0]
 
 
 def _weighted_sum(terms, value_of):
     """sum weight * value_of(key) over the (key, weight) pairs, in order;
-    None for no pairs."""
-    total = None
-    for key, weight in terms:
-        part = value_of(key)
-        if weight != 1.0:
-            part = weight * part
-        total = part if total is None else total + part
+    None for no pairs.  A sum of more than one value is built in place
+    on a fresh array, so no value is written to and each weighted
+    temporary dies in the statement that makes it."""
+    if not terms:
+        return None
+    (key, weight), *rest = terms
+    total = value_of(key)
+    if rest or weight != 1.0:
+        total = weight * total
+    for key, weight in rest:
+        total += value_of(key) if weight == 1.0 else weight * value_of(key)
     return total
 
 
 def weighted_sum(term, value_of, alpha=None):
-    """sum weight * value_of(key) over a weight map at ``alpha``: a
-    recipe's path or score map on the bases of one `ChunkWeights`
-    (value_of(base) its coefficient vector), or a map over table ids
-    (value_of(id) its rows); None for an absent term."""
+    """sum weight * value_of(base) over a recipe's path or score map at
+    ``alpha``, value_of(base) the coefficient vector of one
+    `ChunkWeights` base; None for an absent term."""
     return _weighted_sum(_terms_at(term, alpha), value_of)
 
 
-def phi_row_set(kinds, ctx, alpha=None):
-    """Inference-network gradient rows of every id in ``kinds`` for one
-    weight context, as {kind: rows}.
+def _phi_terms(r, alpha):
+    """An entry's phi rows as ((side, base), weight) pairs."""
+    return ([(("path", base), w) for base, w in _terms_at(r.path, alpha)]
+            + [(("score", base), -w) for base, w in _terms_at(r.score, alpha)])
 
-    An id's rows are sum w path(base) - sum w score(base) over its
-    recipe's terms, and each distinct (side, base) pair is contracted
-    once for all of ``kinds``: the eight ids take four path and two
-    score contractions.  alpha, in [0, 1], is given exactly when
-    dreg-alpha is in ``kinds``.  Ids whose terms coincide (dreg-alpha at
-    alpha = 0 and iwae-dreg) share one rows array.
+
+def phi_row_set(maps, ctx, alpha=None):
+    """Inference-network gradient rows of named weight maps over table
+    ids for one weight context, as {name: rows}.
+
+    A map {id: weight} stands for sum weight * rows(id); an id alone is
+    {id: 1.0}, and a weight is a number or a function of alpha.  Each
+    (side, base) contraction's weights are added across a map's ids
+    before the contractions are summed, in one fixed order, so terms
+    that cancel do so in the coefficients: iwae-dreg - iwae and
+    rws-dreg - rws-wake are the same sum bit for bit, and a map whose
+    weights all cancel gives exact-zero rows.  Each distinct (side,
+    base) pair is contracted once for all maps: the eight ids take four
+    path and two score contractions.  alpha, in [0, 1], is given exactly
+    when some weight is a function of it (dreg-alpha's are).  Maps whose
+    sum is one contraction of weight 1 (iwae-dreg, and dreg-alpha at
+    alpha = 0) share that contraction's array.
     """
-    entries = {kind: _entry(kind) for kind in kinds}
-    _check_alpha(entries, alpha)
-    terms = {kind: [(("path", base), weight)
-                    for base, weight in _terms_at(r.path, alpha)]
-             + [(("score", base), -weight)
-                for base, weight in _terms_at(r.score, alpha)]
-             for kind, r in entries.items()}
+    entries = {kind: _entry(kind) for m in maps.values() for kind in m}
+    _check_alpha("dreg-alpha" in entries or any(
+        callable(w) for m in maps.values() for w in m.values()), alpha)
+    coefs = {}
+    for name, weights in maps.items():
+        coef = coefs[name] = {}
+        for kind, weight in _terms_at(weights, alpha):
+            for key, c in _phi_terms(entries[kind], alpha):
+                coef[key] = coef.get(key, 0.0) + weight * c
     w = context_weights(ctx)
     parts = {(side, base): getattr(ctx, side)(getattr(w, base))
-             for side, base in dict.fromkeys(key for t in terms.values()
-                                             for key, _ in t)}
-    return {kind: _weighted_sum(t, parts.__getitem__)
-            for kind, t in terms.items()}
+             for side, base in dict.fromkeys(key for c in coefs.values()
+                                             for key in c)}
+    rows = {}
+    for name, coef in coefs.items():
+        terms = [(key, c) for key, c in sorted(coef.items()) if c != 0.0]
+        rows[name] = (_weighted_sum(terms, parts.__getitem__) if terms
+                      else np.zeros_like(parts[min(coef)]))
+    return rows
 
 
 def phi_rows(kind, ctx, alpha=None):
     """Inference-network gradient rows of one id for one weight context."""
-    return phi_row_set((kind,), ctx, alpha)[kind]
+    return phi_row_set({kind: {kind: 1.0}}, ctx, alpha)[kind]
 
 
 def theta_rows(kind, ctx):

@@ -257,10 +257,6 @@ class LogWeightBatch:
     z: np.ndarray
     mean: np.ndarray
 
-    @property
-    def k(self):
-        return self.lw.shape[0]
-
     def path(self, c):
         u = c[:, None] * self.dlogw_dz  # (K, d)
         left = u.sum(axis=0) @ self.jac_mean

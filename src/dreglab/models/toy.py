@@ -182,14 +182,6 @@ class ToyContext:
         self._mean_offset = mean - theta
         self._s1_of = None  # the coefficients of the kept S1
 
-    @property
-    def n(self):
-        return self.lw.shape[0]
-
-    @property
-    def k(self):
-        return self.lw.shape[1]
-
     def _s1(self, c):
         # S1 = sum_i c_i eps_i, (n, d); S0 is c.sum(axis=1, keepdims=True).
         # The path, score and theta contractions of one base read the same

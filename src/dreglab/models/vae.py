@@ -232,14 +232,6 @@ class VaeContext:
         )
         self.lw = log_pz + log_px_z - log_q
 
-    @property
-    def n(self):
-        return self.lw.shape[0]
-
-    @property
-    def k(self):
-        return self.lw.shape[1]
-
     @functools.cached_property
     def _pullback(self):
         """Decoder layer grads of each dlog p(x|z_i), seeded by x - sigmoid(logits)."""

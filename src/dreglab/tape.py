@@ -32,9 +32,8 @@ __all__ = [
 ]
 
 OP_KINDS = frozenset([
-    "add", "sub", "mul", "div", "neg", "exp", "log", "tanh", "sigmoid",
-    "square", "sum", "log-sum-exp", "max", "stop-gradient", "input",
-    "constant",
+    "add", "sub", "mul", "div", "neg", "exp", "log", "tanh", "square",
+    "sum", "log-sum-exp", "max", "stop-gradient", "input", "constant",
 ])
 
 
@@ -96,9 +95,6 @@ class TapeScalar:
 
     def tanh(self):
         return self.graph.record("tanh", self)
-
-    def sigmoid(self):
-        return self.graph.record("sigmoid", self)
 
     def square(self):
         return self.graph.record("square", self)
@@ -199,15 +195,6 @@ class TapeGraph:
             (a,) = vals
             t = math.tanh(a)
             return self._append(t, ids, (1.0 - t * t,))
-        if kind == "sigmoid":
-            (a,) = vals
-            # branch keeps exp argument non-positive
-            if a >= 0.0:
-                s = 1.0 / (1.0 + math.exp(-a))
-            else:
-                e = math.exp(a)
-                s = e / (1.0 + e)
-            return self._append(s, ids, (s * (1.0 - s),))
         if kind == "square":
             (a,) = vals
             return self._append(a * a, ids, (2.0 * a,))

@@ -6,7 +6,7 @@ import pytest
 
 from dreglab import __version__, cli
 from dreglab.diagnostics import fold_rows
-from dreglab.estimators import phi_rows
+from dreglab.estimators import ESTIMATOR_IDS, context_weights, phi_rows
 from dreglab.gaussian import Streams
 from dreglab.models import Toy
 from dreglab.cli import (
@@ -400,48 +400,99 @@ class TestBiasTestCommand:
                      "--out", str(tmp_path / "o")]) == 1
         assert "jvi1-dreg" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
-    def test_paired_fold_diffs_match_hand_built_references(self, alpha):
-        # each reference's weight map gives the bits of the reference rows
-        # written out by hand, alpha-mix included
+    @staticmethod
+    def _bias_cfg(alpha, **updates):
         raw = parse_config_text(BIAS_SMOKE)
-        raw.update(alpha=repr(alpha), samples="300", chunk_size="128")
+        raw.update(alpha=repr(alpha), **updates)
         cfg = resolve_config(raw, "bias-test")
         fam = Toy(cfg.d, cfg.q_variance)
-        p, x = cli._trial_point(cfg, fam, 0)
-        moments, diffs = cli._paired_fold(cfg, fam, p, x, 0, cfg.k,
-                                          cli.REFERENCE_PAIR)
+        return cfg, fam, *cli._trial_point(cfg, fam, 0)
+
+    @staticmethod
+    def _differences(cfg, fam, p, x):
+        return cli._paired_fold(cfg, fam, p, x, 0, cfg.k, {
+            est: cli._difference(est, ref)
+            for est, ref in cli.REFERENCE_PAIR.items()})
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_paired_fold_diffs_match_hand_built_references(self, alpha):
+        # each difference map folds the bits of its base-level sum written
+        # out by hand (its weights added per base, zero weights dropped),
+        # and each row is within rounding of est - ref as two ids' rows
+        cfg, fam, p, x = self._bias_cfg(alpha, samples="300",
+                                        chunk_size="128")
+        diffs = self._differences(cfg, fam, p, x)
+        a = alpha
 
         def rows_of(ctx):
-            def rows(kind):
-                return phi_rows(kind, ctx,
-                                alpha if kind == "dreg-alpha" else None)
+            w = context_weights(ctx)
 
+            def path(base):
+                return ctx.path(getattr(w, base))
+
+            def score(base):
+                return ctx.score(getattr(w, base))
+
+            dreg = -path("wt") + path("wt2") + score("wt")
+            hand = {"stl": score("wt"), "iwae-dreg": dreg, "rws-dreg": dreg,
+                    "jvi1-dreg": -path("c") + path("c2") + score("c"),
+                    "dreg-alpha": (a - (1.0 - a)) * path("wt")
+                    + (1.0 - 2.0 * a) * path("wt2")
+                    + ((1.0 - a) - a) * score("wt")}
+            rows = {kind: phi_rows(kind, ctx, a if kind == "dreg-alpha"
+                                   else None) for kind in ESTIMATOR_IDS}
             for est, ref in cli.REFERENCE_PAIR.items():
-                ref_rows = ((1.0 - alpha) * rows("iwae")
-                            - alpha * rows("rws-wake")
-                            if ref == "alpha-mix" else rows(ref))
-                yield est, rows(est)
-                yield (est, "diff"), rows(est) - ref_rows
+                ref_map = cli.REFERENCES[ref]
+                ref_rows = (1.0 - a) * rows["iwae"] - a * rows["rws-wake"] \
+                    if ref == "alpha-mix" else rows[ref]
+                scale = max(np.abs(rows[kind]).max()
+                            for kind in (est, *ref_map))
+                assert np.abs(hand[est] - (rows[est] - ref_rows)).max() \
+                    <= 1e-15 * scale, (est, alpha)
+                yield est, hand[est]
 
-        hand = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of,
+        want = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of,
                          seed=cfg.seed, stream=Streams.MEASURE,
                          draw_prefix=(0, cfg.k), chunk_size=cfg.chunk_size)
-        for est in cli.REFERENCE_PAIR:
-            for got, want in ((moments[est], hand[est]),
-                              (diffs[est], hand[est, "diff"])):
-                assert got.n == want.n == cfg.samples
-                assert np.array_equal(got.mean, want.mean), (est, alpha)
-                assert np.array_equal(got.m2, want.m2), (est, alpha)
+        assert list(diffs) == list(cli.REFERENCE_PAIR)
+        for est, got in diffs.items():
+            assert got.n == want[est].n == cfg.samples
+            assert np.array_equal(got.mean, want[est].mean), (est, alpha)
+            assert np.array_equal(got.m2, want[est].m2), (est, alpha)
+
+    def test_wake_and_dreg_differences_fold_the_same_bits(self):
+        # rws-dreg - rws-wake and iwae-dreg - iwae are one sum per base
+        diffs = self._differences(*self._bias_cfg(0.3))
+        wake, dreg = diffs["rws-dreg"], diffs["iwae-dreg"]
+        assert wake.n == dreg.n == 2000
+        assert np.array_equal(wake.mean, dreg.mean)
+        assert np.array_equal(wake.m2, dreg.m2)
+
+    def test_dreg_alpha_difference_is_exactly_zero_at_one_half(self, tmp_path):
+        # at alpha = 1/2 dreg-alpha's weights cancel its reference's, and
+        # the t-test's zero-variance branch reads the zero rows as p = 1
+        diff = self._differences(*self._bias_cfg(0.5))["dreg-alpha"]
+        assert diff.n == 2000
+        assert not diff.mean.any() and not diff.m2.any()
+        cfg = write_config(tmp_path, BIAS_SMOKE + "alpha = 0.5\n")
+        out = tmp_path / "o"
+        assert main(["bias-test", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                read(out / "ttests.csv").decode().splitlines()[1:]]
+        alpha_rows = [row for row in rows if row[0] == "dreg-alpha"]
+        assert len(alpha_rows) == 6
+        assert all(row[3:] == ["0.0", "1.0", "2000"] for row in alpha_rows)
+        assert ("dreg-alpha vs alpha-mix: no bias detected (min p = 1)\n"
+                in read(out / "report.txt").decode())
 
     def test_reads_the_pairs_toy_snr_folds_at_trial_0(self, tmp_path,
                                                       monkeypatch):
         folds = {}
         real = cli._paired_fold
 
-        def spy(cfg, fam, p, x, trial, k, pairs):
+        def spy(cfg, fam, p, x, trial, k, maps):
             folds[cfg.experiment, trial, k] = real(cfg, fam, p, x, trial, k,
-                                                   pairs)
+                                                   maps)
             return folds[cfg.experiment, trial, k]
 
         monkeypatch.setattr(cli, "_paired_fold", spy)
@@ -457,13 +508,18 @@ class TestBiasTestCommand:
         assert sorted(folds) == [("bias-test", 0, 8), ("toy-snr", 0, 4),
                                  ("toy-snr", 0, 8), ("toy-snr", 1, 4),
                                  ("toy-snr", 1, 8)]
-        toy_diff = folds["toy-snr", 0, 8][1]["iwae-dreg"]
-        bias_diff = folds["bias-test", 0, 8][1]["iwae-dreg"]
+        # toy-snr folds each id and, past iwae, its difference from iwae;
+        # bias-test folds one stream per tested id, its difference alone
+        assert set(folds["toy-snr", 0, 8]) == {"iwae", "iwae-dreg",
+                                               ("iwae-dreg", 8)}
+        assert set(folds["bias-test", 0, 8]) == {"iwae-dreg"}
+        toy_diff = folds["toy-snr", 0, 8]["iwae-dreg", 8]
+        bias_diff = folds["bias-test", 0, 8]["iwae-dreg"]
         assert toy_diff.n == bias_diff.n == 2000
         assert np.array_equal(toy_diff.mean, bias_diff.mean)
         assert np.array_equal(toy_diff.m2, bias_diff.m2)
         # another trial's operating point and noise give other moments
-        assert not np.array_equal(folds["toy-snr", 1, 8][1]["iwae-dreg"].mean,
+        assert not np.array_equal(folds["toy-snr", 1, 8]["iwae-dreg", 8].mean,
                                   bias_diff.mean)
 
 

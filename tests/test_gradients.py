@@ -29,6 +29,11 @@ def toy_fixture(d=3, seed=9):
     return fam, p, x
 
 
+def each_alone(*kinds):
+    """`phi_row_set`'s map of each id by itself."""
+    return {kind: {kind: 1.0} for kind in kinds}
+
+
 def vae_fixture():
     fam = Vae(latent=2, hidden=3, obs=5)
     p = perturb_params(fam.init_params(seed=2), 0.25, 7)
@@ -308,7 +313,7 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
         s1_computed.clear()
         eps = noise_block(13, Streams.MEASURE, 8, (5, 8, fam.latent))
         ctx = fam.weight_context(p, x, eps)
-        phi = phi_row_set(ESTIMATOR_IDS, ctx, alpha=0.3)
+        phi = phi_row_set(each_alone(*ESTIMATOR_IDS), ctx, alpha=0.3)
         # the toy's path and score of one base share one S1: four for six contractions
         assert sum(s1_computed) == s1_count
         rows = {kind: (phi[kind], theta_rows(kind, ctx)) for kind in ESTIMATOR_IDS}
@@ -328,7 +333,7 @@ def test_phi_row_set_equals_each_ids_phi_rows():
     for fam, p, x in (toy_fixture(), vae_fixture()):
         eps = noise_block(15, Streams.MEASURE, 9, (5, 8, fam.latent))
         for alpha in (0.0, 0.3, 0.5, 1.0):
-            rows = phi_row_set(ESTIMATOR_IDS, fam.weight_context(p, x, eps), alpha)
+            rows = phi_row_set(each_alone(*ESTIMATOR_IDS), fam.weight_context(p, x, eps), alpha)
             assert list(rows) == list(ESTIMATOR_IDS)
             for kind in ESTIMATOR_IDS:
                 alone = phi_rows(kind, fam.weight_context(p, x, eps),
@@ -339,8 +344,8 @@ def test_phi_row_set_equals_each_ids_phi_rows():
 def test_phi_row_set_agrees_with_the_tape_route():
     fam, p, x = toy_fixture()
     eps = noise_block(16, Streams.MEASURE, 10, (6, 3))
-    tape = phi_row_set(ESTIMATOR_IDS, log_weights(fam, p, x, eps), 0.3)
-    bulk = phi_row_set(ESTIMATOR_IDS, fam.weight_context(p, x, eps), 0.3)
+    tape = phi_row_set(each_alone(*ESTIMATOR_IDS), log_weights(fam, p, x, eps), 0.3)
+    bulk = phi_row_set(each_alone(*ESTIMATOR_IDS), fam.weight_context(p, x, eps), 0.3)
     for kind in ESTIMATOR_IDS:
         assert tape[kind].shape == (p.phi_indices.size,)
         assert np.allclose(tape[kind], bulk[kind][0], rtol=1e-9, atol=1e-11), kind
@@ -350,15 +355,20 @@ def test_phi_row_set_takes_alpha_exactly_with_dreg_alpha():
     fam, p, x = toy_fixture()
     ctx = fam.weight_context(p, x, noise_block(1, Streams.MEASURE, 11, (4, 3)))
     with pytest.raises(ValueError, match="alpha must be given"):
-        phi_row_set(("iwae", "dreg-alpha"), ctx)
+        phi_row_set(each_alone("iwae", "dreg-alpha"), ctx)
     with pytest.raises(ValueError, match="alpha must be given"):
-        phi_row_set(("iwae", "stl"), ctx, alpha=0.3)
+        phi_row_set(each_alone("iwae", "stl"), ctx, alpha=0.3)
     with pytest.raises(ValueError, match="alpha in"):
-        phi_row_set(("iwae", "dreg-alpha"), ctx, alpha=-0.1)
+        phi_row_set(each_alone("iwae", "dreg-alpha"), ctx, alpha=-0.1)
     with pytest.raises(ValueError, match="unknown estimator id"):
-        phi_row_set(("iwae", "nope"), ctx)
-    assert set(phi_row_set(("stl", "dreg-alpha"), ctx, alpha=0.3)) == {"stl", "dreg-alpha"}
-    assert phi_row_set((), ctx) == {}
+        phi_row_set(each_alone("iwae", "nope"), ctx)
+    # a weight that is a function of alpha needs it as dreg-alpha does
+    mix = {"mix": {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: -a}}
+    with pytest.raises(ValueError, match="alpha must be given"):
+        phi_row_set(mix, ctx)
+    assert set(phi_row_set(mix, ctx, alpha=0.3)) == {"mix"}
+    assert set(phi_row_set(each_alone("stl", "dreg-alpha"), ctx, alpha=0.3)) == {"stl", "dreg-alpha"}
+    assert phi_row_set({}, ctx) == {}
 
 
 def _identity_contexts():
@@ -379,7 +389,7 @@ def test_wake_and_alpha_rows_differ_from_their_baselines_by_the_dreg_difference(
     for fam, p, x, n in _identity_contexts():
         for k in (8, 64):
             eps = noise_block(13, Streams.MEASURE, k, (n, k, fam.latent))
-            r = phi_row_set(ESTIMATOR_IDS, fam.weight_context(p, x, eps), alpha)
+            r = phi_row_set(each_alone(*ESTIMATOR_IDS), fam.weight_context(p, x, eps), alpha)
             scale = max(np.abs(r[kind]).max() for kind in
                         ("iwae", "iwae-dreg", "rws-wake", "rws-dreg", "dreg-alpha"))
             dreg = r["iwae-dreg"] - r["iwae"]
@@ -388,3 +398,23 @@ def test_wake_and_alpha_rows_differ_from_their_baselines_by_the_dreg_difference(
             assert np.abs(wake - dreg).max() <= 1e-15 * scale, (type(fam), k)
             assert np.abs((r["dreg-alpha"] - mix) - (1.0 - 2.0 * alpha) * dreg).max() \
                 <= 1e-15 * scale, (type(fam), k)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_difference_maps_cancel_shared_terms_in_the_coefficients(alpha):
+    # weights are added per contracted base before the sum, so the two
+    # dreg differences are one three-term sum bit for bit, and dreg-alpha
+    # less its reference cancels to exact zeros at alpha = 1/2
+    maps = {"dreg": {"iwae-dreg": 1.0, "iwae": -1.0},
+            "wake": {"rws-dreg": 1.0, "rws-wake": -1.0},
+            "alpha": {"dreg-alpha": 1.0, "iwae": lambda a: a - 1.0,
+                      "rws-wake": lambda a: a}}
+    for fam, p, x, n in _identity_contexts():
+        eps = noise_block(13, Streams.MEASURE, 8, (n, 8, fam.latent))
+        ctx = fam.weight_context(p, x, eps)
+        d = phi_row_set(maps, ctx, alpha)
+        w = context_weights(ctx)
+        assert np.array_equal(d["wake"], d["dreg"]), type(fam)
+        assert np.array_equal(d["dreg"], -ctx.path(w.wt) + ctx.path(w.wt2) + ctx.score(w.wt))
+        assert d["alpha"].shape == d["dreg"].shape
+        assert (alpha == 0.5) == (not d["alpha"].any()), type(fam)
