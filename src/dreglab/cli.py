@@ -29,12 +29,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_idx, split, synthetic_dataset
-from .diagnostics import (
-    fold_rows,
-    reference_mean,
-    stats_from_moments,
-    t_test_from_moments,
-)
+from .diagnostics import fold_rows, stats_from_moments, t_test_from_moments
 from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
@@ -303,22 +298,24 @@ def _difference(est, ref):
                          for kind, w in REFERENCES[ref].items()}}
 
 
-def _paired_fold(cfg, fam, p, x, trial, k, maps):
-    """Folded phi-gradient moments of each named weight map over table
-    ids (`phi_row_set`'s maps), as {name: moments}.
+def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
+    """Folded phi-gradient moments of n draws of each named weight map
+    over table ids (`phi_row_set`'s maps) on ``stream`` at (trial, K),
+    as {name: moments}.
 
-    One `phi_row_set` per context serves every map, so the maps are
-    common-random-number pairs, and a `_difference` map's rows are its
-    two sides' paired difference with their shared terms cancelled.
+    Every toy measurement is one of these folds: toy-snr's reference
+    and measurement and bias-test's differences.  One `phi_row_set` per
+    context serves every map, so the maps are common-random-number
+    pairs, and a `_difference` map's rows are its two sides' paired
+    difference with their shared terms cancelled.
     """
     alpha = _phi_alpha(cfg, {kind for m in maps.values() for kind in m})
 
     def rows_of(ctx):
         return phi_row_set(maps, ctx, alpha).items()
 
-    return fold_rows(fam, p, x, k, cfg.samples, rows_of, seed=cfg.seed,
-                     stream=Streams.MEASURE, draw_prefix=(trial, k),
-                     chunk_size=cfg.chunk_size)
+    return fold_rows(fam, p, x, k, n, rows_of, seed=cfg.seed, stream=stream,
+                     draw_prefix=(trial, k), chunk_size=cfg.chunk_size)
 
 
 def run_toy_snr(cfg):
@@ -326,9 +323,11 @@ def run_toy_snr(cfg):
 
     Writes ``stats.csv`` with one row per (estimator, K, trial,
     coordinate) and ``ttests.csv`` with per-coordinate paired t-tests of
-    each estimator against the standard recipe pooled over trials: one
-    `_paired_fold` per (trial, K) of every live id alone and, past
-    iwae, less iwae.  Each estimator skips the K below its recipe's
+    each estimator against the standard recipe pooled over trials.  Per
+    (trial, K) it makes two `_paired_fold`s: the bias reference, iwae
+    alone over ``reference_samples`` draws on the reference stream, and
+    the measurement, every live id alone and, past iwae, less iwae over
+    ``samples`` draws.  Each estimator skips the K below its recipe's
     min_k, and a K that no estimator reaches is not measured.
     """
     _prepare_out(cfg)
@@ -342,17 +341,17 @@ def run_toy_snr(cfg):
                     if k >= ESTIMATORS[est].min_k]
             if not live:
                 continue
-            ref = reference_mean(fam, p, x, k, cfg.reference_samples,
-                                 seed=cfg.seed, chunk_size=cfg.chunk_size,
-                                 draw_prefix=(trial, k))
+            ref = _paired_fold(cfg, fam, p, x, trial, k, Streams.REFERENCE,
+                               cfg.reference_samples,
+                               {"iwae": {"iwae": 1.0}})["iwae"].mean
             diffs = {(est, k): _difference(est, "iwae")
                      for est in live if est != "iwae"}
-            moments = _paired_fold(cfg, fam, p, x, trial, k,
+            moments = _paired_fold(cfg, fam, p, x, trial, k, Streams.MEASURE,
+                                   cfg.samples,
                                    {**{est: {est: 1.0} for est in live},
                                     **diffs})
             for est in live:
-                st = stats_from_moments(moments[est], ref.mean, k=k,
-                                        estimator_id=est)
+                st = stats_from_moments(moments[est], ref)
                 for coord in range(st.mean.size):
                     stat_rows.append((est, k, trial, coord,
                                       st.mean[coord], st.variance[coord],
@@ -394,8 +393,10 @@ def run_bias_test(cfg):
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
     p, x = _trial_point(cfg, fam, 0)
-    diffs = _paired_fold(cfg, fam, p, x, 0, cfg.k, {
-        est: _difference(est, REFERENCE_PAIR[est]) for est in cfg.estimators})
+    diffs = _paired_fold(cfg, fam, p, x, 0, cfg.k, Streams.MEASURE,
+                         cfg.samples, {
+                             est: _difference(est, REFERENCE_PAIR[est])
+                             for est in cfg.estimators})
     t_rows = []
     verdicts = []
     for est in sorted(cfg.estimators):

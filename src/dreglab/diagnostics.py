@@ -3,18 +3,18 @@
 Every bulk measurement is one pipeline: a noise key gives a chunk of
 noise, the chunk gives weight contexts, the contexts give estimator
 rows, and the rows fold into RunningMoments.  `fold_rows` is that
-pipeline, written once; the reference mean, the CLI experiments and the
-acceptance gate call it with their own keys and row streams.  The chunk
-is the key and merge unit: its noise comes from one Philox stream, and
-its rows fold into moments at once, in chunk order.  The slab, at most
-SLAB normals of a chunk, is the memory and pipeline unit: one worker
-thread draws slabs ahead while the calling thread contracts the current
-one.  Each slab's rows are copied into row buffers that a fold allocates
-once and reuses for every chunk (a ragged last chunk uses their leading
-rows), so a fold of many chunks does not fault fresh pages in for each.
-Rows are per sample, so the moments are those of whole-chunk contexts,
-and a fixed chunk schedule gives bit-stable results whatever the thread
-timing.
+pipeline, written once, for any row stream; the CLI experiments and the
+acceptance gate call it with their own keys and estimator rows.  The
+chunk is the key and merge unit: its noise comes from one Philox
+stream, and its rows fold into moments at once, in chunk order.  The
+slab, at most SLAB normals of a chunk, is the memory and pipeline unit:
+one worker thread draws slabs ahead while the calling thread contracts
+the current one.  Each slab's rows are copied into row buffers that a
+fold allocates once and reuses for every chunk (a ragged last chunk
+uses their leading rows), so a fold of many chunks does not fault fresh
+pages in for each.  Rows are per sample, so the moments are those of
+whole-chunk contexts, and a fixed chunk schedule gives bit-stable
+results whatever the thread timing.
 """
 
 import math
@@ -24,13 +24,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+from scipy.special import stdtr
 
-from .estimators.gradients import phi_rows
-from .gaussian import Streams, noise_slabs
-
-# below this many pairs the t CDF is evaluated exactly; above, the
-# normal approximation is indistinguishable at reporting precision
-EXACT_T_CUTOFF = 10_000
+from .gaussian import noise_slabs
 
 # normals per slab (8 MiB of float64), the unit in which `fold_rows`
 # draws noise and builds weight contexts
@@ -75,22 +71,18 @@ class RunningMoments:
 class EstimatorStats:
     """Per-coordinate summary of one estimator's gradient samples."""
 
-    estimator_id: str
-    k: int
-    n: int
     mean: np.ndarray
     variance: np.ndarray
     bias_sq: np.ndarray
-    snr: np.ndarray
-    snr_defined: np.ndarray  # False where variance is exactly 0
+    snr: np.ndarray  # NaN where the variance is exactly 0
 
 
-def stats_from_moments(moments, reference_mean, k=None, estimator_id=None):
+def stats_from_moments(moments, reference_mean):
     """Summary statistics of one estimator's folded gradient samples.
 
     Variance is the unbiased sample variance; SNR_j = |mean_j| / sd_j,
-    undefined (NaN, flagged) where the variance is exactly zero; bias
-    is squared distance to the declared reference mean.
+    undefined (NaN) where the variance is exactly zero; bias is squared
+    distance to the declared reference mean.
     """
     reference_mean = np.asarray(reference_mean, dtype=np.float64)
     variance = moments.variance
@@ -98,14 +90,10 @@ def stats_from_moments(moments, reference_mean, k=None, estimator_id=None):
     snr = np.full_like(variance, np.nan)
     snr[defined] = np.abs(moments.mean[defined]) / np.sqrt(variance[defined])
     return EstimatorStats(
-        estimator_id=estimator_id,
-        k=k,
-        n=moments.n,
         mean=moments.mean,
         variance=variance,
         bias_sq=(moments.mean - reference_mean) ** 2,
         snr=snr,
-        snr_defined=defined,
     )
 
 
@@ -120,9 +108,10 @@ class TTestResult:
 def t_test_from_moments(mean, variance, n, coordinate=None):
     """One-sample two-sided t-test against zero, from summary moments.
 
-    Degenerate inputs do not raise: zero mean with zero variance gives
-    (t=0, p=1), and zero variance with nonzero mean gives p=0 with an
-    infinite statistic.
+    p is exact at every n: twice the Student t CDF of -|t| on n - 1
+    degrees of freedom (`scipy.special.stdtr`).  Degenerate inputs do
+    not raise: zero mean with zero variance gives (t=0, p=1), and zero
+    variance with nonzero mean gives p=0 with an infinite statistic.
     """
     if n < 2:
         raise ValueError("t-test needs n >= 2")
@@ -135,12 +124,7 @@ def t_test_from_moments(mean, variance, n, coordinate=None):
             return TTestResult(0.0, 1.0, n, coordinate)
         return TTestResult(math.copysign(math.inf, mean), 0.0, n, coordinate)
     t = mean / (sd / math.sqrt(n))
-    if n < EXACT_T_CUTOFF:
-        from scipy import stats  # only here: the import costs ~46 MB and ~0.5 s
-
-        p = 2.0 * float(stats.t.sf(abs(t), n - 1))
-    else:
-        p = math.erfc(abs(t) / math.sqrt(2.0))
+    p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return TTestResult(t, min(p, 1.0), n, coordinate)
 
 
@@ -208,14 +192,6 @@ class VarianceTraceEma:
         m2 = self._m2 / corr
         # nonnegative in exact arithmetic; clip rounding residue
         return max(0.0, float(np.mean(m2 - m1 * m1)))
-
-
-@dataclass
-class ReferenceMean:
-    mean: np.ndarray
-    stderr: np.ndarray
-    n: int
-    k: int
 
 
 def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
@@ -315,24 +291,3 @@ def _contract_error(detail):
                       "noise row i alone; every slab yields the same "
                       f"names, each with rows of one shape): {detail}")
 
-
-def reference_mean(model, params, x, k, n_ref, seed=0, chunk_size=16384,
-                   draw_prefix=()):
-    """Monte Carlo mean of the standard total-derivative phi gradient.
-
-    The bias baseline: every estimator's bias is measured against this
-    vector.  Folded by `fold_rows` on the reference stream, so the
-    result for a given (seed, n_ref, chunk_size) is bit-stable.
-    ``draw_prefix`` namespaces the chunk keys when several references
-    share one seed.
-    """
-    moments = fold_rows(model, params, x, k, n_ref,
-                        lambda ctx: [("iwae", phi_rows("iwae", ctx))],
-                        seed=seed, stream=Streams.REFERENCE,
-                        draw_prefix=draw_prefix, chunk_size=chunk_size)["iwae"]
-    return ReferenceMean(
-        mean=moments.mean,
-        stderr=np.sqrt(moments.variance / moments.n),
-        n=moments.n,
-        k=k,
-    )

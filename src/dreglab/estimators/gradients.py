@@ -111,15 +111,10 @@ def _weighted_sum(terms, value_of):
     return total
 
 
-def weighted_sum(term, value_of, alpha=None):
-    """sum weight * value_of(base) over a recipe's path or score map at
-    ``alpha``, value_of(base) the coefficient vector of one
-    `ChunkWeights` base; None for an absent term."""
-    return _weighted_sum(_terms_at(term, alpha), value_of)
-
-
-def _phi_terms(r, alpha):
-    """An entry's phi rows as ((side, base), weight) pairs."""
+def phi_terms(r, alpha):
+    """An entry's phi rows as ((side, base), weight) pairs at ``alpha``:
+    its rows are sum weight * side(base), a score weight carrying the
+    minus sign of path - score."""
     return ([(("path", base), w) for base, w in _terms_at(r.path, alpha)]
             + [(("score", base), -w) for base, w in _terms_at(r.score, alpha)])
 
@@ -148,7 +143,7 @@ def phi_row_set(maps, ctx, alpha=None):
     for name, weights in maps.items():
         coef = coefs[name] = {}
         for kind, weight in _terms_at(weights, alpha):
-            for key, c in _phi_terms(entries[kind], alpha):
+            for key, c in phi_terms(entries[kind], alpha):
                 coef[key] = coef.get(key, 0.0) + weight * c
     w = context_weights(ctx)
     parts = {(side, base): getattr(ctx, side)(getattr(w, base))

@@ -4,8 +4,10 @@ Each surrogate is one TapeScalar built from K reparameterized samples,
 with the gradient-stopped quantities entering as plain numbers instead
 of tape nodes.  The noise eps is a plain (K, d) array, the same one a
 weight context takes for a single draw.  The estimator table in
-`gradients` supplies the coefficients, each its recipe's weighted sum of
-`ChunkWeights` bases, and three freeze channels carry its three terms:
+`gradients` supplies the coefficients (`phi_terms` reads a recipe as
+((side, base), weight) pairs over `ChunkWeights` bases, and each pair
+adds weight * base to its side's coefficient), and three freeze
+channels carry its three terms:
 
   weight coefficients   c_path, c_score and c_theta, computed
                         numerically from the frozen log weights; a
@@ -40,14 +42,12 @@ Every surrogate is an ascent objective: its gradient is sigma times the
 direct phi rows and exactly the direct theta rows.
 """
 
-from functools import partial
-
 import numpy as np
 
 from ..gaussian import DiagGaussian, log_prob, sample_reparam
 from ..models.params import lift
 from ..tape import TapeGraph, tape_sum
-from .gradients import recipe, weighted_sum
+from .gradients import phi_terms, recipe
 from .weights import ChunkWeights
 
 
@@ -110,13 +110,17 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
         return sigma * (model.log_joint(frozen, x, z) - log_prob(q_frozen, z))
 
     def score_term(i):
-        return -sigma * (log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i]))
+        return sigma * (log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i]))
 
-    terms = []
-    base = partial(getattr, w)
-    for c, term in ((base(r.theta), theta_term),
-                    (weighted_sum(r.path, base, alpha), path_term),
-                    (weighted_sum(r.score, base, alpha), score_term)):
-        if c is not None:
-            terms += [c[i] * term(i) for i in range(k)]
+    # the table's phi pairs carry the score term's minus sign; each
+    # side's K tape nodes are built once, however many bases it takes
+    pairs = phi_terms(r, alpha)
+    side_term = {"path": path_term, "score": score_term}
+    nodes = {side: [side_term[side](i) for i in range(k)]
+             for side in dict.fromkeys(side for (side, _), _ in pairs)}
+    c = getattr(w, r.theta)
+    terms = [c[i] * theta_term(i) for i in range(k)]
+    for (side, base), weight in pairs:
+        c = weight * getattr(w, base)
+        terms += [c[i] * node for i, node in enumerate(nodes[side])]
     return SurrogateLoss(kind, tape_sum(terms), lifted, alpha=alpha)

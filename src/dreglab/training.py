@@ -83,7 +83,7 @@ class TrainResult:
 def train_model(fam, train, valid, mode, k, *, steps, batch_size,
                 lr=1e-3, beta1=0.9, beta2=0.999, adam_eps=1e-8,
                 eval_every=20, eval_k=None, trace_decay=0.99,
-                alpha=None, seed=0, init_params=None):
+                alpha=None, seed=0):
     """Optimize a model on binarized data, logging bound and traces.
 
     ``train`` and ``valid`` are intensity Datasets; binarization happens
@@ -112,7 +112,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         raise ValueError(f"{mode!r} needs k >= {entry.min_k} (its min_k)")
     eval_k = k if eval_k is None else eval_k
 
-    p = fam.init_params(seed) if init_params is None else init_params
+    p = fam.init_params(seed)
     opt = Adam(p.size, lr=lr, beta1=beta1, beta2=beta2, eps=adam_eps)
     phi_idx = p.phi_indices
     theta_idx = p.theta_indices

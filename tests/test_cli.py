@@ -307,6 +307,31 @@ class TestToySnrCommand:
             keys.append((est, int(k), int(trial), int(coord)))
         assert keys == sorted(keys)
 
+    def test_bias_is_against_iwae_folded_on_the_reference_stream(self, tmp_path):
+        # each bias2 is (mean - m)^2, m the mean of reference_samples iwae
+        # rows on the reference stream, keyed by (trial, K) like the
+        # measurement, and folded here without the CLI
+        cfg = write_config(tmp_path, TOY_SMOKE)
+        out = tmp_path / "o"
+        assert main(["toy-snr", "--config", cfg, "--out", str(out)]) == 0
+        cfg = resolve_config(parse_config_text(TOY_SMOKE), "toy-snr")
+        fam = Toy(cfg.d, cfg.q_variance)
+        refs = {}
+        for trial in range(cfg.trials):
+            p, x = cli._trial_point(cfg, fam, trial)
+            for k in cfg.k_grid:
+                refs[trial, k] = fold_rows(
+                    fam, p, x, k, 80,
+                    lambda ctx: [("iwae", phi_rows("iwae", ctx))],
+                    seed=3, stream=Streams.REFERENCE, draw_prefix=(trial, k),
+                    chunk_size=32)["iwae"].mean
+        rows = [line.split(",")
+                for line in read(out / "stats.csv").decode().splitlines()[1:]]
+        assert len(rows) == 2 * 6 * 8 + 2 * 6 * 6  # jvi1 ids skip K = 1
+        for est, k, trial, coord, mean, _, bias2, _ in rows:
+            m = refs[int(trial), int(k)][int(coord)]
+            assert float(bias2) == (float(mean) - m) ** 2, (est, k, trial)
+
     def test_jackknife_skips_single_sample(self, tmp_path):
         cfg = write_config(tmp_path, TOY_SMOKE)
         out = str(tmp_path / "o")
@@ -322,17 +347,17 @@ class TestToySnrCommand:
         # so nothing may be folded there either
         cfg = write_config(tmp_path, TOY_SMOKE + "estimators = jvi1, jvi1-dreg\n")
         folded_at = []
-        for name, k_arg in (("reference_mean", 3), ("_paired_fold", 5)):
-            real = getattr(cli, name)
+        real = cli._paired_fold
 
-            def spy(*args, real=real, name=name, k_arg=k_arg, **kwargs):
-                folded_at.append((name, args[k_arg]))
-                return real(*args, **kwargs)
+        def spy(cfg, fam, p, x, trial, k, stream, n, maps):
+            folded_at.append((stream, k))
+            return real(cfg, fam, p, x, trial, k, stream, n, maps)
 
-            monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "_paired_fold", spy)
         out = tmp_path / "o"
         assert main(["toy-snr", "--config", cfg, "--out", str(out)]) == 0
-        assert sorted(set(folded_at)) == [("_paired_fold", 4), ("reference_mean", 4)]
+        assert sorted(set(folded_at)) == [(Streams.MEASURE, 4),
+                                          (Streams.REFERENCE, 4)]
         rows = read(out / "stats.csv").decode().splitlines()[1:]
         assert {row.split(",")[1] for row in rows} == {"4"}
 
@@ -410,9 +435,10 @@ class TestBiasTestCommand:
 
     @staticmethod
     def _differences(cfg, fam, p, x):
-        return cli._paired_fold(cfg, fam, p, x, 0, cfg.k, {
-            est: cli._difference(est, ref)
-            for est, ref in cli.REFERENCE_PAIR.items()})
+        return cli._paired_fold(cfg, fam, p, x, 0, cfg.k, Streams.MEASURE,
+                                cfg.samples, {
+                                    est: cli._difference(est, ref)
+                                    for est, ref in cli.REFERENCE_PAIR.items()})
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     def test_paired_fold_diffs_match_hand_built_references(self, alpha):
@@ -490,10 +516,10 @@ class TestBiasTestCommand:
         folds = {}
         real = cli._paired_fold
 
-        def spy(cfg, fam, p, x, trial, k, maps):
-            folds[cfg.experiment, trial, k] = real(cfg, fam, p, x, trial, k,
-                                                   maps)
-            return folds[cfg.experiment, trial, k]
+        def spy(cfg, fam, p, x, trial, k, stream, n, maps):
+            key = cfg.experiment, stream, trial, k
+            folds[key] = real(cfg, fam, p, x, trial, k, stream, n, maps)
+            return folds[key]
 
         monkeypatch.setattr(cli, "_paired_fold", spy)
         toy = write_config(tmp_path, BIAS_SMOKE.replace("k = 8", "k_grid = 4, 8")
@@ -505,22 +531,28 @@ class TestBiasTestCommand:
                      "--out", str(tmp_path / "t")]) == 0
         assert main(["bias-test", "--config", bias,
                      "--out", str(tmp_path / "b")]) == 0
-        assert sorted(folds) == [("bias-test", 0, 8), ("toy-snr", 0, 4),
-                                 ("toy-snr", 0, 8), ("toy-snr", 1, 4),
-                                 ("toy-snr", 1, 8)]
-        # toy-snr folds each id and, past iwae, its difference from iwae;
-        # bias-test folds one stream per tested id, its difference alone
-        assert set(folds["toy-snr", 0, 8]) == {"iwae", "iwae-dreg",
-                                               ("iwae-dreg", 8)}
-        assert set(folds["bias-test", 0, 8]) == {"iwae-dreg"}
-        toy_diff = folds["toy-snr", 0, 8]["iwae-dreg", 8]
-        bias_diff = folds["bias-test", 0, 8]["iwae-dreg"]
+        measure, reference = Streams.MEASURE, Streams.REFERENCE
+        assert sorted(folds) == [
+            ("bias-test", measure, 0, 8),
+            *(("toy-snr", stream, trial, k) for stream in (measure, reference)
+              for trial in (0, 1) for k in (4, 8))]
+        # toy-snr folds each id and, past iwae, its difference from iwae,
+        # and its reference is iwae alone; bias-test folds one stream per
+        # tested id, its difference alone
+        assert set(folds["toy-snr", measure, 0, 8]) == {"iwae", "iwae-dreg",
+                                                        ("iwae-dreg", 8)}
+        assert set(folds["toy-snr", reference, 0, 8]) == {"iwae"}
+        assert folds["toy-snr", reference, 0, 8]["iwae"].n == 80
+        assert set(folds["bias-test", measure, 0, 8]) == {"iwae-dreg"}
+        toy_diff = folds["toy-snr", measure, 0, 8]["iwae-dreg", 8]
+        bias_diff = folds["bias-test", measure, 0, 8]["iwae-dreg"]
         assert toy_diff.n == bias_diff.n == 2000
         assert np.array_equal(toy_diff.mean, bias_diff.mean)
         assert np.array_equal(toy_diff.m2, bias_diff.m2)
         # another trial's operating point and noise give other moments
-        assert not np.array_equal(folds["toy-snr", 1, 8]["iwae-dreg", 8].mean,
-                                  bias_diff.mean)
+        assert not np.array_equal(
+            folds["toy-snr", measure, 1, 8]["iwae-dreg", 8].mean,
+            bias_diff.mean)
 
 
 class TestTrainCommand:

@@ -9,12 +9,10 @@ import pytest
 from scipy import stats as sps
 
 from dreglab.diagnostics import (
-    EXACT_T_CUTOFF,
     RunningMoments,
     VarianceTraceEma,
     fold_rows,
     loglog_slope,
-    reference_mean,
     stats_from_moments,
     t_test_from_moments,
 )
@@ -23,9 +21,8 @@ from dreglab.gaussian import Streams, noise_block, noise_slabs
 from dreglab.models import Toy, Vae, perturb_params
 
 
-def stats(rows, reference, k=None, estimator_id=None):
-    return stats_from_moments(RunningMoments.from_samples(rows), reference,
-                              k=k, estimator_id=estimator_id)
+def stats(rows, reference):
+    return stats_from_moments(RunningMoments.from_samples(rows), reference)
 
 
 def paired(a, b, coordinate=None):
@@ -44,18 +41,17 @@ def fold(stream, decay):
 
 def test_stats_constant_samples():
     rows = np.full((5, 3), 2.0)
-    st = stats(rows, [1.5, 2.0, 2.5], k=8, estimator_id="iwae")
+    st = stats(rows, [1.5, 2.0, 2.5])
     assert np.array_equal(st.variance, np.zeros(3))
-    assert not st.snr_defined.any()
     assert np.all(np.isnan(st.snr))
+    assert np.array_equal(st.mean, np.full(3, 2.0))
     assert np.allclose(st.bias_sq, [0.25, 0.0, 0.25], atol=1e-15)
-    assert st.k == 8 and st.estimator_id == "iwae" and st.n == 5
 
 
 def test_stats_unit_snr():
     rows = np.random.default_rng(0).normal(1.0, 1.0, size=(100_000, 4))
     st = stats(rows, np.ones(4))
-    assert st.snr_defined.all()
+    assert not np.isnan(st.snr).any()
     assert np.all(np.abs(st.snr - 1.0) < 0.05)
 
 
@@ -125,14 +121,16 @@ def test_paired_t_matches_library_small_n():
     assert mine.coordinate == 3 and mine.n == 50
 
 
-def test_paired_t_normal_approx_large_n():
+def test_paired_t_matches_library_large_n():
+    # the t CDF is exact at every n, with no normal tail past some size
     rng = np.random.default_rng(8)
-    n = 2 * EXACT_T_CUTOFF
+    n = 20_000
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)
     mine = paired(a, b)
     ref = sps.ttest_rel(a, b)
-    assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-4)
+    assert mine.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
+    assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
 
 
 def test_paired_t_power_at_ten_se():
@@ -230,28 +228,39 @@ def test_trace_fold_matches_class():
     assert fold(iter(rows), 0.9) == last
 
 
+def reference_fold(fam, p, x, k, n, seed, chunk_size=16384):
+    """toy-snr's bias reference: iwae rows folded on the reference stream
+    (`cli._paired_fold` of the map {iwae: {iwae: 1}}), with the
+    standard error of its mean."""
+    moments = fold_rows(fam, p, x, k, n,
+                        lambda ctx: [("iwae", phi_rows("iwae", ctx))],
+                        seed=seed, stream=Streams.REFERENCE,
+                        chunk_size=chunk_size)["iwae"]
+    return moments, np.sqrt(moments.variance / moments.n)
+
+
 def test_reference_mean_zero_at_posterior():
     fam = Toy(2, q_variance=0.5)
     p = fam.init_params([0.6, -0.2])
-    ref = reference_mean(fam, p, [1.0, 0.4], k=4, n_ref=40_000, seed=21)
-    assert ref.n == 40_000 and ref.k == 4
-    assert np.all(np.abs(ref.mean) < 4 * ref.stderr)
+    ref, se = reference_fold(fam, p, [1.0, 0.4], k=4, n=40_000, seed=21)
+    assert ref.n == 40_000
+    assert np.all(np.abs(ref.mean) < 4 * se)
 
 
 def test_reference_mean_se_scales_inverse_sqrt():
     fam = Toy(2)
     p = perturb_params(fam.init_params([0.3, 0.9]), 0.02, 5)
     x = [0.8, -0.1]
-    a = reference_mean(fam, p, x, k=4, n_ref=20_000, seed=22)
-    b = reference_mean(fam, p, x, k=4, n_ref=40_000, seed=22)
-    assert np.allclose(a.stderr / b.stderr, math.sqrt(2.0), rtol=0.1)
+    _, a = reference_fold(fam, p, x, k=4, n=20_000, seed=22)
+    _, b = reference_fold(fam, p, x, k=4, n=40_000, seed=22)
+    assert np.allclose(a / b, math.sqrt(2.0), rtol=0.1)
 
 
 def test_reference_mean_matches_quadrature_d1():
     fam = Toy(1)
     p = perturb_params(fam.init_params([0.5]), 0.05, 8)
     x = [1.2]
-    ref = reference_mean(fam, p, x, k=1, n_ref=200_000, seed=23)
+    ref, se = reference_fold(fam, p, x, k=1, n=200_000, seed=23)
     theta = float(p.view("theta")[0])
     a = float(p.view("a")[0])
     b = float(p.view("b")[0])
@@ -263,25 +272,25 @@ def test_reference_mean_matches_quadrature_d1():
     g = (theta - zs) + (x[0] - zs) + (zs - m) / qv
     eg = float(np.sum(weights * g) / math.sqrt(math.pi))
     want = np.array([eg * x[0], eg])
-    assert np.all(np.abs(ref.mean - want) < 4 * ref.stderr)
+    assert np.all(np.abs(ref.mean - want) < 4 * se)
 
 
 def test_reference_mean_bit_stable():
     fam = Toy(3)
     p = perturb_params(fam.init_params([0.1, 0.2, 0.3]), 0.01, 2)
     x = [0.0, 0.5, -0.5]
-    a = reference_mean(fam, p, x, k=8, n_ref=5000, seed=24, chunk_size=1024)
-    b = reference_mean(fam, p, x, k=8, n_ref=5000, seed=24, chunk_size=1024)
+    a, b = (reference_fold(fam, p, x, k=8, n=5000, seed=24, chunk_size=1024)[0]
+            for _ in range(2))
     assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.stderr, b.stderr)
+    assert np.array_equal(a.m2, b.m2)
 
 
 def test_reference_mean_vae_batch_route():
     fam = Vae(latent=2, hidden=3, obs=5)
     p = fam.init_params(seed=4)
     x = (np.random.default_rng(5).random(5) < 0.5).astype(float)
-    ref = reference_mean(fam, p, x, k=3, n_ref=64, seed=25, chunk_size=32)
-    assert ref.mean.shape == ref.stderr.shape
+    ref, se = reference_fold(fam, p, x, k=3, n=64, seed=25, chunk_size=32)
+    assert ref.mean.shape == se.shape
     assert np.all(np.isfinite(ref.mean))
 
 
