@@ -7,30 +7,32 @@ pipeline, written once, for any row stream; the CLI experiments and the
 acceptance gate call it with their own keys and estimator rows.  The
 chunk is the key and merge unit: its noise comes from one Philox
 stream, and its rows fold into moments at once, in chunk order.  The
-slab, at most SLAB normals of a chunk, is the memory and pipeline unit:
-one worker thread draws slabs ahead while the calling thread contracts
-the current one.  Each slab's rows are copied into row buffers that a
-fold allocates once and reuses for every chunk (a ragged last chunk
-uses their leading rows), so a fold of many chunks does not fault fresh
-pages in for each.  Rows are per sample, so the moments are those of
-whole-chunk contexts, and a fixed chunk schedule gives bit-stable
-results whatever the thread timing.
+slab, at most SLAB normals of a chunk (2 MiB), is the memory and
+pipeline unit: one worker thread draws up to two slabs ahead while the
+calling thread contracts the current one.  A fold allocates its memory
+once and reuses it for every chunk: the noise is drawn in place into a
+ring of three slab buffers, and each slab's rows are copied into row
+buffers (a ragged last slab or chunk uses their leading part).  So a
+fold of many chunks does not fault fresh pages in for each, and it
+never holds more than three slabs of noise.  Rows are per sample, so
+the moments are those of whole-chunk contexts, and a fixed chunk
+schedule gives bit-stable results whatever the thread timing.
 """
 
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, cycle
 
 import numpy as np
 from scipy.special import stdtr
 
 from .gaussian import noise_slabs
 
-# normals per slab (8 MiB of float64), the unit in which `fold_rows`
+# normals per slab (2 MiB of float64), the unit in which `fold_rows`
 # draws noise and builds weight contexts
-SLAB = 1 << 20
+SLAB = 1 << 18
 
 
 @dataclass
@@ -211,23 +213,29 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     pipeline unit.  A chunk's noise is drawn from its one generator
     (`noise_slabs`) in the fewest even slabs of at most max(1, SLAB //
     (k * latent)) rows, and each slab gets its own context, whose rows
-    are copied into one buffer per name.  The buffers are allocated once
-    per fold, at the largest chunk size, and reused by every chunk; a
-    ragged last chunk fills and folds their leading rows, a C-contiguous
-    view.  That needs the fold contract: row i depends on noise row i
-    alone, and every slab yields the same names, each with rows of the
-    shape it had in the first slab; a slab that breaks it raises
-    ValueError.  Under it, the buffers hold the rows that one
-    whole-chunk context would give, bit for bit (`_even_cut` says why no
-    slab has a single row).
+    are copied into one buffer per name.  Slab s is drawn in place into
+    slot s mod 3 of a ring of three flat slab buffers, as a C-contiguous
+    view of its leading entries; the ring's order runs on across chunk
+    boundaries.  The ring and the row buffers are allocated once per
+    fold, at the largest slab and chunk sizes, and reused by every
+    chunk; a ragged last chunk fills and folds the row buffers' leading
+    rows, a C-contiguous view.  That needs the fold contract: row i
+    depends on noise row i alone, and every slab yields the same names,
+    each with rows of the shape it had in the first slab; a slab that
+    breaks it raises ValueError.  Under it, the buffers hold the rows
+    that one whole-chunk context would give, bit for bit (`_even_cut`
+    says why no slab has a single row).
 
     While slab s is contracted, one worker thread draws up to two slabs
-    ahead (NumPy's normal fill releases the GIL).  The results cannot
-    depend on that overlap: a chunk's Philox stream is keyed by its
-    index alone (counter-based, Salmon et al. 2011), only the worker
-    draws, and the merges run on the calling thread in chunk order.  A
-    one-slab fold starts no thread, and the worker is joined before this
-    returns or raises.
+    ahead (NumPy's normal fill releases the GIL), into the two slots
+    that slab s does not hold; a slot is refilled only after the slab it
+    held has been folded, so the noise a fold holds is three slabs at
+    most, whatever the thread timing.  The results cannot depend on that
+    overlap: a chunk's Philox stream is keyed by its index alone
+    (counter-based, Salmon et al. 2011), only the worker draws, and the
+    merges run on the calling thread in chunk order.  A one-slab fold
+    starts no thread, and the worker is joined before this returns or
+    raises.
     """
     sizes = [min(chunk_size, n - done) for done in range(0, n, chunk_size)]
     step = max(1, SLAB // (k * model.latent))
@@ -235,9 +243,14 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     plan = [(chunk, start, m)  # every slab, in draw order
             for chunk, cut in enumerate(cuts)
             for start, m in zip(accumulate(cut, initial=0), cut)]
+    depth = 3 if len(plan) > 1 else 0  # slab s and the two after it
+    # the noise ring: slab s is drawn into slot s % 3 (a one-slab fold
+    # has one slot), so a fold never holds more than three slabs of noise
+    slot = max((m for *_, m in plan), default=0) * k * model.latent
+    ring = cycle([np.empty(slot) for _ in range(max(depth, 1))])
     draws = (eps for chunk, cut in enumerate(cuts)
              for eps in noise_slabs(seed, stream, (*draw_prefix, chunk),
-                                    (sizes[chunk], k, model.latent), cut))
+                                    (sizes[chunk], k, model.latent), cut, ring))
     moments = {}
     buffers = {}  # name -> row buffer, made in chunk 0 and reused by every chunk
 
@@ -264,7 +277,8 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
                 part = RunningMoments.from_samples(rows[:sizes[chunk]])
                 moments[name] = part if name not in moments else moments[name].merge(part)
 
-    depth = 3 if len(plan) > 1 else 0  # slab s and the two after it
+    # at iteration s the worker is sent slab s + 2, whose slot held slab
+    # s - 1, folded at iteration s - 1: no slot is refilled while in use
     with ThreadPoolExecutor(1) as pool:  # no thread until the first submit
         ahead = deque()
         for s, slab in enumerate(plan):

@@ -10,9 +10,10 @@ keyed by a short integer tuple (seed, stream-id, counters...), so any
 noise block is reproducible from its key alone, with no dependence on
 draw order.  Stream ids are centralized in `Streams` to keep purposes
 from colliding.  Noise is always a plain float array: `noise_block`
-returns one of any shape, `noise_slabs` yields the same block in
-consecutive row slabs, and every consumer (weight contexts, the tape
-route, surrogates) takes eps as such an array.
+returns one of any shape, `noise_slabs` draws the same block in
+consecutive row slabs into buffers its caller owns, and every consumer
+(weight contexts, the tape route, surrogates) takes eps as such an
+array.
 """
 
 import math
@@ -48,21 +49,28 @@ def stream_rng(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(k) for k in key])))
 
 
-def noise_slabs(seed, stream, draw, shape, rows):
+def noise_slabs(seed, stream, draw, shape, rows, buffers):
     """The block ``noise_block(seed, stream, draw, shape)`` in row slabs.
 
     Yields one slab of ``r`` leading rows per entry r of ``rows``, drawn
     in order from the block's one generator, so the concatenation of the
     slabs along axis 0 is bit-equal to the whole block.  ``rows`` must
-    sum to ``shape[0]``.
+    sum to ``shape[0]``.  Each slab is drawn in place into the leading
+    entries of the next flat float64 array from the iterator ``buffers``
+    and yielded as a C-contiguous view of them; a caller that passes one
+    array again (a ring) must be done with the slab it held before it
+    asks for the next.
     """
     n, *rest = (shape,) if isinstance(shape, int) else shape
     if sum(rows) != n:
         raise ValueError(f"slab rows {rows!r} do not sum to the block's {n}")
     key = draw if isinstance(draw, tuple) else (draw,)
     rng = stream_rng(seed, stream, *key)
+    width = math.prod(rest)
     for r in rows:
-        yield rng.standard_normal((r, *rest))
+        slab = next(buffers)[:r * width].reshape(r, *rest)
+        rng.standard_normal(out=slab)
+        yield slab
 
 
 def noise_block(seed, stream, draw, shape):
@@ -71,7 +79,8 @@ def noise_block(seed, stream, draw, shape):
     ``draw`` may be an int or a tuple of ints (multi-level draw key).
     """
     n = shape if isinstance(shape, int) else shape[0]
-    return next(noise_slabs(seed, stream, draw, shape, [n]))
+    block = np.empty(shape).reshape(-1)
+    return next(noise_slabs(seed, stream, draw, shape, [n], iter([block])))
 
 
 # generic-element helpers: float in, float out; TapeScalar in, TapeScalar out

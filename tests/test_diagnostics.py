@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -442,6 +443,49 @@ def test_fold_rows_allocates_each_buffer_once(monkeypatch):
     assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
 
 
+def eps_rows(ctx):
+    yield "eps", ctx.eps.reshape(len(ctx.eps), -1)
+
+
+def test_fold_rows_ring_wrap_is_bit_exact(monkeypatch):
+    # slabs of at most 100 rows: chunks of 4, 4 and 3 slabs in the ring's
+    # slots 0 1 2 0 | 1 2 0 1 | 2 0 1, so slot 0 is refilled mid-chunk and
+    # the ragged chunk's 77-row slabs fill the leading part of 96-row slots
+    fam, p, x = fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * fam.latent)
+    folded = fold_rows(fam, p, x, 4, 1000, eps_rows, seed=40,
+                       stream=Streams.MEASURE, draw_prefix=(2,), chunk_size=384)
+    want = None
+    for chunk, m in enumerate((384, 384, 232)):
+        eps = noise_block(40, Streams.MEASURE, (2, chunk), (m, 4, fam.latent))
+        part = RunningMoments.from_samples(eps.reshape(m, -1))
+        want = part if want is None else want.merge(part)
+    assert_same_moments(folded, {"eps": want})
+
+
+def test_fold_rows_holds_at_most_three_slabs_and_overwrites_none_in_use(monkeypatch):
+    # 8 + 8 + 5 slabs of at most 50 rows; each slab's rows_of sleeps so
+    # that the worker runs as far ahead as the fold lets it
+    fam, p, x = fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", 50 * 4 * fam.latent)
+    bases, slabs = [], []
+
+    def rows_of(ctx):
+        held = ctx.eps.copy()
+        if not any(np.shares_memory(ctx.eps, base) for base in bases):
+            bases.append(ctx.eps if ctx.eps.base is None else ctx.eps.base)
+        time.sleep(0.001)
+        assert np.array_equal(ctx.eps, held), f"slab {len(slabs)} was overwritten"
+        slabs.append(len(ctx.eps))
+        yield from phi_and_theta(ctx)
+
+    folded = fold_rows(fam, p, x, 4, 1000, rows_of, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+    assert len(slabs) == 21
+    assert len(bases) <= 3
+    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+
+
 def test_fold_rows_rejects_rows_that_are_not_one_per_noise_row(monkeypatch):
     fam, p, x = fold_fixture()
     monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * 3)
@@ -522,10 +566,10 @@ def test_fold_rows_reraises_a_draw_failure_from_the_worker(monkeypatch):
     fam, p, x = fold_fixture()
     failure = ChunkFailure("draw 2")
 
-    def noise_slabs_failing_at_chunk_2(seed, stream, draw, shape, rows):
+    def noise_slabs_failing_at_chunk_2(seed, stream, draw, shape, rows, buffers):
         if draw[-1] == 2:
             raise failure
-        return noise_slabs(seed, stream, draw, shape, rows)
+        return noise_slabs(seed, stream, draw, shape, rows, buffers)
 
     monkeypatch.setattr("dreglab.diagnostics.noise_slabs", noise_slabs_failing_at_chunk_2)
     before = threading.active_count()

@@ -156,7 +156,8 @@ def test_noise_slabs_concatenate_to_the_block(n, k, d, cuts, draw):
     bounds = [0, *sorted(c for c in cuts if c <= n), n]
     ragged = [b - a for a, b in zip(bounds, bounds[1:])]
     for rows in (ragged, [1] * n, [n]):
-        slabs = list(noise_slabs(5, 3, (draw, 7), (n, k, d), rows))
+        fresh = (np.empty(r * k * d) for r in rows)
+        slabs = list(noise_slabs(5, 3, (draw, 7), (n, k, d), rows, fresh))
         assert [slab.shape for slab in slabs] == [(r, k, d) for r in rows]
         whole = np.concatenate(slabs) if slabs else np.empty((0, k, d))
         assert np.array_equal(whole, block)
@@ -164,7 +165,7 @@ def test_noise_slabs_concatenate_to_the_block(n, k, d, cuts, draw):
 
 def test_noise_slabs_must_cover_the_block():
     with pytest.raises(ValueError, match="do not sum to the block's 5"):
-        next(noise_slabs(5, 3, 0, (5, 2), [2, 2]))
+        next(noise_slabs(5, 3, 0, (5, 2), [2, 2], iter([np.empty(10)] * 2)))
 
 
 def test_noise_blocks_differ_across_keys():
