@@ -7,7 +7,7 @@ gradients, jackknife bias correction), and the measurement protocol
 (SNR, bias, variance, paired tests) wired to a config-driven CLI.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .tape import TapeGraph, TapeScalar, stop_gradient, finite_diff_check
 

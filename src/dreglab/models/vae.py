@@ -30,12 +30,17 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .. import gaussian
 from ..gaussian import DiagGaussian, Streams, bernoulli_log_prob, gsquare, gsum
 from ..tape import TapeScalar
 from .params import build_params
+
+
+def _sigmoid(u):
+    """Logistic 1 / (1 + exp(-u)), from exp(-|u|) so it never overflows."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _glorot(rng, fan_out, fan_in):
@@ -235,7 +240,7 @@ class VaeContext:
     @functools.cached_property
     def _pullback(self):
         """Decoder layer grads of each dlog p(x|z_i), seeded by x - sigmoid(logits)."""
-        resid = self.x[:, None, :] - expit(self.logits)
+        resid = self.x[:, None, :] - _sigmoid(self.logits)
         return _backward(self._dec, self.d_h1, self.d_h2, resid)
 
     def dlw_dz(self):

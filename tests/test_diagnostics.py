@@ -1,10 +1,13 @@
+import ast
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -132,6 +135,39 @@ def test_paired_t_matches_library_large_n():
     ref = sps.ttest_rel(a, b)
     assert mine.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
     assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+
+
+# nu from 1 to 1e7, each side of the complement switch at |t| = 1 and of
+# the Stirling switch at nu = 128, and tails down to p ~ 5e-251
+T_TAIL_GRID = ([(nu, t) for nu in (1, 2, 7, 63, 64, 127, 128, 1000, 16383,
+                                   99999, 10**6, 10**7)
+                for t in (1e-6, 0.3, 0.999, 1.001, 2.0, 6.0, 20.0)]
+               + [(1, 1e3), (7, 1e3), (127, 1e3), (128, 1e3), (99999, 35.0),
+                  (10**7, 30.0)])
+
+
+def test_t_tail_matches_mpmath_betainc():
+    # p = I_x(nu/2, 1/2), x = nu / (nu + t^2); mean t, variance n and n
+    # samples give the statistic t exactly
+    start = time.perf_counter()
+    half = mpmath.mpf(1) / 2
+    with mpmath.workdps(30):
+        for nu, t in T_TAIL_GRID:
+            res = t_test_from_moments(t, nu + 1, nu + 1)
+            assert res.t_statistic == t
+            x = mpmath.mpf(nu) / (nu + mpmath.mpf(t) ** 2)
+            exact = mpmath.betainc(mpmath.mpf(nu) / 2, half, 0, x, regularized=True)
+            assert float(abs(res.p_value - exact) / exact) <= 1e-13, (nu, t)
+            assert t_test_from_moments(-t, nu + 1, nu + 1).p_value == res.p_value
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("n", [2, 129, 10**7])
+def test_t_tail_limits(n):
+    assert t_test_from_moments(0.0, 1.0, n).p_value == 1.0
+    assert t_test_from_moments(math.inf, 1.0, n).p_value == 0.0
+    assert t_test_from_moments(-math.inf, 1.0, n).p_value == 0.0
+    assert math.isnan(t_test_from_moments(math.nan, 1.0, n).p_value)
 
 
 def test_paired_t_power_at_ten_se():
@@ -600,3 +636,38 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_running_the_cli_loads_no_scipy(tmp_path):
+    bias = tmp_path / "bias.txt"
+    bias.write_text("samples = 200\nk = 8\nd = 2\n")
+    train = tmp_path / "train.txt"
+    train.write_text("latent = 2\nhidden = 4\nobs = 16\ndata_n = 96\nk = 4\n"
+                     "steps = 3\nbatch_size = 8\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from dreglab.cli import main\n"
+        f"assert main(['bias-test', '--config', {str(bias)!r}, '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+        f"assert main(['train', '--config', {str(train)!r}, '--out', {str(tmp_path / 't')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dreglab"}
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "dreglab"
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert "numpy" in imported
+    assert imported <= allowed, sorted(imported - allowed)

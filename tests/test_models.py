@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dreglab.gaussian import log_prob, noise_block, sample_reparam
 from dreglab.models import (
@@ -14,6 +15,7 @@ from dreglab.models import (
     save_checkpoint,
     toy_optimal_inference,
 )
+from dreglab.models.vae import _sigmoid
 from dreglab.tape import TapeGraph
 
 LOG_2PI = 1.8378770664093453
@@ -274,6 +276,15 @@ def test_vae_init_glorot_bounds():
     assert np.all(p.view("dec_b3") == 0.0)
     q = fam.init_params(seed=3)
     assert np.array_equal(p.flat, q.flat)
+
+
+def test_vae_sigmoid_matches_expit():
+    u = np.concatenate([np.linspace(-1e4, 1e4, 200_001), np.linspace(-40.0, 40.0, 80_001)])
+    # relative where expit is a normal double; below that (u < -708) both
+    # are subnormal or zero, and only the absolute gap is meaningful
+    np.testing.assert_allclose(_sigmoid(u), expit(u), rtol=1e-15,
+                               atol=np.finfo(np.float64).tiny)
+    assert _sigmoid(np.array([-1e308, 0.0, 1e308])).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_vae_log_joint_matches_finite_differences():
