@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -33,15 +32,15 @@ from .diagnostics import fold_rows, stats_from_moments, t_test_from_moments
 from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
+from .models.params import write_atomic
 from .training import train_model
 
 EXPERIMENTS = ("toy-snr", "train", "bias-test")
 
 # each testable estimator against an unbiased reference for the same
-# expectation (descent recipes pair with the descent baseline), and each
-# reference as a weight map over table ids, in `phi_row_set`'s form
-# (alpha-mix is the (1 - alpha, alpha) mix of the standard ascent
-# gradient and the negated wake gradient that dreg-alpha targets)
+# expectation, and each reference as a weight map over table ids, in
+# `phi_row_set`'s form (alpha-mix is the (1 - alpha, alpha) mix of the
+# iwae and wake gradients that dreg-alpha targets)
 REFERENCE_PAIR = {
     "stl": "iwae",
     "iwae-dreg": "iwae",
@@ -50,7 +49,7 @@ REFERENCE_PAIR = {
     "jvi1-dreg": "jvi1",
 }
 REFERENCES = {ref: {ref: 1.0} for ref in ("iwae", "rws-wake", "jvi1")}
-REFERENCES["alpha-mix"] = {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: -a}
+REFERENCES["alpha-mix"] = {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: a}
 
 BIAS_ALPHA = 0.01
 
@@ -77,6 +76,13 @@ def _list(elem):
     return parse
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _at_least(lo):
     return (lambda v: v >= lo), f"must be at least {lo}"
 
@@ -101,7 +107,7 @@ KEYS = {
     "model": Key(str, {"toy-snr": "toy", "bias-test": "toy", "train": "vae"},
                  None, _ALL),
     "d": Key(int, 4, _POSITIVE, _TOY),
-    "q_variance": Key(float, 2.0 / 3.0, _above(0.0), _TOY),
+    "q_variance": Key(_finite, 2.0 / 3.0, _above(0.0), _TOY),
     "latent": Key(int, 10, _POSITIVE, _TRAIN),
     "hidden": Key(int, 20, _POSITIVE, _TRAIN),
     "obs": Key(int, 64, _POSITIVE, _TRAIN),
@@ -110,8 +116,8 @@ KEYS = {
                                    "bias-test": tuple(REFERENCE_PAIR)},
                       (lambda v: len(set(v)) == len(v), "must not repeat"),
                       _TOY),
-    "alpha": Key(float, 0.5, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-                 _ALL),
+    "alpha": Key(_finite, 0.5,
+                 (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"), _ALL),
     "k": Key(int, {"bias-test": 64, "train": 8}, _POSITIVE,
              ("bias-test", "train")),
     "k_grid": Key(_list(int), (1, 4, 8, 16, 64, 256, 1024), (
@@ -122,22 +128,22 @@ KEYS = {
                    _TOY),
     "reference_samples": Key(int, 100000, _at_least(2), _SNR),
     "chunk_size": Key(int, 16384, _POSITIVE, _TOY),
-    "param_sigma": Key(float, 0.1, _at_least(0.0), _TOY),
+    "param_sigma": Key(_finite, 0.1, _at_least(0.0), _TOY),
     "data_source": Key(str, "synthetic", None, _TRAIN),
     "data_n": Key(int, 512, _at_least(10), _TRAIN),
-    "weight_scale": Key(float, 2.0, _above(0.0), _TRAIN),
-    "split_fractions": Key(_list(float), (0.8, 0.1, 0.1), (
+    "weight_scale": Key(_finite, 2.0, _above(0.0), _TRAIN),
+    "split_fractions": Key(_list(_finite), (0.8, 0.1, 0.1), (
         lambda v: len(v) == 3 and min(v) > 0.0 and sum(v) <= 1.0 + 1e-12,
         "must be 3 positive parts summing to at most 1"), _TRAIN),
     "steps": Key(int, 2000, _POSITIVE, _TRAIN),
     "batch_size": Key(int, 16, _POSITIVE, _TRAIN),
-    "lr": Key(float, 1e-3, _above(0.0), _TRAIN),
-    "beta1": Key(float, 0.9, _BETA, _TRAIN),
-    "beta2": Key(float, 0.999, _BETA, _TRAIN),
-    "adam_eps": Key(float, 1e-8, _above(0.0), _TRAIN),
+    "lr": Key(_finite, 1e-3, _above(0.0), _TRAIN),
+    "beta1": Key(_finite, 0.9, _BETA, _TRAIN),
+    "beta2": Key(_finite, 0.999, _BETA, _TRAIN),
+    "adam_eps": Key(_finite, 1e-8, _above(0.0), _TRAIN),
     "eval_every": Key(int, 20, _POSITIVE, _TRAIN),
     "eval_k": Key(int, itemgetter("k"), _POSITIVE, _TRAIN),
-    "trace_decay": Key(float, 0.99, (lambda v: 0.0 < v < 1.0,
+    "trace_decay": Key(_finite, 0.99, (lambda v: 0.0 < v < 1.0,
                                      "must lie in (0, 1)"), _TRAIN),
 }
 
@@ -252,28 +258,16 @@ def manifest_text(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _write_text(path, text):
-    # temp-then-rename keeps partial output from masquerading as results
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _prepare_out(cfg):
     os.makedirs(cfg.out, exist_ok=True)
-    _write_text(os.path.join(cfg.out, "manifest.txt"), manifest_text(cfg))
+    write_atomic(os.path.join(cfg.out, "manifest.txt"),
+                 manifest_text(cfg).encode("ascii"))
 
 
 def _phi_alpha(cfg, kinds):
@@ -368,7 +362,7 @@ def run_toy_snr(cfg):
     for (est, k), dmom in pooled.items():
         for coord in range(dmom.mean.size):
             res = t_test_from_moments(dmom.mean[coord],
-                                      dmom.variance[coord], dmom.n, coord)
+                                      dmom.variance[coord], dmom.n)
             t_rows.append((est, k, coord, res.t_statistic, res.p_value,
                            res.n))
     t_rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -402,19 +396,19 @@ def run_bias_test(cfg):
     for est in sorted(cfg.estimators):
         dmom, ref = diffs[est], REFERENCE_PAIR[est]
         results = [t_test_from_moments(dmom.mean[c], dmom.variance[c],
-                                       dmom.n, c)
+                                       dmom.n)
                    for c in range(dmom.mean.size)]
-        t_rows += [(est, ref, res.coordinate, res.t_statistic, res.p_value,
-                    res.n) for res in results]
-        worst = min(results, key=lambda r: r.p_value)
-        if worst.p_value < BIAS_ALPHA:
+        t_rows += [(est, ref, c, res.t_statistic, res.p_value, res.n)
+                   for c, res in enumerate(results)]
+        worst = min(range(len(results)), key=lambda c: results[c].p_value)
+        p_min = results[worst].p_value
+        if p_min < BIAS_ALPHA:
             verdicts.append(
                 f"{est} vs {ref}: bias detected (min p = "
-                f"{worst.p_value:.3g} at coordinate {worst.coordinate})")
+                f"{p_min:.3g} at coordinate {worst})")
         else:
             verdicts.append(
-                f"{est} vs {ref}: no bias detected "
-                f"(min p = {worst.p_value:.3g})")
+                f"{est} vs {ref}: no bias detected (min p = {p_min:.3g})")
     write_csv(os.path.join(cfg.out, "ttests.csv"),
               ("estimator", "reference", "coordinate", "t_statistic",
                "p_value", "n"),
@@ -422,7 +416,7 @@ def run_bias_test(cfg):
     header = (f"bias test at K = {cfg.k}, n = {cfg.samples}, "
               f"seed = {cfg.seed}")
     report = "\n".join([header, *verdicts]) + "\n"
-    _write_text(os.path.join(cfg.out, "report.txt"), report)
+    write_atomic(os.path.join(cfg.out, "report.txt"), report.encode("ascii"))
     sys.stdout.write(report)
     return 0
 

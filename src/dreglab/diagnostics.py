@@ -103,7 +103,6 @@ class TTestResult:
     t_statistic: float
     p_value: float
     n: int
-    coordinate: int = None
 
 
 def _log_gamma_ratio(a):
@@ -179,7 +178,7 @@ def _t_tail(t, nu):
     return 1.0 - front * _bfrac(0.5, a, y, x, -lam)
 
 
-def t_test_from_moments(mean, variance, n, coordinate=None):
+def t_test_from_moments(mean, variance, n):
     """One-sample two-sided t-test against zero, from summary moments.
 
     p is exact at every n: the two-sided Student t tail of |t| on n - 1
@@ -196,10 +195,10 @@ def t_test_from_moments(mean, variance, n, coordinate=None):
     sd = math.sqrt(variance)
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(0.0, 1.0, n, coordinate)
-        return TTestResult(math.copysign(math.inf, mean), 0.0, n, coordinate)
+            return TTestResult(0.0, 1.0, n)
+        return TTestResult(math.copysign(math.inf, mean), 0.0, n)
     t = mean / (sd / math.sqrt(n))
-    return TTestResult(t, _t_tail(t, n - 1), n, coordinate)
+    return TTestResult(t, _t_tail(t, n - 1), n)
 
 
 @dataclass

@@ -1,5 +1,4 @@
 from .gradients import (
-    DESCENT_IDS,
     ESTIMATOR_IDS,
     ESTIMATORS,
     phi_row_set,
@@ -20,7 +19,6 @@ from .weights import (
 
 __all__ = [
     "ChunkWeights",
-    "DESCENT_IDS",
     "ESTIMATORS",
     "ESTIMATOR_IDS",
     "LogWeightBatch",

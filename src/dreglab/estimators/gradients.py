@@ -18,11 +18,14 @@ weights once.  Each entry also names, as a `ChunkWeights`
 attribute just as its theta base is named, the bound its theta
 coefficient differentiates (``iwae_bound`` for w-tilde rows,
 ``jvi1_bound`` for c rows), and gives the smallest K its coefficients
-are defined at.  The wake-sleep rows return gradients to descend (they
-drive a KL minimization); everything else is an ascent direction on its
-bound.  The contraction interface is served by both the closed-form
-model contexts (vectorized, bulk) and the tape-extracted LogWeightBatch
-(reference); tests pin the routes against each other.
+are defined at.  Every row is an ascent direction: theta rows on the
+entry's bound, and phi rows too, except those of the wake-phase ids
+(rws-wake, rws-dreg), which ascend E_p(z|x)[log q(z)], the wake phase's
+KL(p || q) minimization; dreg-alpha's phi rows are the (1 - alpha,
+alpha) mix of iwae-dreg's and rws-dreg's.  The contraction interface is
+served by both the closed-form model contexts (vectorized, bulk) and
+the tape-extracted LogWeightBatch (reference); tests pin the routes
+against each other.
 """
 
 from dataclasses import dataclass
@@ -46,15 +49,14 @@ class Recipe:
     theta: str
     bound: str = "iwae_bound"  # the objective the theta rows ascend
     min_k: int = 1  # the smallest K the coefficients are defined at
-    descent: bool = False  # the phi rows are a direction to descend
 
 
 ESTIMATORS = {
     "iwae": Recipe({"wt": 1.0}, {"wt": 1.0}, "wt"),
     "stl": Recipe({"wt": 1.0}, {}, "wt"),
     "iwae-dreg": Recipe({"wt2": 1.0}, {}, "wt"),
-    "rws-wake": Recipe({}, {"wt": 1.0}, "wt", descent=True),
-    "rws-dreg": Recipe({"wt2": 1.0, "wt": -1.0}, {}, "wt", descent=True),
+    "rws-wake": Recipe({}, {"wt": -1.0}, "wt"),
+    "rws-dreg": Recipe({"wt": 1.0, "wt2": -1.0}, {}, "wt"),
     "dreg-alpha": Recipe({"wt": lambda a: a, "wt2": lambda a: 1.0 - 2.0 * a},
                          {}, "wt"),
     "jvi1": Recipe({"c": 1.0}, {"c": 1.0}, "c", "jvi1_bound", min_k=2),
@@ -62,7 +64,6 @@ ESTIMATORS = {
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
-DESCENT_IDS = tuple(kind for kind, r in ESTIMATORS.items() if r.descent)
 
 
 def _entry(kind):
@@ -127,9 +128,9 @@ def phi_row_set(maps, ctx, alpha=None):
     {id: 1.0}, and a weight is a number or a function of alpha.  Each
     (side, base) contraction's weights are added across a map's ids
     before the contractions are summed, in one fixed order, so terms
-    that cancel do so in the coefficients: iwae-dreg - iwae and
-    rws-dreg - rws-wake are the same sum bit for bit, and a map whose
-    weights all cancel gives exact-zero rows.  Each distinct (side,
+    that cancel do so in the coefficients: rws-dreg - rws-wake is
+    -(iwae-dreg - iwae) bit for bit, and a map whose weights all cancel
+    gives exact-zero rows.  Each distinct (side,
     base) pair is contracted once for all maps: the eight ids take four
     path and two score contractions.  alpha, in [0, 1], is given exactly
     when some weight is a function of it (dreg-alpha's are).  Maps whose

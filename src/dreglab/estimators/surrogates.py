@@ -22,12 +22,11 @@ channels carry its three terms:
 so the objective of estimator id ``kind`` is
 
     sum_i c_theta_i log p(x, z*_i)
-      + sigma [sum_i c_path_i lw_frozen(z_i) - sum_i c_score_i log q(z*_i)]
+      + sum_i c_path_i lw_frozen(z_i) - sum_i c_score_i log q(z*_i)
 
-with sigma = -1 for the descent ids and +1 otherwise.  The score term
-enters as log q(z*) - log q_frozen(z*), which is zero in value, so
-estimators that differ only in their score coefficients (iwae and stl)
-have equal surrogate values.
+The score term enters as log q(z*) - log q_frozen(z*), which is zero in
+value, so estimators that differ only in their score coefficients (iwae
+and stl) have equal surrogate values.
 
 The frozen quantities are evaluated from `stops_from`, which defaults
 to the live parameter vector.  Because the density code is generic over
@@ -38,8 +37,8 @@ makes every surrogate an ordinary smooth function of its live
 parameters, so central finite differences of `.value` are a valid
 oracle for `.gradient()`.
 
-Every surrogate is an ascent objective: its gradient is sigma times the
-direct phi rows and exactly the direct theta rows.
+Every surrogate is an ascent objective, as every table row is an ascent
+direction: its gradient is exactly the direct phi and theta rows.
 """
 
 import numpy as np
@@ -93,7 +92,6 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
         ]
     )
     w = ChunkWeights(lw_star)
-    sigma = -1.0 if r.descent else 1.0
     q_frozen = DiagGaussian(mean=list(q_star.mean), log_scale=list(q_star.log_scale))
 
     # live side
@@ -107,10 +105,10 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
     def path_term(i):
         # parameter channels frozen, the sample channel live
         z = sample_reparam(q, eps[i])
-        return sigma * (model.log_joint(frozen, x, z) - log_prob(q_frozen, z))
+        return model.log_joint(frozen, x, z) - log_prob(q_frozen, z)
 
     def score_term(i):
-        return sigma * (log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i]))
+        return log_prob(q, z_star[i]) - log_prob(q_frozen, z_star[i])
 
     # the table's phi pairs carry the score term's minus sign; each
     # side's K tape nodes are built once, however many bases it takes

@@ -138,24 +138,28 @@ def lift(graph, p):
     return LiftedParams(graph, p)
 
 
+def write_atomic(path, data):
+    """Write the bytes ``data`` to ``path`` through a temp file in its
+    directory and a rename, so a failed write leaves neither a temp file
+    nor a partial target."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(p, path):
     """Layout table in plain text, then the flat float64 array, atomically."""
-    payload = np.ascontiguousarray(p.flat, dtype="<f8").tobytes()
     header = "".join(
         f"{name} {off} {length}\n" for name, (off, length) in p.layout.items()
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(b"\n")
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    payload = np.ascontiguousarray(p.flat, dtype="<f8").tobytes()
+    write_atomic(path, (header + "\n").encode("ascii") + payload)
 
 
 def load_checkpoint(path, roles):

@@ -6,9 +6,8 @@ Adam step with the phi slice filled from the mode's phi recipe and the
 theta slice from its theta recipe is exactly the two-update scheme: each
 block moves under its own gradient source.
 
-Sign convention: Adam minimizes.  Bound-style recipes are ascent
-directions and enter negated; the wake-phase recipes already point
-downhill on their own objective and enter as-is.
+Adam minimizes, and every recipe's rows are an ascent direction, so
+both blocks enter the step negated.
 """
 
 import math
@@ -106,11 +105,12 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         raise ValueError("dataset width does not match the model")
     if steps < 1 or batch_size < 1 or eval_every < 1:
         raise ValueError("steps, batch_size, eval_every must be positive")
-    if k < 1:
-        raise ValueError("k must be positive")
+    eval_k = k if eval_k is None else eval_k
+    for name, value in (("k", k), ("eval_k", eval_k)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     if k < entry.min_k:
         raise ValueError(f"{mode!r} needs k >= {entry.min_k} (its min_k)")
-    eval_k = k if eval_k is None else eval_k
 
     p = fam.init_params(seed)
     opt = Adam(p.size, lr=lr, beta1=beta1, beta2=beta2, eps=adam_eps)
@@ -170,7 +170,7 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
         if step == steps:
             break
         grad = np.zeros(p.size)
-        grad[phi_idx] = phi_mean if entry.descent else -phi_mean
+        grad[phi_idx] = -phi_mean
         grad[theta_idx] = -theta_mean
         p = p.with_flat(opt.update(p.flat, grad))
         step += 1

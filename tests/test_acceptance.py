@@ -19,7 +19,6 @@ from dreglab.cli import main, parse_config_text
 from dreglab.data import synthetic_dataset, split
 from dreglab.diagnostics import fold_rows, loglog_slope, t_test_from_moments
 from dreglab.estimators import (
-    DESCENT_IDS,
     ESTIMATOR_IDS,
     ChunkWeights,
     phi_rows,
@@ -149,7 +148,7 @@ def test_criterion_3_exact_identities():
     ctx = fam.weight_context(p, x, eps)
     assert agree(phi_rows("dreg-alpha", ctx, alpha=0.0), phi_rows("iwae-dreg", ctx), tol)
     checks.append("alpha=0")
-    assert agree(phi_rows("dreg-alpha", ctx, alpha=1.0), -phi_rows("rws-dreg", ctx), tol)
+    assert agree(phi_rows("dreg-alpha", ctx, alpha=1.0), phi_rows("rws-dreg", ctx), tol)
     checks.append("alpha=1")
 
     # the wake-phase theta gradient is the same contraction as the bound's
@@ -157,14 +156,13 @@ def test_criterion_3_exact_identities():
     checks.append("theta rws==iwae")
 
     # surrogate backward pass against the direct vectorized estimators,
-    # disjoint parameter layout, every id (descent ids flip their sign)
+    # disjoint parameter layout, every id
     draw = noise_block(2, Streams.MEASURE, 1, (5, 3))
     ctx5 = fam.weight_context(p, x, draw)
     for kind in ESTIMATOR_IDS:
         alpha = 0.3 if kind == "dreg-alpha" else None
-        sign = -1.0 if kind in DESCENT_IDS else 1.0
         flat = surrogate_loss(kind, fam, p, x, draw, alpha=alpha).gradient()
-        assert agree(flat[p.phi_indices], sign * phi_rows(kind, ctx5, alpha)[0], tol), kind
+        assert agree(flat[p.phi_indices], phi_rows(kind, ctx5, alpha)[0], tol), kind
         assert agree(flat[p.theta_indices], theta_rows(kind, ctx5)[0], tol), kind
     checks.append("surrogate backward == direct (%d kinds)" % len(ESTIMATOR_IDS))
 

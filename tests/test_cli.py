@@ -6,8 +6,13 @@ import pytest
 
 from dreglab import __version__, cli
 from dreglab.diagnostics import fold_rows
-from dreglab.estimators import ESTIMATOR_IDS, context_weights, phi_rows
-from dreglab.gaussian import Streams
+from dreglab.estimators import (
+    ESTIMATOR_IDS,
+    context_weights,
+    phi_row_set,
+    phi_rows,
+)
+from dreglab.gaussian import Streams, noise_block
 from dreglab.models import Toy
 from dreglab.cli import (
     KEYS,
@@ -107,6 +112,21 @@ RANGE_CASES = [
     ("train", "trace_decay", "1.0"),
 ]
 
+
+def _float_keys():
+    """{key: (an experiment that reads it, its default)} for every key
+    whose value is a float or a list of floats."""
+    keys = {}
+    for experiment in cli.EXPERIMENTS:
+        for name, value in vars(resolve_config({}, experiment)).items():
+            first = value[0] if isinstance(value, tuple) else value
+            if isinstance(first, float):
+                keys.setdefault(name, (experiment, value))
+    return keys
+
+
+FLOAT_KEYS = _float_keys()
+
 # a manifest as code version 0.1.0 wrote it: every key, read or not
 OLD_MANIFEST = """experiment = {experiment}
 seed = 4
@@ -195,6 +215,29 @@ class TestConfigParsing:
     def test_every_range_check_has_a_case(self):
         checked = {name for name, key in KEYS.items() if key.check}
         assert {key for _, key, _ in RANGE_CASES} == checked
+
+    def test_float_keys_are_found(self):
+        assert set(FLOAT_KEYS) == {
+            "q_variance", "alpha", "param_sigma", "weight_scale",
+            "split_fractions", "lr", "beta1", "beta2", "adam_eps",
+            "trace_decay"}
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, key,
+                                              text):
+        # inf passes every range check, so the parser itself refuses it,
+        # in a list element too
+        experiment, default = FLOAT_KEYS[key]
+        value = (", ".join([*map(repr, default[:-1]), text])
+                 if isinstance(default, tuple) else text)
+        cfg = write_config(tmp_path, f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: bad value for {key!r}: {value!r} "
+            f"(not a finite number)")
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment, key", [
         ("toy-snr", "lr"), ("train", "k_grid"),
@@ -460,7 +503,7 @@ class TestBiasTestCommand:
                 return ctx.score(getattr(w, base))
 
             dreg = -path("wt") + path("wt2") + score("wt")
-            hand = {"stl": score("wt"), "iwae-dreg": dreg, "rws-dreg": dreg,
+            hand = {"stl": score("wt"), "iwae-dreg": dreg, "rws-dreg": -dreg,
                     "jvi1-dreg": -path("c") + path("c2") + score("c"),
                     "dreg-alpha": (a - (1.0 - a)) * path("wt")
                     + (1.0 - 2.0 * a) * path("wt2")
@@ -469,7 +512,7 @@ class TestBiasTestCommand:
                                    else None) for kind in ESTIMATOR_IDS}
             for est, ref in cli.REFERENCE_PAIR.items():
                 ref_map = cli.REFERENCES[ref]
-                ref_rows = (1.0 - a) * rows["iwae"] - a * rows["rws-wake"] \
+                ref_rows = (1.0 - a) * rows["iwae"] + a * rows["rws-wake"] \
                     if ref == "alpha-mix" else rows[ref]
                 scale = max(np.abs(rows[kind]).max()
                             for kind in (est, *ref_map))
@@ -486,12 +529,22 @@ class TestBiasTestCommand:
             assert np.array_equal(got.mean, want[est].mean), (est, alpha)
             assert np.array_equal(got.m2, want[est].m2), (est, alpha)
 
+    def test_alpha_mix_endpoints_are_iwae_and_rws_wake(self):
+        fam = Toy(3)
+        p = fam.init_params(np.array([0.4, -1.1, 0.2]))
+        ctx = fam.weight_context(p, np.array([1.3, 0.0, -0.7]), noise_block(
+            2, Streams.MEASURE, 0, (50, 8, 3)))
+        for alpha, ref in ((0.0, "iwae"), (1.0, "rws-wake")):
+            rows = phi_row_set({"mix": cli.REFERENCES["alpha-mix"],
+                                ref: {ref: 1.0}}, ctx, alpha)
+            assert np.array_equal(rows["mix"], rows[ref]), ref
+
     def test_wake_and_dreg_differences_fold_the_same_bits(self):
-        # rws-dreg - rws-wake and iwae-dreg - iwae are one sum per base
+        # rws-dreg - rws-wake is -(iwae-dreg - iwae), one sum per base
         diffs = self._differences(*self._bias_cfg(0.3))
         wake, dreg = diffs["rws-dreg"], diffs["iwae-dreg"]
         assert wake.n == dreg.n == 2000
-        assert np.array_equal(wake.mean, dreg.mean)
+        assert np.array_equal(wake.mean, -dreg.mean)
         assert np.array_equal(wake.m2, dreg.m2)
 
     def test_dreg_alpha_difference_is_exactly_zero_at_one_half(self, tmp_path):

@@ -29,10 +29,10 @@ def stats(rows, reference):
     return stats_from_moments(RunningMoments.from_samples(rows), reference)
 
 
-def paired(a, b, coordinate=None):
+def paired(a, b):
     """Paired t-test of a against b on their per-pair differences."""
     diff = a - b
-    return t_test_from_moments(diff.mean(), diff.var(ddof=1), diff.size, coordinate)
+    return t_test_from_moments(diff.mean(), diff.var(ddof=1), diff.size)
 
 
 def fold(stream, decay):
@@ -118,11 +118,11 @@ def test_paired_t_matches_library_small_n():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(50)
     b = rng.standard_normal(50)
-    mine = paired(a, b, coordinate=3)
+    mine = paired(a, b)
     ref = sps.ttest_rel(a, b)
     assert mine.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
     assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
-    assert mine.coordinate == 3 and mine.n == 50
+    assert mine.n == 50
 
 
 def test_paired_t_matches_library_large_n():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dreglab.estimators import (
-    DESCENT_IDS,
     ESTIMATOR_IDS,
     ESTIMATORS,
     ChunkWeights,
@@ -48,7 +47,6 @@ def one_draw(fam, p, x, eps, kind, alpha=None):
 
 
 def test_registry_contents():
-    assert set(DESCENT_IDS) <= set(ESTIMATOR_IDS)
     assert len(ESTIMATOR_IDS) == 8
 
 
@@ -117,7 +115,7 @@ def test_alpha_family_endpoints():
     at0, _ = one_draw(fam, p, x, eps, "dreg-alpha", alpha=0.0)
     at1, _ = one_draw(fam, p, x, eps, "dreg-alpha", alpha=1.0)
     assert np.array_equal(at0, one_draw(fam, p, x, eps, "iwae-dreg")[0])
-    assert np.array_equal(at1, -one_draw(fam, p, x, eps, "rws-dreg")[0])
+    assert np.array_equal(at1, one_draw(fam, p, x, eps, "rws-dreg")[0])
 
 
 def test_alpha_half_is_half_the_stl_path():
@@ -363,7 +361,7 @@ def test_phi_row_set_takes_alpha_exactly_with_dreg_alpha():
     with pytest.raises(ValueError, match="unknown estimator id"):
         phi_row_set(each_alone("iwae", "nope"), ctx)
     # a weight that is a function of alpha needs it as dreg-alpha does
-    mix = {"mix": {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: -a}}
+    mix = {"mix": {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: a}}
     with pytest.raises(ValueError, match="alpha must be given"):
         phi_row_set(mix, ctx)
     assert set(phi_row_set(mix, ctx, alpha=0.3)) == {"mix"}
@@ -383,8 +381,8 @@ def _identity_contexts():
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
 def test_wake_and_alpha_rows_differ_from_their_baselines_by_the_dreg_difference(alpha):
-    # row by row, rws-dreg - rws-wake = iwae-dreg - iwae and
-    # dreg-alpha - ((1 - a) iwae - a rws-wake) = (1 - 2a)(iwae-dreg - iwae),
+    # row by row, rws-dreg - rws-wake = -(iwae-dreg - iwae) and
+    # dreg-alpha - ((1 - a) iwae + a rws-wake) = (1 - 2a)(iwae-dreg - iwae),
     # so bias-test's rws-dreg and dreg-alpha pairs test the iwae-dreg null
     for fam, p, x, n in _identity_contexts():
         for k in (8, 64):
@@ -394,8 +392,8 @@ def test_wake_and_alpha_rows_differ_from_their_baselines_by_the_dreg_difference(
                         ("iwae", "iwae-dreg", "rws-wake", "rws-dreg", "dreg-alpha"))
             dreg = r["iwae-dreg"] - r["iwae"]
             wake = r["rws-dreg"] - r["rws-wake"]
-            mix = (1.0 - alpha) * r["iwae"] - alpha * r["rws-wake"]
-            assert np.abs(wake - dreg).max() <= 1e-15 * scale, (type(fam), k)
+            mix = (1.0 - alpha) * r["iwae"] + alpha * r["rws-wake"]
+            assert np.abs(wake + dreg).max() <= 1e-15 * scale, (type(fam), k)
             assert np.abs((r["dreg-alpha"] - mix) - (1.0 - 2.0 * alpha) * dreg).max() \
                 <= 1e-15 * scale, (type(fam), k)
 
@@ -403,18 +401,19 @@ def test_wake_and_alpha_rows_differ_from_their_baselines_by_the_dreg_difference(
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
 def test_difference_maps_cancel_shared_terms_in_the_coefficients(alpha):
     # weights are added per contracted base before the sum, so the two
-    # dreg differences are one three-term sum bit for bit, and dreg-alpha
+    # dreg differences are one three-term sum and its negation bit for
+    # bit, and dreg-alpha
     # less its reference cancels to exact zeros at alpha = 1/2
     maps = {"dreg": {"iwae-dreg": 1.0, "iwae": -1.0},
             "wake": {"rws-dreg": 1.0, "rws-wake": -1.0},
             "alpha": {"dreg-alpha": 1.0, "iwae": lambda a: a - 1.0,
-                      "rws-wake": lambda a: a}}
+                      "rws-wake": lambda a: -a}}
     for fam, p, x, n in _identity_contexts():
         eps = noise_block(13, Streams.MEASURE, 8, (n, 8, fam.latent))
         ctx = fam.weight_context(p, x, eps)
         d = phi_row_set(maps, ctx, alpha)
         w = context_weights(ctx)
-        assert np.array_equal(d["wake"], d["dreg"]), type(fam)
+        assert np.array_equal(d["wake"], -d["dreg"]), type(fam)
         assert np.array_equal(d["dreg"], -ctx.path(w.wt) + ctx.path(w.wt2) + ctx.score(w.wt))
         assert d["alpha"].shape == d["dreg"].shape
         assert (alpha == 0.5) == (not d["alpha"].any()), type(fam)

@@ -15,6 +15,7 @@ from dreglab.models import (
     save_checkpoint,
     toy_optimal_inference,
 )
+from dreglab.models import params
 from dreglab.models.vae import _sigmoid
 from dreglab.tape import TapeGraph
 
@@ -231,6 +232,26 @@ def test_checkpoint_bytes_stable(tmp_path):
     save_checkpoint(p, a)
     save_checkpoint(p, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_atomic_write_leaves_no_trace(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    with pytest.raises(TypeError):
+        params.write_atomic(target, "not bytes")
+    assert list(tmp_path.iterdir()) == []
+    params.write_atomic(target, b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    # the temp file is written in full, then the rename fails
+    monkeypatch.setattr(params.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        params.write_atomic(target, b"new")
+    with pytest.raises(OSError, match="rename refused"):
+        save_checkpoint(toy_fixture(d=2)[1], tmp_path / "params.ckpt")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert target.read_bytes() == b"old"
 
 
 @pytest.mark.parametrize("cut", [3, 8])

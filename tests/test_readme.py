@@ -1,9 +1,15 @@
-"""README's library snippet runs as written against the installed API."""
+"""README's library snippet runs as written against the installed API,
+and its estimator table states the coefficients of `ESTIMATORS`."""
 
 import contextlib
 import io
+import math
 import pathlib
 import re
+
+import numpy as np
+
+from dreglab.estimators import ESTIMATORS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +22,47 @@ def test_readme_python_block_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
     assert len(out.getvalue().splitlines()) >= 2
+
+
+def _table():
+    """{id: (c_path, c_score, c_theta, min K)} as README's table writes them."""
+    rows = re.findall(r"^\| `([\w-]+)`\s*\|([^|]*)\|([^|]*)\|([^|]*)\|([^|]*)\|",
+                      README.read_text(encoding="utf-8"), re.MULTILINE)
+    return {kind: tuple(cell.strip() for cell in cells) for kind, *cells in rows}
+
+
+def _evaluate(cell, values):
+    """A coefficient cell such as ``a wt + (1 - 2a) wt^2`` at ``values``,
+    with juxtaposition read as a product; ``-`` is an absent term."""
+    if cell == "-":
+        return 0.0
+    tokens = re.findall(r"\d+(?:\.\d+)?|[a-z]\w*(?:\^2)?|[-+*()]", cell)
+    assert "".join(tokens) == cell.replace(" ", ""), cell
+    operand = re.compile(r"[\w^]+|\)")
+    code = tokens[:1]
+    for left, right in zip(tokens, tokens[1:]):
+        if operand.fullmatch(left) and (right == "(" or right[0].isalnum()):
+            code.append("*")
+        code.append(right)
+    return eval(" ".join(code).replace("^2", "2"), {"__builtins__": {}}, values)
+
+
+def _coefficient(term, values):
+    return sum((w(values["a"]) if callable(w) else w) * values[base]
+               for base, w in term.items())
+
+
+def test_readme_estimator_table_matches_the_code():
+    table = _table()
+    assert list(table) == list(ESTIMATORS)
+    rng = np.random.default_rng(0)
+    for kind, (c_path, c_score, c_theta, min_k) in table.items():
+        r = ESTIMATORS[kind]
+        assert c_theta == r.theta, kind
+        assert int(min_k) == r.min_k, kind
+        for _ in range(3):
+            values = dict(zip(("wt", "wt2", "c", "c2", "a"), rng.random(5)))
+            for cell, term in ((c_path, r.path), (c_score, r.score)):
+                assert math.isclose(_evaluate(cell, values),
+                                    _coefficient(term, values),
+                                    rel_tol=1e-12, abs_tol=1e-15), (kind, cell)

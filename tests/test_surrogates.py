@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dreglab.estimators import (
-    DESCENT_IDS,
     ESTIMATOR_IDS,
     phi_rows,
     surrogate_loss,
@@ -42,13 +41,12 @@ def split(loss, p):
 
 
 def direct_pairs(fam, p, x, eps):
-    """(kind, expected phi, expected theta, alpha) with signs resolved."""
+    """(kind, expected phi, expected theta, alpha) of every id."""
     ctx = fam.weight_context(p, x, eps)
     out = []
     for kind in ESTIMATOR_IDS:
         alpha = 0.3 if kind == "dreg-alpha" else None
-        sign = -1.0 if kind in DESCENT_IDS else 1.0
-        out.append((kind, sign * phi_rows(kind, ctx, alpha)[0], theta_rows(kind, ctx)[0], alpha))
+        out.append((kind, phi_rows(kind, ctx, alpha)[0], theta_rows(kind, ctx)[0], alpha))
     return out
 
 

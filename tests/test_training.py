@@ -91,6 +91,13 @@ class TestTrainModel:
             train_model(fam, train, valid, "iwae", 4, steps=30,
                         batch_size=8, seed=5, alpha=0.3)
 
+    @pytest.mark.parametrize("eval_k", [0, -3])
+    def test_eval_k_below_one_is_named(self, eval_k):
+        fam, train, valid = tiny_problem()
+        with pytest.raises(ValueError, match="^eval_k must be positive$"):
+            train_model(fam, train, valid, "iwae", 4, steps=10,
+                        batch_size=8, eval_k=eval_k, seed=5)
+
     def test_jackknife_mode_needs_two_samples(self):
         fam, train, valid = tiny_problem()
         for mode in ("jvi1", "jvi1-dreg"):
