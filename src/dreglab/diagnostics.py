@@ -5,25 +5,27 @@ noise, the chunk gives weight contexts, the contexts give estimator
 rows, and the rows fold into RunningMoments.  `fold_rows` is that
 pipeline, written once, for any row stream; the CLI experiments and the
 acceptance gate call it with their own keys and estimator rows.  The
-chunk is the key and merge unit: its noise comes from one Philox
-stream, and its rows fold into moments at once, in chunk order.  The
-slab, at most SLAB normals of a chunk (2 MiB), is the memory and
-pipeline unit: one worker thread draws up to two slabs ahead while the
-calling thread contracts the current one.  A fold allocates its memory
-once and reuses it for every chunk: the noise is drawn in place into a
-ring of three slab buffers, and each slab's rows are copied into row
-buffers (a ragged last slab or chunk uses their leading part).  So a
-fold of many chunks does not fault fresh pages in for each, and it
-never holds more than three slabs of noise.  Rows are per sample, so
-the moments are those of whole-chunk contexts, and a fixed chunk
-schedule gives bit-stable results whatever the thread timing.
+chunk is the key unit: its noise comes from one Philox stream.  The
+block, at most MERGE_ROWS rows of a chunk, is the merge unit: its rows
+fold into moments at once, in block order.  The slab, at most SLAB
+normals of a block (2 MiB), is the memory and pipeline unit: one worker
+thread draws up to two slabs ahead while the calling thread contracts
+the current one.  A fold allocates its memory once and reuses it for
+every block: the noise is drawn in place into a ring of three slab
+buffers, and each slab's rows are copied into block-sized row buffers
+(a ragged slab or block uses their leading part).  So a fold of many
+chunks does not fault fresh pages in for each, it never holds more than
+three slabs of noise, and its row buffers do not grow with the chunk.
+Rows are per sample, so the moments are those of whole-block contexts,
+and a fixed chunk schedule gives bit-stable results whatever the thread
+timing or SLAB.
 """
 
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, cycle
+from itertools import accumulate, cycle, groupby
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from .gaussian import noise_slabs
 # normals per slab (2 MiB of float64), the unit in which `fold_rows`
 # draws noise and builds weight contexts
 SLAB = 1 << 18
+# rows per merge block at most: the rows a `fold_rows` row buffer holds,
+# whatever the chunk size
+MERGE_ROWS = 1024
 
 
 @dataclass
@@ -269,33 +274,37 @@ class VarianceTraceEma:
 
 def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
               draw_prefix=(), chunk_size):
-    """Moments of n draws of every named row stream, folded chunk by chunk.
+    """Moments of n draws of every named row stream, folded block by block.
 
     Chunk c reads noise_block(seed, stream, (*draw_prefix, c), (m, k,
     model.latent)).  Its rows come from weight contexts on ``x`` (one
     observation, which a context shares across its rows), and each
     (name, rows) pair that ``rows_of(ctx)`` yields is folded into that
-    name's RunningMoments, one `RunningMoments.from_samples` per chunk,
-    merged in chunk order.  Every name in a chunk reads the same noise,
-    so differences of rows are common-random-number pairs.  Returns
-    {name: RunningMoments}.
+    name's RunningMoments, one `RunningMoments.from_samples` per block,
+    merged in block order.  A chunk's blocks are the fewest even blocks
+    of at most MERGE_ROWS rows, so a chunk of at most MERGE_ROWS rows is
+    one block.  Every name in a chunk reads the same noise, so
+    differences of rows are common-random-number pairs.  Returns
+    {name: RunningMoments}; they depend on chunk_size and MERGE_ROWS,
+    never on SLAB or on the thread timing.
 
-    The chunk is the key and merge unit; the slab is the memory and
-    pipeline unit.  A chunk's noise is drawn from its one generator
-    (`noise_slabs`) in the fewest even slabs of at most max(1, SLAB //
-    (k * latent)) rows, and each slab gets its own context, whose rows
-    are copied into one buffer per name.  Slab s is drawn in place into
-    slot s mod 3 of a ring of three flat slab buffers, as a C-contiguous
-    view of its leading entries; the ring's order runs on across chunk
-    boundaries.  The ring and the row buffers are allocated once per
-    fold, at the largest slab and chunk sizes, and reused by every
-    chunk; a ragged last chunk fills and folds the row buffers' leading
-    rows, a C-contiguous view.  That needs the fold contract: row i
-    depends on noise row i alone, and every slab yields the same names,
-    each with rows of the shape it had in the first slab; a slab that
-    breaks it raises ValueError.  Under it, the buffers hold the rows
-    that one whole-chunk context would give, bit for bit (`_even_cut`
-    says why no slab has a single row).
+    The chunk is the key unit, the block the merge unit and the slab the
+    memory and pipeline unit.  A chunk's noise is drawn from its one
+    generator (`noise_slabs`); each block is cut into the fewest even
+    slabs of at most max(1, SLAB // (k * latent)) rows, and each slab
+    gets its own context, whose rows are copied into one buffer per
+    name.  Slab s is drawn in place into slot s mod 3 of a ring of three
+    flat slab buffers, as a C-contiguous view of its leading entries;
+    the ring's order runs on across block and chunk boundaries.  The
+    ring and the row buffers are allocated once per fold, at the largest
+    slab and block sizes, and reused by every block; a smaller block
+    fills and folds the row buffers' leading rows, a C-contiguous view.
+    That needs the fold contract: row i depends on noise row i alone,
+    and every slab yields the same names, each with rows of the shape it
+    had in the first slab; a slab that breaks it raises ValueError,
+    naming its rows within the chunk.  Under it, the buffers hold the
+    rows that one whole-block context would give, bit for bit
+    (`_even_cut` says why no slab has a single row).
 
     While slab s is contracted, one worker thread draws up to two slabs
     ahead (NumPy's normal fill releases the GIL), into the two slots
@@ -304,48 +313,52 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     most, whatever the thread timing.  The results cannot depend on that
     overlap: a chunk's Philox stream is keyed by its index alone
     (counter-based, Salmon et al. 2011), only the worker draws, and the
-    merges run on the calling thread in chunk order.  A one-slab fold
+    merges run on the calling thread in block order.  A one-slab fold
     starts no thread, and the worker is joined before this returns or
     raises.
     """
     sizes = [min(chunk_size, n - done) for done in range(0, n, chunk_size)]
     step = max(1, SLAB // (k * model.latent))
-    cuts = [_even_cut(m, step) for m in sizes]
-    plan = [(chunk, start, m)  # every slab, in draw order
-            for chunk, cut in enumerate(cuts)
-            for start, m in zip(accumulate(cut, initial=0), cut)]
+    # every slab, in draw order: its chunk, its block's first row in the
+    # chunk and rows, and its own first row in the block and rows
+    plan = [(chunk, first, b, at, m)
+            for chunk, size in enumerate(sizes)
+            for first, b in _spans(_even_cut(size, MERGE_ROWS))
+            for at, m in _spans(_even_cut(b, step))]
     depth = 3 if len(plan) > 1 else 0  # slab s and the two after it
     # the noise ring: slab s is drawn into slot s % 3 (a one-slab fold
     # has one slot), so a fold never holds more than three slabs of noise
     slot = max((m for *_, m in plan), default=0) * k * model.latent
     ring = cycle([np.empty(slot) for _ in range(max(depth, 1))])
-    draws = (eps for chunk, cut in enumerate(cuts)
+    draws = (eps for chunk, slabs in groupby(plan, key=lambda slab: slab[0])
              for eps in noise_slabs(seed, stream, (*draw_prefix, chunk),
-                                    (sizes[chunk], k, model.latent), cut, ring))
+                                    (sizes[chunk], k, model.latent),
+                                    [m for *_, m in slabs], ring))
+    block = max((b for _, _, b, _, _ in plan), default=0)
     moments = {}
-    buffers = {}  # name -> row buffer, made in chunk 0 and reused by every chunk
+    buffers = {}  # name -> row buffer, made in the first slab and reused by every block
 
-    def fold(chunk, start, m, eps):
-        where = f"chunk {chunk}, rows {start}:{start + m}"
+    def fold(chunk, first, b, at, m, eps):
+        where = f"chunk {chunk}, rows {first + at}:{first + at + m}"
         named = set()
         for name, rows in rows_of(model.weight_context(params, x, eps)):
             rows = np.asarray(rows)
-            if chunk == start == 0 and name not in buffers:
-                buffers[name] = np.empty((sizes[0], *rows.shape[1:]))
+            if chunk == first == at == 0 and name not in buffers:
+                buffers[name] = np.empty((block, *rows.shape[1:]))
             if name not in buffers or name in named:
                 raise _contract_error(f"{where}: {name!r} is new or repeated")
             want = (m, *buffers[name].shape[1:])
             if rows.shape != want:
                 raise _contract_error(f"{where}: {name!r} rows have shape "
                                       f"{rows.shape}, not {want}")
-            buffers[name][start:start + m] = rows
+            buffers[name][at:at + m] = rows
             named.add(name)
         if len(named) != len(buffers):
             missing = sorted(map(repr, buffers.keys() - named))
             raise _contract_error(f"{where}: no rows for {', '.join(missing)}")
-        if start + m == sizes[chunk]:
+        if at + m == b:
             for name, rows in buffers.items():
-                part = RunningMoments.from_samples(rows[:sizes[chunk]])
+                part = RunningMoments.from_samples(rows[:b])
                 moments[name] = part if name not in moments else moments[name].merge(part)
 
     # at iteration s the worker is sent slab s + 2, whose slot held slab
@@ -359,13 +372,21 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     return moments
 
 
-def _even_cut(m, step):
-    """Row counts of the fewest slabs of at most ``step`` rows that cover
-    ``m`` rows, differing by at most one.
+def _spans(cut):
+    """(first row, rows) of each part of a cut, in order."""
+    return zip(accumulate(cut, initial=0), cut)
 
-    Even cuts keep a one-row slab out of any chunk of two or more rows
-    while step >= 2: a one-row batch sends `VaeContext`'s 2-D matmuls
-    through BLAS gemv instead of gemm, whose sums round differently.
+
+def _even_cut(m, step):
+    """Row counts of the fewest parts of at most ``step`` rows that cover
+    ``m`` rows, differing by at most one: a chunk's blocks, or a block's
+    slabs.
+
+    Even cuts keep a one-row block out of any chunk of two or more rows,
+    and a one-row slab out of any block of two or more rows while step
+    >= 3 (at step 2, out of a block of even rows): a one-row batch sends
+    `VaeContext`'s 2-D matmuls through BLAS gemv instead of gemm, whose
+    sums round differently.
     """
     count = -(-m // step)
     return [m // count + (i < m % count) for i in range(count)]

@@ -141,10 +141,14 @@ def lift(graph, p):
 def write_atomic(path, data):
     """Write the bytes ``data`` to ``path`` through a temp file in its
     directory and a rename, so a failed write leaves neither a temp file
-    nor a partial target."""
+    nor a partial target.  The target gets the mode that ``open`` would
+    give a new file, 0o666 less the umask, not mkstemp's 0o600."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=".tmp-")
     try:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

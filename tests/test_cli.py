@@ -1,5 +1,6 @@
 import os
 import tomllib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,6 +484,25 @@ class TestBiasTestCommand:
                                     est: cli._difference(est, ref)
                                     for est, ref in cli.REFERENCE_PAIR.items()})
 
+    def test_fold_memory_does_not_grow_with_chunk_size(self):
+        # bias-test's five difference maps at its K = 64 and d = 4: with
+        # merge blocks of at most 1024 rows, one 16384-row chunk peaks
+        # where sixteen 1024-row chunks do (whole-chunk row buffers
+        # would add 5 x 16384 x 20 doubles, 13 MB)
+        peaks = []
+        for chunk_size in ("16384", "1024"):
+            cfg = resolve_config({"samples": "16384", "chunk_size": chunk_size},
+                                 "bias-test")
+            fam = Toy(cfg.d, cfg.q_variance)
+            p, x = cli._trial_point(cfg, fam, 0)
+            tracemalloc.start()
+            try:
+                self._differences(cfg, fam, p, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) <= 1 << 20, peaks
+
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     def test_paired_fold_diffs_match_hand_built_references(self, alpha):
         # each difference map folds the bits of its base-level sum written
@@ -665,6 +685,24 @@ class TestTrainCommand:
                            TRAIN_SMOKE + "data_source = /nope/x.idx\n")
         assert main(["train", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
+    # the temp-then-rename writer must not leave mkstemp's 0o600 behind
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        for experiment, text in (("bias-test", BIAS_SMOKE), ("train", TRAIN_SMOKE)):
+            out = tmp_path / experiment
+            cfg = write_config(tmp_path, text, name=f"{experiment}.txt")
+            assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
+            modes = {p.name: p.stat().st_mode for p in out.iterdir()}
+            assert len(modes) == 3
+            assert set(modes.values()) == {(tmp_path / "plain").stat().st_mode}
+    finally:
+        os.umask(old)
 
 
 class TestMainEntry:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -349,15 +350,23 @@ def test_fold_rows_counts_a_ragged_tail():
     assert {name: mom.n for name, mom in folded.items()} == {"phi": 1000, "theta": 1000}
 
 
+def block_fold(fam, p, x, seed, blocks):
+    """The fold of `fold_rows` by hand: one context per whole merge
+    block, ``blocks`` listing each chunk's block rows."""
+    want = {}
+    for chunk, cut in enumerate(blocks):
+        eps = noise_block(seed, Streams.MEASURE, (2, 4, chunk), (sum(cut), 4, fam.latent))
+        for first, b in zip(accumulate(cut, initial=0), cut):
+            ctx = fam.weight_context(p, x, eps[first:first + b])
+            for name, rows in phi_and_theta(ctx):
+                part = RunningMoments.from_samples(rows)
+                want[name] = want[name].merge(part) if name in want else part
+    return want
+
+
 def whole_chunk_fold(fam, p, x, seed, sizes):
     """The fold of `fold_rows` by hand: one context per whole chunk."""
-    want = {}
-    for chunk, m in enumerate(sizes):
-        eps = noise_block(seed, Streams.MEASURE, (2, 4, chunk), (m, 4, fam.latent))
-        for name, rows in phi_and_theta(fam.weight_context(p, x, eps)):
-            part = RunningMoments.from_samples(rows)
-            want[name] = want[name].merge(part) if name in want else part
-    return want
+    return block_fold(fam, p, x, seed, [(m,) for m in sizes])
 
 
 def assert_same_moments(folded, want):
@@ -406,6 +415,64 @@ def test_fold_rows_in_slabs_equals_the_whole_chunk_fold(monkeypatch, family, sla
     assert {workers for _, workers in slabs} == {1}
     assert threading.active_count() == before
     assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+
+
+# merge blocks of at most 128 rows: chunks of 384, 384 and 232 rows
+# fold as 3, 3 and 2 even blocks (of even rows, so that slabs of at
+# most 2 rows are all 2-row slabs)
+SMALL_BLOCKS = ((128,) * 3, (128,) * 3, (116, 116))
+
+
+@pytest.mark.parametrize("family, slab_rows", [
+    ("toy", 1), ("toy", 7), ("toy", 100), ("toy", 384),
+    ("vae", 2), ("vae", 7), ("vae", 100), ("vae", 384),
+])
+def test_fold_rows_merges_block_by_block(monkeypatch, family, slab_rows):
+    # slabs are cut inside each block, so 384 leaves one slab per block,
+    # and 7 cuts 128 rows into 6s and 7s and 116 rows likewise
+    fam, p, x = fold_fixture() if family == "toy" else vae_fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.MERGE_ROWS", 128)
+    monkeypatch.setattr("dreglab.diagnostics.SLAB", slab_rows * 4 * fam.latent)
+    slabs = []
+
+    def rows_of(ctx):
+        slabs.append(ctx.lw.shape[0])
+        yield from phi_and_theta(ctx)
+
+    folded = fold_rows(fam, p, x, 4, 1000, rows_of, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
+    blocks = [b for cut in SMALL_BLOCKS for b in cut]
+    assert len(slabs) == sum(-(-b // slab_rows) for b in blocks)
+    assert max(slabs) <= min(slab_rows, 128)
+    assert min(slabs) >= min(2, slab_rows)
+    assert_same_moments(folded, block_fold(fam, p, x, 31, SMALL_BLOCKS))
+
+
+@pytest.mark.parametrize("chunk_size, blocks", [
+    (96, [(96,)] * 10 + [(40,)]),
+    (384, SMALL_BLOCKS),
+    (1000, [(125,) * 8]),
+])
+def test_fold_rows_row_buffers_hold_one_block(monkeypatch, chunk_size, blocks):
+    fam, p, x = fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.MERGE_ROWS", 128)
+    empty, shapes = np.empty, []
+
+    def counted(shape, *args, **kwargs):
+        shapes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counted)
+    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
+                       stream=Streams.MEASURE, draw_prefix=(2, 4),
+                       chunk_size=chunk_size)
+    monkeypatch.undo()
+    rows = [s[0] for s in shapes if np.ndim(s) == 1 and len(s) == 2]
+    largest = max(b for cut in blocks for b in cut)
+    assert sorted(s for s in shapes if np.ndim(s) == 1 and len(s) == 2
+                  and s[1] in (3, 12)) == [(largest, 3), (largest, 12)]
+    assert max(rows) <= 128
+    assert_same_moments(folded, block_fold(fam, p, x, 31, blocks))
 
 
 def renamed_at_the_third_slab(ctx, calls):
