@@ -1,20 +1,14 @@
 """dreglab: a laboratory for multi-sample Monte Carlo gradient estimators.
 
-Scalar-tape autodiff with first-class stop-gradient, reparameterized
-Gaussian building blocks, the estimator family (importance-weighted
+Counter-based noise streams, two model families with closed-form
+vectorized weight contexts, the estimator family (importance-weighted
 bounds, doubly reparameterized and wake-style inference-network
-gradients, jackknife bias correction), and the measurement protocol
-(SNR, bias, variance, paired tests) wired to a config-driven CLI.
+gradients, jackknife bias correction) as one coefficient table, and the
+measurement protocol (SNR, bias, variance, paired tests) wired to a
+config-driven CLI.  The scalar-tape reference that checks the bulk
+route lives with the tests, in ``tests/reference``.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
-from .tape import TapeGraph, TapeScalar, stop_gradient, finite_diff_check
-
-__all__ = [
-    "TapeGraph",
-    "TapeScalar",
-    "stop_gradient",
-    "finite_diff_check",
-    "__version__",
-]
+__all__ = ["__version__"]

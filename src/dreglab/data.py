@@ -74,16 +74,6 @@ def read_idx(path):
     return np.frombuffer(raw[header:], dtype=np.uint8).reshape(dims)
 
 
-def write_idx(path, array):
-    """Serialize a 3-d uint8 image array back to IDX3."""
-    array = np.ascontiguousarray(array, dtype=np.uint8)
-    if array.ndim != 3:
-        raise ValueError("IDX writer handles 3-d images")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">4I", IDX_IMAGES_MAGIC, *array.shape))
-        fh.write(array.tobytes())
-
-
 def load_idx(path):
     """IDX3 image file as a Dataset with row-major flattening, /255."""
     raw = read_idx(path)

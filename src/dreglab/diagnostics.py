@@ -1,4 +1,4 @@
-"""Measurement statistics: moments, SNR, paired tests, slopes, EMA traces.
+"""Measurement statistics: moments, SNR, paired tests, EMA traces.
 
 Every bulk measurement is one pipeline: a noise key gives a chunk of
 noise, the chunk gives weight contexts, the contexts give estimator
@@ -18,7 +18,7 @@ chunks does not fault fresh pages in for each, it never holds more than
 three slabs of noise, and its row buffers do not grow with the chunk.
 Rows are per sample, so the moments are those of whole-block contexts,
 and a fixed chunk schedule gives bit-stable results whatever the thread
-timing or SLAB.
+timing or SLAB (on the VAE, while k * latent <= SLAB / 3).
 """
 
 import math
@@ -206,34 +206,6 @@ def t_test_from_moments(mean, variance, n):
     return TTestResult(t, _t_tail(t, n - 1), n)
 
 
-@dataclass
-class SlopeFit:
-    slope: float
-    stderr: float
-
-
-def loglog_slope(points):
-    """Least-squares slope of log(statistic) against log(K)."""
-    points = list(points)
-    if len(points) < 3:
-        raise ValueError("slope fit needs at least 3 points")
-    ks = np.array([float(k) for k, _ in points])
-    ys = np.array([float(v) for _, v in points])
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("K values must be strictly increasing")
-    if np.any(ys <= 0):
-        raise ValueError("statistics must be positive for a log-log fit")
-    lx = np.log(ks)
-    ly = np.log(ys)
-    lx_c = lx - lx.mean()
-    sxx = float(np.sum(lx_c * lx_c))
-    slope = float(np.sum(lx_c * ly) / sxx)
-    resid = ly - (ly.mean() + slope * lx_c)
-    dof = len(points) - 2
-    stderr = math.sqrt(float(np.sum(resid * resid)) / dof / sxx) if dof > 0 else 0.0
-    return SlopeFit(slope, stderr)
-
-
 class VarianceTraceEma:
     """Debiased EMA covariance trace over a gradient stream.
 
@@ -286,7 +258,7 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     one block.  Every name in a chunk reads the same noise, so
     differences of rows are common-random-number pairs.  Returns
     {name: RunningMoments}; they depend on chunk_size and MERGE_ROWS,
-    never on SLAB or on the thread timing.
+    never on the thread timing, and on SLAB only as said below.
 
     The chunk is the key unit, the block the merge unit and the slab the
     memory and pipeline unit.  A chunk's noise is drawn from its one
@@ -303,8 +275,9 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     and every slab yields the same names, each with rows of the shape it
     had in the first slab; a slab that breaks it raises ValueError,
     naming its rows within the chunk.  Under it, the buffers hold the
-    rows that one whole-block context would give, bit for bit
-    (`_even_cut` says why no slab has a single row).
+    rows that one whole-block context would give, bit for bit: always on
+    the toy, and on the VAE while k * latent <= SLAB / 3 (past that, a
+    block of odd rows takes a one-row slab; see `_even_cut`).
 
     While slab s is contracted, one worker thread draws up to two slabs
     ahead (NumPy's normal fill releases the GIL), into the two slots

@@ -22,10 +22,10 @@ are defined at.  Every row is an ascent direction: theta rows on the
 entry's bound, and phi rows too, except those of the wake-phase ids
 (rws-wake, rws-dreg), which ascend E_p(z|x)[log q(z)], the wake phase's
 KL(p || q) minimization; dreg-alpha's phi rows are the (1 - alpha,
-alpha) mix of iwae-dreg's and rws-dreg's.  The contraction interface is
-served by both the closed-form model contexts (vectorized, bulk) and
-the tape-extracted LogWeightBatch (reference); tests pin the routes
-against each other.
+alpha) mix of iwae-dreg's and rws-dreg's.  The contraction interface
+(``lw``, ``path``, ``score``, ``theta``) is served by the models'
+closed-form weight contexts; the tests' tape reference serves it too,
+and the tests pin the two against each other.
 """
 
 from dataclasses import dataclass

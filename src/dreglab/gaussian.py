@@ -1,27 +1,18 @@
-"""Reparameterized diagonal Gaussians, factorized Bernoullis, and noise streams.
+"""Counter-based noise streams.
 
-Model code is written against "generic elements": every function here
-accepts vectors whose entries are either plain floats or TapeScalars,
-and returns the matching kind.  Lifting parameters onto a tape therefore
-changes nothing about how densities are written.
-
-Randomness is counter-based.  Every consumer draws from a Philox stream
+Every consumer draws from a Philox stream
 keyed by a short integer tuple (seed, stream-id, counters...), so any
 noise block is reproducible from its key alone, with no dependence on
 draw order.  Stream ids are centralized in `Streams` to keep purposes
 from colliding.  Noise is always a plain float array: `noise_block`
 returns one of any shape, `noise_slabs` draws the same block in
-consecutive row slabs into buffers its caller owns, and every consumer
-(weight contexts, the tape route, surrogates) takes eps as such an
-array.
+consecutive row slabs into buffers its caller owns, and every weight
+context takes eps as such an array.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .tape import TapeScalar, tape_sum
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -81,82 +72,3 @@ def noise_block(seed, stream, draw, shape):
     n = shape if isinstance(shape, int) else shape[0]
     block = np.empty(shape).reshape(-1)
     return next(noise_slabs(seed, stream, draw, shape, [n], iter([block])))
-
-
-# generic-element helpers: float in, float out; TapeScalar in, TapeScalar out
-
-def _is_node(u):
-    return isinstance(u, TapeScalar)
-
-
-def gexp(u):
-    return u.exp() if _is_node(u) else math.exp(u)
-
-
-def gsquare(u):
-    return u.square() if _is_node(u) else u * u
-
-
-def gsum(seq):
-    seq = list(seq)
-    nodes = [u for u in seq if _is_node(u)]
-    if not nodes:
-        return math.fsum(seq)
-    g = nodes[0].graph
-    return tape_sum([u if _is_node(u) else g.constant(u) for u in seq])
-
-
-@dataclass
-class DiagGaussian:
-    """Diagonal Gaussian with mean and log-scale vectors (generic elements).
-
-    Fixed-variance distributions freeze their log-scale by passing
-    tape constants (leaves that backward never reports), so no gradient
-    flows into the scale.
-    """
-
-    mean: list
-    log_scale: list
-
-    def __post_init__(self):
-        if len(self.mean) != len(self.log_scale):
-            raise ValueError("mean and log-scale dimensions disagree")
-
-    @property
-    def d(self):
-        return len(self.mean)
-
-
-def sample_reparam(q, eps):
-    """z = mean + exp(log-scale) * eps, elementwise; differentiable in q."""
-    if len(eps) != q.d:
-        raise ValueError(f"noise dimension {len(eps)} != distribution dimension {q.d}")
-    return [m + gexp(ls) * float(e) for m, ls, e in zip(q.mean, q.log_scale, eps)]
-
-
-def log_prob(q, z):
-    if len(z) != q.d:
-        raise ValueError(f"point dimension {len(z)} != distribution dimension {q.d}")
-    terms = []
-    for m, ls, zj in zip(q.mean, q.log_scale, z):
-        u = (zj - m) * gexp(-ls)
-        terms.append(-0.5 * LOG_TWO_PI - ls - 0.5 * gsquare(u))
-    return gsum(terms)
-
-
-def bernoulli_log_prob(logits, x):
-    """Sum_j [x_j log sigma(l_j) + (1-x_j) log(1-sigma(l_j))], stable form.
-
-    Uses x*l - softplus(l); the softplus keeps both logit signs exact.
-    """
-    from .tape import softplus
-
-    if len(logits) != len(x):
-        raise ValueError("logits and observation dimensions disagree")
-    terms = []
-    for l, xj in zip(logits, x):
-        xv = float(xj)
-        if xv not in (0.0, 1.0):
-            raise ValueError(f"observation entry {xj!r} is not binary")
-        terms.append(xv * l - softplus(l))
-    return gsum(terms)

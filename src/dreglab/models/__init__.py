@@ -1,8 +1,6 @@
 from .params import (
-    LiftedParams,
     ParamVector,
     build_params,
-    lift,
     load_checkpoint,
     perturb_params,
     save_checkpoint,
@@ -11,10 +9,8 @@ from .toy import Toy, toy_optimal_inference
 from .vae import Vae
 
 __all__ = [
-    "LiftedParams",
     "ParamVector",
     "build_params",
-    "lift",
     "load_checkpoint",
     "perturb_params",
     "save_checkpoint",

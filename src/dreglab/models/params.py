@@ -2,9 +2,9 @@
 
 A ParamVector is the single source of truth for a model's parameters:
 one float64 array, a layout table mapping names to index ranges, and a
-role per name.  Roles drive two things: which coordinates belong to the
-inference-network gradient versus the generative gradient, and where
-stop-gradient modifiers land when a parameter serves both sides.
+role per name.  A role says whether a slice belongs to the
+inference-network gradient (phi), the generative gradient (theta), or
+both (shared, which only the tests' reference toy uses).
 
 Checkpoints are external artifacts: a plain-text layout table (name,
 offset, length per line), a blank line, then the flat array as raw
@@ -21,6 +21,11 @@ from .. import gaussian
 from ..gaussian import Streams
 
 ROLES = ("phi", "theta", "shared")
+
+
+def _check_role(roles, name):
+    if roles.get(name) not in ROLES:
+        raise ValueError(f"missing or invalid role for {name!r}")
 
 
 @dataclass
@@ -45,17 +50,11 @@ class ParamVector:
         if covered != self.flat.size:
             raise ValueError(f"layout covers {covered} of {self.flat.size} coordinates")
         for name in self.layout:
-            if self.roles.get(name) not in ROLES:
-                raise ValueError(f"missing or invalid role for {name!r}")
+            _check_role(self.roles, name)
 
     def view(self, name):
         off, length = self.layout[name]
         return self.flat[off : off + length]
-
-    @property
-    def nodes(self):
-        """{name: list of floats}, the numeric twin of `LiftedParams.nodes`."""
-        return {name: list(self.view(name)) for name in self.layout}
 
     def with_flat(self, new_flat):
         return ParamVector(np.array(new_flat, dtype=np.float64), self.layout, self.roles)
@@ -113,31 +112,6 @@ def perturb_params(p, sigma, seed, draw=0):
     return p.with_flat(p.flat + sigma * rng.standard_normal(p.size))
 
 
-class LiftedParams:
-    """Tape inputs for every coordinate of a ParamVector, in flat order.
-
-    `nodes[name]` is the list of TapeScalars for that slice; `grad_vector`
-    maps a backward() result back onto the flat coordinate order.
-    """
-
-    def __init__(self, graph, p):
-        self.graph = graph
-        self.source = p
-        self.nodes = {}
-        self.node_ids = np.empty(p.size, dtype=np.intp)
-        for name, (off, length) in p.layout.items():
-            ns = graph.input_vector(p.flat[off : off + length])
-            self.nodes[name] = ns
-            self.node_ids[off : off + length] = [n.idx for n in ns]
-
-    def grad_vector(self, grads):
-        return np.array([grads[i] for i in self.node_ids])
-
-
-def lift(graph, p):
-    return LiftedParams(graph, p)
-
-
 def write_atomic(path, data):
     """Write the bytes ``data`` to ``path`` through a temp file in its
     directory and a rename, so a failed write leaves neither a temp file
@@ -167,7 +141,11 @@ def save_checkpoint(p, path):
 
 
 def load_checkpoint(path, roles):
-    """Inverse of save_checkpoint; the caller supplies the role map."""
+    """Inverse of save_checkpoint; the caller supplies the role map.
+
+    A malformed file is a ValueError that names the path, and a
+    malformed header line also its number and text.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
@@ -175,13 +153,23 @@ def load_checkpoint(path, roles):
         raise ValueError(f"{path}: checkpoint layout header has no "
                          f"blank-line terminator")
     layout = {}
-    for line in blob[:sep].decode("ascii").splitlines():
-        name, off, length = line.split()
-        layout[name] = (int(off), int(length))
+    for lineno, line in enumerate(blob[:sep].splitlines(), 1):
+        try:
+            name, off, length = line.decode("ascii").split()
+            if name in layout:
+                raise ValueError(f"slice {name!r} repeats")
+            layout[name] = (int(off), int(length))
+            _check_role(roles, name)
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise ValueError(f"{path}: checkpoint header line {lineno} "
+                             f"{line.decode('latin-1')!a}: {exc}") from exc
     payload = blob[sep + 2 :]
     expected = 8 * sum(length for _, length in layout.values())
     if len(payload) != expected:
         raise ValueError(f"{path}: checkpoint payload should hold {expected} "
                          f"bytes, found {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ParamVector(flat, layout, dict(roles))
+    try:
+        return ParamVector(flat, layout, dict(roles))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

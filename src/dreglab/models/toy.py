@@ -8,27 +8,16 @@ tests can exercise the zero-variance collapse).
 Everything about this family is closed-form: the marginal is
 N(x; theta, 2I), the optimal inference map is A* = I/2, b* = theta/2,
 and with z = mu + s eps the log weight is quadratic in eps and its
-z-partial affine in eps.  So `weight_context`, the vectorized bulk route
-used for measurement, reduces every gradient contraction with
-per-sample coefficients c to two primitives, sum_i c_i and
-sum_i c_i eps_i (see `ToyContext`).  The generic route is `inference`,
-`log_joint` and `log_marginal`: like `Vae`'s, they read `source.nodes`,
-floats from a `ParamVector` or TapeScalars from `LiftedParams`, so the
-tape route runs the same code on lifted parameters and must agree with
-the closed forms to near machine precision (the tests pin this).
-
-The shared mode ties the inference map to the generative mean by
-A = diag(theta) with a free bias, giving every theta coordinate both
-roles at once; it exists for the stop-gradient placement tests and has
-no closed-form context.
+z-partial affine in eps.  So `weight_context` reduces every gradient
+contraction with per-sample coefficients c to two primitives,
+sum_i c_i and sum_i c_i eps_i (see `ToyContext`).
 """
 
 import math
 
 import numpy as np
 
-from ..gaussian import LOG_TWO_PI, DiagGaussian, gsquare, gsum
-from ..tape import TapeScalar
+from ..gaussian import LOG_TWO_PI
 from .params import build_params
 
 
@@ -41,20 +30,17 @@ def toy_optimal_inference(theta):
 
 
 class Toy:
-    """Model family handle: builds params, both evaluation routes."""
+    """Model family handle: parameter layout, initial params, contexts."""
 
-    def __init__(self, d, q_variance=2.0 / 3.0, shared=False):
+    def __init__(self, d, q_variance=2.0 / 3.0):
         if q_variance <= 0:
             raise ValueError("q_variance must be positive")
         self.d = d
         self.latent = d  # noise dimension per draw, as on Vae
         self.q_variance = float(q_variance)
-        self.shared = bool(shared)
 
     def template(self):
         d = self.d
-        if self.shared:
-            return [("theta", d, "shared"), ("b", d, "phi")]
         return [("theta", d, "theta"), ("a", d * d, "phi"), ("b", d, "phi")]
 
     def roles(self):
@@ -66,65 +52,17 @@ class Toy:
         if len(theta) != self.d:
             raise ValueError("theta dimension mismatch")
         a_opt, b_opt = toy_optimal_inference(theta)
-        if self.shared:
-            values = theta + b_opt
-        else:
-            values = theta + [v for row in a_opt for v in row] + b_opt
+        values = theta + [v for row in a_opt for v in row] + b_opt
         return build_params(self.template(), values)
 
-    def inference(self, source, x):
-        nodes = source.nodes
-        d = self.d
-        if self.shared:  # A = diag(theta)
-            a = [[nodes["theta"][j] if j == k else 0.0 for k in range(d)] for j in range(d)]
-        else:
-            a = [nodes["a"][j * d : (j + 1) * d] for j in range(d)]
-        mean = []
-        for j in range(d):
-            acc = [a[j][k] * float(x[k]) for k in range(d) if _nonzero(a[j][k])]
-            acc.append(nodes["b"][j])
-            mean.append(gsum(acc))
-        ls_value = 0.5 * math.log(self.q_variance)
-        log_scale = [_frozen_scale(mean, ls_value) for _ in range(d)]
-        return DiagGaussian(mean=mean, log_scale=log_scale)
-
-    def log_joint(self, source, x, z):
-        """log N(z; theta, I) + log N(x; z, I), generic elements."""
-        theta = source.nodes["theta"]
-        d = self.d
-        if len(x) != d or len(z) != d:
-            raise ValueError("dimension mismatch in log joint")
-        terms = []
-        for j in range(d):
-            prior = (z[j] - theta[j])
-            lik = (float(x[j]) - z[j])
-            terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(prior))
-            terms.append(-0.5 * LOG_TWO_PI - 0.5 * gsquare(lik))
-        return gsum(terms)
-
-    def log_marginal(self, source, x):
+    def log_marginal(self, p, x):
         """log N(x; theta, 2I), exact."""
-        theta = np.array([float(t) for t in source.nodes["theta"]])
         x = np.asarray(x, dtype=np.float64)
-        return float(-0.5 * self.d * math.log(4.0 * math.pi) - 0.25 * np.sum((x - theta) ** 2))
+        return float(-0.5 * self.d * math.log(4.0 * math.pi)
+                     - 0.25 * np.sum((x - p.view("theta")) ** 2))
 
     def weight_context(self, p, x, eps):
-        if self.shared:
-            raise ValueError("closed-form context requires disjoint roles")
         return ToyContext(self, p, x, eps)
-
-
-def _nonzero(entry):
-    return isinstance(entry, TapeScalar) or entry != 0.0
-
-
-def _frozen_scale(mean, value):
-    # fixed variance: a tape constant (never reported by backward) when the
-    # mean lives on a tape, a plain float otherwise
-    for entry in mean:
-        if isinstance(entry, TapeScalar):
-            return entry.graph.constant(value)
-    return value
 
 
 class ToyContext:

@@ -4,16 +4,10 @@ Encoder: x -> tanh -> tanh -> (mean, log-scale), each hidden layer of
 `hidden` units, latent dimension `latent`.  Decoder: z -> tanh -> tanh
 -> logits over `obs` pixels.  Prior is N(0, I).
 
-Two evaluation routes, same convention as the toy family.  The generic
-route runs the layers element-by-element so parameters can be tape
-nodes; it is the reference for stop-gradient surrogates.  The closed
-form route (`weight_context`) is batched numpy used by training and bulk
-measurement; tests pin the two routes against each other and against
-finite differences.
-
-Both nets are the same tanh-tanh-linear MLP, so the closed form route
-states it once: `_forward` runs it (the encoder, and `Vae.decode`,
-which also draws the synthetic dataset), `_backward` takes output seeds
+`weight_context` builds the batched context that training and bulk
+measurement use.  Both nets are the same tanh-tanh-linear MLP, so it is
+stated once: `_forward` runs it (the encoder, and `Vae.decode`, which
+also draws the synthetic dataset), `_backward` takes output seeds
 to each layer's pre-activation grads, and `_rows` turns those grads and
 the layer inputs into per-image W1, b1, W2, b2, W3, b3 rows summed over
 the K draws.  dlog w_i/dtheta and the decoder part of dlog w_i/dz_i both
@@ -32,8 +26,7 @@ import math
 import numpy as np
 
 from .. import gaussian
-from ..gaussian import DiagGaussian, Streams, bernoulli_log_prob, gsquare, gsum
-from ..tape import TapeScalar
+from ..gaussian import Streams
 from .params import build_params
 
 
@@ -89,63 +82,12 @@ class Vae:
         ]
         return build_params(self.template(), np.concatenate(chunks))
 
-    # generic route ------------------------------------------------------
-
-    def _layer(self, nodes, w_name, b_name, inputs, in_dim, out_dim, activate):
-        w = nodes[w_name]
-        b = nodes[b_name]
-        out = []
-        for j in range(out_dim):
-            row = w[j * in_dim : (j + 1) * in_dim]
-            acc = [wk * xk for wk, xk in zip(row, inputs) if _alive(wk, xk)]
-            acc.append(b[j])
-            y = gsum(acc)
-            out.append(y.tanh() if activate and isinstance(y, TapeScalar) else
-                       (math.tanh(y) if activate else y))
-        return out
-
-    def inference(self, source, x):
-        nodes = source.nodes
-        h, dz, dx = self.hidden, self.latent, self.obs
-        x = [float(v) for v in x]
-        if len(x) != dx:
-            raise ValueError("observation dimension mismatch")
-        h1 = self._layer(nodes, "enc_w1", "enc_b1", x, dx, h, True)
-        h2 = self._layer(nodes, "enc_w2", "enc_b2", h1, h, h, True)
-        out = self._layer(nodes, "enc_w3", "enc_b3", h2, h, 2 * dz, False)
-        return DiagGaussian(mean=out[:dz], log_scale=out[dz:])
-
-    def decoder_logits(self, source, z):
-        nodes = source.nodes
-        h, dz, dx = self.hidden, self.latent, self.obs
-        h1 = self._layer(nodes, "dec_w1", "dec_b1", z, dz, h, True)
-        h2 = self._layer(nodes, "dec_w2", "dec_b2", h1, h, h, True)
-        return self._layer(nodes, "dec_w3", "dec_b3", h2, h, dx, False)
-
-    def log_joint(self, source, x, z):
-        """log N(z; 0, I) + log Bernoulli(x | decoder(z))."""
-        if len(z) != self.latent:
-            raise ValueError("latent dimension mismatch")
-        prior = gsum([
-            -0.5 * gaussian.LOG_TWO_PI - 0.5 * gsquare(zj) for zj in z
-        ])
-        logits = self.decoder_logits(source, z)
-        return prior + bernoulli_log_prob(logits, x)
-
-    # closed-form route --------------------------------------------------
-
     def decode(self, p, z):
         """Batched decoder forward: z (..., latent) to (h1, h2, logits)."""
         return _forward(_layers(p, "dec", self.latent, self.hidden), z)
 
     def weight_context(self, p, x, eps):
         return VaeContext(self, p, x, eps)
-
-
-def _alive(wk, xk):
-    if isinstance(wk, TapeScalar) or isinstance(xk, TapeScalar):
-        return True
-    return wk != 0.0 and xk != 0.0
 
 
 def _layers(p, net, fan_in, hidden):

@@ -3,8 +3,8 @@
 Each surrogate is one TapeScalar built from K reparameterized samples,
 with the gradient-stopped quantities entering as plain numbers instead
 of tape nodes.  The noise eps is a plain (K, d) array, the same one a
-weight context takes for a single draw.  The estimator table in
-`gradients` supplies the coefficients (`phi_terms` reads a recipe as
+weight context takes for a single draw.  The estimator table of
+`dreglab.estimators` supplies the coefficients (`phi_terms` reads a recipe as
 ((side, base), weight) pairs over `ChunkWeights` bases, and each pair
 adds weight * base to its side's coefficient), and three freeze
 channels carry its three terms:
@@ -43,11 +43,12 @@ direction: its gradient is exactly the direct phi and theta rows.
 
 import numpy as np
 
-from ..gaussian import DiagGaussian, log_prob, sample_reparam
-from ..models.params import lift
-from ..tape import TapeGraph, tape_sum
-from .gradients import phi_terms, recipe
-from .weights import ChunkWeights
+from dreglab.estimators import ChunkWeights, recipe
+from dreglab.estimators.gradients import phi_terms
+
+from .gaussian import DiagGaussian, log_prob, sample_reparam
+from .models import lift
+from .tape import TapeGraph, tape_sum
 
 
 class SurrogateLoss:
@@ -72,11 +73,12 @@ class SurrogateLoss:
 def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
     """Build the surrogate objective of estimator id ``kind`` on a fresh tape.
 
-    eps is the plain (K, d) noise array that weight contexts take.
-    Returns a SurrogateLoss; its `.gradient()` is the estimator for all
-    parameters at once.  Works for disjoint and shared role masks alike,
-    which is the point: the freeze placements, not the role bookkeeping,
-    decide where gradients flow.
+    ``model`` is a family of `reference.models`, whose generic route
+    the surrogate runs; eps is the plain (K, d) noise array that weight
+    contexts take.  Returns a SurrogateLoss; its `.gradient()` is the
+    estimator for all parameters at once.  Works for disjoint and shared
+    role masks alike, which is the point: the freeze placements, not the
+    role bookkeeping, decide where gradients flow.
     """
     r = recipe(kind, alpha)
     frozen = params if stops_from is None else stops_from

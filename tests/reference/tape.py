@@ -1,6 +1,6 @@
 """Scalar reverse-mode autodiff on a Wengert tape.
 
-The whole laboratory differentiates through a single mechanism: a flat,
+The reference route differentiates through a single mechanism: a flat,
 append-only list of scalar nodes, each storing its parents and the local
 partial derivatives evaluated at record time.  A backward sweep over the
 list in reverse order is then exact reverse-mode differentiation.
@@ -19,17 +19,6 @@ Recording after the first backward is an error.
 """
 
 import math
-
-__all__ = [
-    "TapeError",
-    "TapeGraph",
-    "TapeScalar",
-    "stop_gradient",
-    "tape_sum",
-    "log_sum_exp",
-    "tape_max",
-    "finite_diff_check",
-]
 
 OP_KINDS = frozenset([
     "add", "sub", "mul", "div", "neg", "exp", "log", "tanh", "square",

@@ -17,23 +17,19 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from dreglab.cli import main, parse_config_text
 from dreglab.data import synthetic_dataset, split
-from dreglab.diagnostics import fold_rows, loglog_slope, t_test_from_moments
+from dreglab.diagnostics import fold_rows, t_test_from_moments
 from dreglab.estimators import (
     ESTIMATOR_IDS,
     ChunkWeights,
     phi_rows,
-    surrogate_loss,
     theta_rows,
 )
 from dreglab.gaussian import Streams, noise_block, stream_rng
-from dreglab.models import Toy, Vae, perturb_params
+from dreglab.models import Vae, perturb_params
 from dreglab.training import train_model
-
-
-def agree(a, b, tol):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.max(np.abs(a - b)) <= tol * (1.0 + np.max(np.abs(a)))
+from reference.models import Toy
+from reference.support import agree, loglog_slope
+from reference.surrogates import surrogate_loss
 
 
 def toy_trial_point(seed, d, sigma=0.1):

@@ -10,8 +10,8 @@ from dreglab.data import (
     read_idx,
     split,
     synthetic_dataset,
-    write_idx,
 )
+from reference.support import write_idx
 
 
 def idx3_bytes(dims, payload):

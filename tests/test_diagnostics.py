@@ -17,13 +17,13 @@ from dreglab.diagnostics import (
     RunningMoments,
     VarianceTraceEma,
     fold_rows,
-    loglog_slope,
     stats_from_moments,
     t_test_from_moments,
 )
 from dreglab.estimators import phi_rows, theta_rows
 from dreglab.gaussian import Streams, noise_block, noise_slabs
 from dreglab.models import Toy, Vae, perturb_params
+from reference.support import loglog_slope
 
 
 def stats(rows, reference):
@@ -720,10 +720,15 @@ def test_running_the_cli_loads_no_scipy(tmp_path):
         f"assert main(['bias-test', '--config', {str(bias)!r}, '--out', {str(tmp_path / 'b')!r}]) == 0\n"
         f"assert main(['train', '--config', {str(train)!r}, '--out', {str(tmp_path / 't')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "print(*(m for m in sys.modules if m.partition('.')[0] == 'dreglab'))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    scipy, dreglab = out.splitlines()[-2:]
+    assert scipy == "[]"
+    # the CLI runs the bulk route alone: no tape or surrogate module loads
+    assert "dreglab.cli" in dreglab.split()
+    assert not [m for m in dreglab.split() if "tape" in m or "surrogate" in m], dreglab
 
 
 def test_the_package_imports_only_the_standard_library_and_numpy():

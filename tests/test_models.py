@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from dreglab.gaussian import log_prob, noise_block, sample_reparam
+from dreglab.gaussian import noise_block
 from dreglab.models import (
-    Toy,
-    Vae,
     build_params,
-    lift,
     load_checkpoint,
     perturb_params,
     save_checkpoint,
@@ -17,19 +14,13 @@ from dreglab.models import (
 )
 from dreglab.models import params
 from dreglab.models.vae import _sigmoid
-from dreglab.tape import TapeGraph
+from reference.gaussian import log_prob, sample_reparam
+from reference.models import Toy, Vae, lift
+from reference.support import toy_fixture
+from reference.tape import TapeGraph
 
 LOG_2PI = 1.8378770664093453
 HALF_LOG_4PI = 1.2655121234846454
-
-
-def toy_fixture(d=3, seed=9, q_variance=2.0 / 3.0, sigma=0.01):
-    fam = Toy(d, q_variance=q_variance)
-    rng = np.random.default_rng(seed)
-    theta = rng.standard_normal(d)
-    p = perturb_params(fam.init_params(theta), sigma, seed)
-    x = rng.standard_normal(d) * 1.4 + p.view("theta")
-    return fam, p, x
 
 
 def test_log_joint_at_origin():
@@ -272,6 +263,25 @@ def test_checkpoint_cut_inside_header_is_named(tmp_path):
     save_checkpoint(p, path)
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(ValueError, match="params.ckpt.*layout header has no blank-line terminator"):
+        load_checkpoint(path, fam.roles())
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"theta 0", r"checkpoint header line 1 'theta 0': not enough values to unpack"),
+    (b"theta x0 4", r"checkpoint header line 1 'theta x0 4': invalid literal for int\(\)"),
+    (b"th\xe9ta 0 4", r"checkpoint header line 1 'th\\xe9ta 0 4': 'ascii' codec can't decode"),
+    (b"thetaX 0 4", r"checkpoint header line 1 'thetaX 0 4': missing or invalid role for 'thetaX'"),
+    (b"a 0 4", r"checkpoint header line 2 'a 4 16': slice 'a' repeats"),
+    (b"theta 1 4", r"slice 'theta' starts at 1, expected 0"),
+], ids=["two-fields", "bad-offset", "non-ascii", "unknown-slice", "repeated-slice",
+        "misplaced-slice"])
+def test_malformed_checkpoint_header_line_is_named(tmp_path, line, message):
+    fam, p, _ = toy_fixture(d=4)
+    path = tmp_path / "params.ckpt"
+    save_checkpoint(p, path)
+    blob = path.read_bytes()
+    path.write_bytes(line + blob[blob.index(b"\n"):])  # header line 1 replaced
+    with pytest.raises(ValueError, match=f"params.ckpt: {message}"):
         load_checkpoint(path, fam.roles())
 
 

@@ -1,37 +1,12 @@
 import numpy as np
 import pytest
 
-from dreglab.estimators import (
-    ESTIMATOR_IDS,
-    phi_rows,
-    surrogate_loss,
-    theta_rows,
-)
+from dreglab.estimators import ESTIMATOR_IDS, phi_rows, theta_rows
 from dreglab.gaussian import Streams, noise_block
-from dreglab.models import Toy, Vae, perturb_params
-
-
-def agree(a, b, tol):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.max(np.abs(a - b)) <= tol * (1.0 + np.max(np.abs(a)))
-
-
-def toy_fixture(d=3, seed=9):
-    fam = Toy(d)
-    rng = np.random.default_rng(seed)
-    theta = rng.standard_normal(d)
-    p = perturb_params(fam.init_params(theta), 0.01, seed)
-    x = p.view("theta") + rng.standard_normal(d) * 1.4
-    return fam, p, x
-
-
-def vae_fixture():
-    fam = Vae(latent=2, hidden=3, obs=5)
-    p = perturb_params(fam.init_params(seed=2), 0.25, 7)
-    rng = np.random.default_rng(3)
-    x = (rng.random(5) < 0.5).astype(float)
-    return fam, p, x
+from dreglab.models import perturb_params
+from reference.models import Toy
+from reference.support import agree, toy_fixture, vae_image_fixture
+from reference.surrogates import surrogate_loss
 
 
 def split(loss, p):
@@ -74,7 +49,7 @@ def test_toy_surrogates_match_direct_estimators():
 
 
 def test_vae_surrogates_match_direct_estimators():
-    fam, p, x = vae_fixture()
+    fam, p, x = vae_image_fixture()
     eps = noise_block(3, Streams.MEASURE, 2, (3, 2))
     for kind, want_phi, want_theta, alpha in direct_pairs(fam, p, x, eps):
         loss = surrogate_loss(kind, fam, p, x, eps, alpha=alpha)
@@ -150,7 +125,7 @@ def test_disjoint_gradients_match_finite_differences(kind):
 
 
 def test_vae_gradients_match_finite_differences():
-    fam, p, x = vae_fixture()
+    fam, p, x = vae_image_fixture()
     eps = noise_block(9, Streams.MEASURE, 8, (3, 2))
     for kind in ("iwae", "iwae-dreg"):
         grad = surrogate_loss(kind, fam, p, x, eps).gradient()

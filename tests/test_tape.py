@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dreglab.tape import (
+from reference.tape import (
     TapeError,
     TapeGraph,
     TapeScalar,

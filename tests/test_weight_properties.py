@@ -9,8 +9,9 @@ for that reason, as in the fixed-grid tests of test_weights.py.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dreglab.estimators import ChunkWeights, jvi1_coefficients, jvi1_estimate
-from dreglab.tape import TapeGraph
+from dreglab.estimators import ChunkWeights, jvi1_coefficients
+from reference.tape import TapeGraph
+from reference.weights import jvi1_estimate
 
 SWEEP = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 

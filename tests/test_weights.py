@@ -4,28 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from dreglab.estimators import (
-    ChunkWeights,
-    jvi1_coefficients,
-    jvi1_estimate,
-    log_weights,
-)
+from dreglab.estimators import ChunkWeights, jvi1_coefficients
 from dreglab.gaussian import Streams, noise_block
-from dreglab.models import Toy, Vae, perturb_params
-from dreglab.tape import TapeGraph
+from dreglab.models import perturb_params
+from reference.models import Toy, Vae
+from reference.support import toy_fixture
+from reference.tape import TapeGraph
+from reference.weights import jvi1_estimate, log_weights
 
 # hand-evaluated on 2 log((1+e)/2) - (log 1 + log e)/2; the formula's
 # own arithmetic is the oracle here
 JVI_K2_VALUE = 0.740229013916555
-
-
-def toy_fixture(d=3, seed=9):
-    fam = Toy(d)
-    rng = np.random.default_rng(seed)
-    theta = rng.standard_normal(d)
-    p = perturb_params(fam.init_params(theta), 0.01, seed)
-    x = p.view("theta") + rng.standard_normal(d) * 1.4
-    return fam, p, x
 
 
 def test_normalized_weights_probability_vector():
