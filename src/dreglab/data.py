@@ -32,6 +32,8 @@ class Dataset:
         img = self.images
         if img.ndim != 2 or img.shape[0] == 0:
             raise ValueError("images must be a non-empty (n, obs) matrix")
+        if img.shape[1] == 0:
+            raise ValueError(f"images must have at least one pixel, got shape {img.shape}")
         if not np.all(np.isfinite(img)):
             raise ValueError("pixel intensities must be finite")
         if img.min() < 0.0 or img.max() > 1.0:
@@ -61,6 +63,8 @@ def read_idx(path):
     if len(raw) < header:
         raise ValueError(f"{path}: truncated IDX header")
     dims = struct.unpack(">3I", raw[4:header])
+    if 0 in dims:
+        raise ValueError(f"{path}: empty IDX image dimensions {dims}")
     total = 1
     for d in dims:
         total *= d

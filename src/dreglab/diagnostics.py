@@ -211,7 +211,8 @@ class VarianceTraceEma:
 
     Tracks per-coordinate first and second moments with the given decay;
     the reported value is mean_j(E[g_j^2] - E[g_j]^2) after the standard
-    1 - decay^t correction on both moments.
+    1 - decay^t correction on both moments, over every coordinate or,
+    from `trace`, over a chosen block of them.
     """
 
     def __init__(self, decay):
@@ -223,23 +224,33 @@ class VarianceTraceEma:
         self._m2 = None
 
     def update(self, grad):
+        """Fold one gradient into the moments, in place, with the
+        rounding of m1 = d m1 + (1 - d) g and m2 = d m2 + (1 - d) g g;
+        `value` reads the trace."""
         grad = np.asarray(grad, dtype=np.float64)
         if self._m1 is None:
             self._m1 = np.zeros_like(grad)
             self._m2 = np.zeros_like(grad)
+            self._term = np.empty_like(grad)
         self.t += 1
         d = self.decay
-        self._m1 = d * self._m1 + (1.0 - d) * grad
-        self._m2 = d * self._m2 + (1.0 - d) * grad * grad
-        return self.value
+        term = np.multiply(grad, 1.0 - d, out=self._term)
+        self._m1 *= d
+        self._m1 += term
+        self._m2 *= d
+        self._m2 += np.multiply(term, grad, out=term)
 
     @property
     def value(self):
+        return self.trace()
+
+    def trace(self, idx=slice(None)):
+        """The trace over the coordinates ``idx`` (all by default)."""
         if self.t == 0:
             raise ValueError("no updates yet")
         corr = 1.0 - self.decay**self.t
-        m1 = self._m1 / corr
-        m2 = self._m2 / corr
+        m1 = self._m1[idx] / corr
+        m2 = self._m2[idx] / corr
         # nonnegative in exact arithmetic; clip rounding residue
         return max(0.0, float(np.mean(m2 - m1 * m1)))
 

@@ -25,7 +25,11 @@ KL(p || q) minimization; dreg-alpha's phi rows are the (1 - alpha,
 alpha) mix of iwae-dreg's and rws-dreg's.  The contraction interface
 (``lw``, ``path``, ``score``, ``theta``) is served by the models'
 closed-form weight contexts; the tests' tape reference serves it too,
-and the tests pin the two against each other.
+and the tests pin the two against each other.  A VAE context's caller
+chooses rows or sums: one built with ``sums=True`` returns from every
+contraction the batch sum (P,) of its per-image rows (n, P), so the
+functions below give training its batch-summed gradients through the
+same table, while the measurement folds read rows.
 """
 
 from dataclasses import dataclass
@@ -159,10 +163,12 @@ def phi_row_set(maps, ctx, alpha=None):
 
 
 def phi_rows(kind, ctx, alpha=None):
-    """Inference-network gradient rows of one id for one weight context."""
+    """Inference-network gradient rows of one id for one weight context
+    (their batch sum on a ``sums=True`` context)."""
     return phi_row_set({kind: {kind: 1.0}}, ctx, alpha)[kind]
 
 
 def theta_rows(kind, ctx):
-    """Generative-model gradient rows for one weight context."""
+    """Generative-model gradient rows for one weight context (their
+    batch sum on a ``sums=True`` context)."""
     return ctx.theta(getattr(context_weights(ctx), _entry(kind).theta))

@@ -9,11 +9,20 @@ measurement use.  Both nets are the same tanh-tanh-linear MLP, so it is
 stated once: `_forward` runs it (the encoder, and `Vae.decode`, which
 also draws the synthetic dataset), `_backward` takes output seeds
 to each layer's pre-activation grads, and `_rows` turns those grads and
-the layer inputs into per-image W1, b1, W2, b2, W3, b3 rows summed over
-the K draws.  dlog w_i/dtheta and the decoder part of dlog w_i/dz_i both
-come from backpropagating the residual x - sigmoid(logits_i); since
-backprop is linear in its seed, a context runs that backward once
-(`VaeContext._pullback`) and `theta(c)` scales each layer's grads by c.
+the layer inputs into W1, b1, W2, b2, W3, b3 rows.  dlog w_i/dtheta and
+the decoder part of dlog w_i/dz_i both come from backpropagating the
+residual x - sigmoid(logits_i); since backprop is linear in its seed, a
+context runs that backward once (`VaeContext._pullback`) and `theta(c)`
+weights each draw's grads by c.  The decoder runs on one flat (B*K, .)
+layout, so each of its products is a single 2-D gemm.
+
+Every contraction ends in one product over per-image factors: the outer
+products seed x input in the encoder, and sum_k (c g_k) x u_k in the
+decoder.  A context built with ``sums=True`` takes that last product
+with the image index summed too (g.T @ (c u) over all B or B*K rows),
+so its contractions return the batch sum (P,) of the per-image rows
+(B, P) that a default context returns.  Training reads batch sums; the
+measurement folds read rows.
 
 Weight layout is row-major (out, in): W[j, k] multiplies input k into
 output j.  Initialization is uniform +-sqrt(6 / (fan_in + fan_out)) for
@@ -30,10 +39,16 @@ from ..gaussian import Streams
 from .params import build_params
 
 
-def _sigmoid(u):
-    """Logistic 1 / (1 + exp(-u)), from exp(-|u|) so it never overflows."""
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(u, e=None):
+    """Logistic where(u >= 0, 1, e) / (1 + e) from e = exp(-|u|), so it
+    never overflows; a caller that already holds e passes it.  Since
+    e <= 1, the where is max(e, u >= 0), which does not branch."""
+    if e is None:
+        e = np.exp(-np.abs(u))
+    out = np.greater_equal(u, 0.0, out=np.empty(np.shape(u)))
+    np.maximum(out, e, out=out)
+    out /= e + 1.0
+    return out
 
 
 def _glorot(rng, fan_out, fan_in):
@@ -86,8 +101,8 @@ class Vae:
         """Batched decoder forward: z (..., latent) to (h1, h2, logits)."""
         return _forward(_layers(p, "dec", self.latent, self.hidden), z)
 
-    def weight_context(self, p, x, eps):
-        return VaeContext(self, p, x, eps)
+    def weight_context(self, p, x, eps, sums=False):
+        return VaeContext(self, p, x, eps, sums)
 
 
 def _layers(p, net, fan_in, hidden):
@@ -99,32 +114,58 @@ def _layers(p, net, fan_in, hidden):
 def _forward(layers, u):
     """tanh-tanh-linear forward of u (..., in): (h1, h2, out)."""
     (w1, b1), (w2, b2), (w3, b3) = layers
-    h1 = np.tanh(u @ w1.T + b1)
-    h2 = np.tanh(h1 @ w2.T + b2)
-    return h1, h2, h2 @ w3.T + b3
+    h1 = u @ w1.T
+    h1 += b1
+    h2 = np.tanh(h1, out=h1) @ w2.T
+    h2 += b2
+    out = np.tanh(h2, out=h2) @ w3.T
+    out += b3
+    return h1, h2, out
 
 
 def _backward(layers, h1, h2, seed):
-    """Output seeds (..., out) to each layer's pre-activation grads (g1, g2, seed).
+    """Output seeds to each layer's pre-activation grads (g1, g2, seed),
+    all with h1's and h2's rows: a (B, K, out) seed is taken as the
+    flat (B*K, out) rows of a decoder run.
 
     The grad at the MLP's input is g1 @ W1.
     """
     _, (w2, _), (w3, _) = layers
-    g2 = (seed @ w3) * (1.0 - h2**2)
-    return (g2 @ w2) * (1.0 - h1**2), g2, seed
+    seed = seed.reshape(h2.shape[:-1] + seed.shape[-1:])
+    g2 = seed @ w3
+    g2 *= 1.0 - h2**2
+    g1 = g2 @ w2
+    g1 *= 1.0 - h1**2
+    return g1, g2, seed
 
 
-def _rows(grads, inputs):
+def _rows(grads, inputs, sums=False, c=None):
     """W1, b1, W2, b2, W3, b3 rows per image, summed over the K axis.
 
-    grads and inputs are per-layer (B, K, out) and (B, K, in) arrays; the
-    W rows are sum_k g_k in_k^T in row-major (out, in) order.  With a
-    single draw (the encoder's K = 1 axis) each entry is one product, and
-    an outer product runs 2-3x faster than the batched matmul, which wins
-    from K = 8 on.
+    grads and inputs are per-layer (B, K, out) and (B, K, in) arrays, and
+    c, if given, the (B, K) coefficients of the draws; the W rows are
+    sum_k c_k g_k in_k^T in row-major (out, in) order and the b rows
+    sum_k c_k g_k.  With a single draw (the encoder's K = 1 axis) each
+    entry is one product, and an outer product runs 2-3x faster than the
+    batched matmul, which wins from K = 8 on.  With ``sums`` the image
+    index is summed in the same last product: g.T @ (c in) and g.T @ c
+    (g.T @ in and the column sums of g without c) over all B*K rows give
+    the one row (P,) of the batch sum.
     """
     pieces = []
+    if sums:
+        if c is not None:
+            c = c.reshape(-1, 1)
+        for g, u in zip(grads, inputs):
+            g, u = g.reshape(-1, g.shape[-1]), u.reshape(-1, u.shape[-1])
+            if c is None:
+                pieces += [(g.T @ u).reshape(-1), g.sum(axis=0)]
+            else:
+                pieces += [(g.T @ (c * u)).reshape(-1), g.T @ c[:, 0]]
+        return np.concatenate(pieces)
     for g, u in zip(grads, inputs):
+        if c is not None:
+            g = c[:, :, None] * g
         if g.shape[1] == 1:
             w = np.einsum("bo,bi->boi", g[:, 0], u[:, 0])
         else:
@@ -133,22 +174,19 @@ def _rows(grads, inputs):
     return np.concatenate(pieces, axis=1)
 
 
-def _softplus(u):
-    # the form np.logaddexp(0, u) evaluates, written out: numpy's
-    # logaddexp loop is about 5x slower on (16, 8, 64) logits
-    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-
-
 class VaeContext:
     """Batched weight context for a mini-batch of observations.
 
     x has shape (B, obs) with binary entries, or (obs,) for one
     observation shared by the whole batch; eps has shape (B, K, latent).
     lw is (B, K); contractions take c of shape (B, K) and return per-image
-    rows (B, P_phi) or (B, P_theta) in layout order.
+    rows (B, P_phi) or (B, P_theta) in layout order, or with ``sums``
+    their sum over the batch, (P_phi,) or (P_theta,).  The decoder's
+    activations d_h1 and d_h2 are flat (B*K, hidden) rows; z and logits
+    are (B, K, .).
     """
 
-    def __init__(self, family, p, x, eps):
+    def __init__(self, family, p, x, eps, sums=False):
         x = np.asarray(x, dtype=np.float64)
         eps = np.asarray(eps, dtype=np.float64)
         if eps.ndim == 2:
@@ -156,7 +194,10 @@ class VaeContext:
         bsz, k, dz = eps.shape
         if x.shape not in ((family.obs,), (bsz, family.obs)) or dz != family.latent:
             raise ValueError("shape mismatch between x and eps")
-        self.x = x = np.broadcast_to(x, (bsz, family.obs))
+        if x.ndim == 1:
+            x = np.broadcast_to(x, (bsz, family.obs))
+        self.x = x
+        self.sums = sums
         self._enc = _layers(p, "enc", family.obs, family.hidden)
         self._dec = _layers(p, "dec", dz, family.hidden)
 
@@ -166,41 +207,59 @@ class VaeContext:
         self.scale = np.exp(self.log_scale)
 
         self.eps = eps
-        self.z = self.mean[:, None, :] + self.scale[:, None, :] * eps
-        self.d_h1, self.d_h2, self.logits = _forward(self._dec, self.z)
+        self.z = self.scale[:, None, :] * eps
+        self.z += self.mean[:, None, :]
+        self.d_h1, self.d_h2, logits = _forward(self._dec, self.z.reshape(-1, dz))
+        self.logits = logits = logits.reshape(bsz, k, -1)
+        # exp(-|logits|), shared by the softplus here and the sigmoid of
+        # the pullback's residual
+        self._exp_neg_abs = e = np.abs(logits)
+        np.exp(np.negative(e, out=e), out=e)
+        # log p(x|z) = sum x logits - softplus(logits), with the softplus
+        # written out as np.logaddexp(0, u) evaluates it, max(u, 0) +
+        # log1p(e): numpy's logaddexp loop is about 5x slower
+        log_px_z = np.log1p(e)
+        log_px_z += np.maximum(logits, 0.0)
+        np.subtract(x[:, None, :] * logits, log_px_z, out=log_px_z)
+        # log p(z) - log q(z|x) = (|eps|^2 - |z|^2) / 2 + sum log scale:
+        # the 2 pi terms cancel
+        half_sq = np.square(eps)
+        half_sq -= np.square(self.z)
+        self.lw = log_px_z.sum(axis=2)
+        self.lw += 0.5 * half_sq.sum(axis=2) + self.log_scale.sum(axis=1)[:, None]
 
-        log_px_z = np.sum(
-            x[:, None, :] * self.logits - _softplus(self.logits), axis=2
-        )
-        log_pz = np.sum(-0.5 * gaussian.LOG_TWO_PI - 0.5 * self.z**2, axis=2)
-        log_q = np.sum(
-            -0.5 * gaussian.LOG_TWO_PI - self.log_scale[:, None, :] - 0.5 * eps**2,
-            axis=2,
-        )
-        self.lw = log_pz + log_px_z - log_q
+    def _flat_rows(self, a):
+        """(B, K, .) view of flat (B*K, .) decoder rows."""
+        return a.reshape(self.eps.shape[:2] + (-1,))
 
     @functools.cached_property
     def _pullback(self):
-        """Decoder layer grads of each dlog p(x|z_i), seeded by x - sigmoid(logits)."""
-        resid = self.x[:, None, :] - _sigmoid(self.logits)
+        """Decoder layer grads of each dlog p(x|z_i), seeded by x - sigmoid(logits),
+        as flat (B*K, .) rows."""
+        resid = _sigmoid(self.logits, self._exp_neg_abs)
+        np.subtract(self.x[:, None, :], resid, out=resid)
         return _backward(self._dec, self.d_h1, self.d_h2, resid)
 
     def dlw_dz(self):
         """dlog w_i / dz_i: prior score + decoder pullback + entropy term."""
-        to_z = self._pullback[0] @ self._dec[0][0]
-        return -self.z + to_z + self.eps / self.scale[:, None, :]
+        out = self._flat_rows(self._pullback[0] @ self._dec[0][0])
+        out -= self.z
+        out += self.eps / self.scale[:, None, :]
+        return out
 
     def theta(self, c):
-        """Per-image decoder-parameter rows for sum_i c_i dlog w_i / dtheta."""
-        c = c[:, :, None]
-        return _rows([c * g for g in self._pullback], [self.z, self.d_h1, self.d_h2])
+        """Decoder-parameter rows for sum_i c_i dlog w_i / dtheta."""
+        return _rows([self._flat_rows(g) for g in self._pullback],
+                     [self.z, self._flat_rows(self.d_h1), self._flat_rows(self.d_h2)],
+                     self.sums, c)
 
     def _enc_rows(self, umean, uls):
-        """Per-image phi rows from seeds (B, latent) at the encoder's outputs."""
+        """phi rows from seeds (B, latent) at the encoder's outputs."""
         seed = np.concatenate([umean, uls], axis=1)
         grads = _backward(self._enc, self.e_h1, self.e_h2, seed)
         return _rows([g[:, None, :] for g in grads],
-                     [u[:, None, :] for u in (self.x, self.e_h1, self.e_h2)])
+                     [u[:, None, :] for u in (self.x, self.e_h1, self.e_h2)],
+                     self.sums)
 
     def path(self, c):
         g = c[:, :, None] * self.dlw_dz()

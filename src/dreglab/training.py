@@ -6,6 +6,16 @@ Adam step with the phi slice filled from the mode's phi recipe and the
 theta slice from its theta recipe is exactly the two-update scheme: each
 block moves under its own gradient source.
 
+The loop reads batch sums, not per-image rows: each step's weight
+context is built with ``sums=True``, so the table's `phi_rows` and
+`theta_rows` return the sum over the mini-batch of the per-image rows,
+taken in each contraction's last product, and the step divides it by
+the batch size.  Adam's moments, the variance trace's moments, the
+gradient and the parameters are updated in place in buffers made once
+per run.  One trace follows the whole batch-mean gradient, and its
+value over the phi and over the theta block is computed only where a
+row is logged.
+
 Adam minimizes, and every recipe's rows are an ascent direction, so
 both blocks enter the step negated.
 """
@@ -46,17 +56,41 @@ class Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._work = np.empty((2, size))
 
     def update(self, flat, grad):
+        """One step of the float64 array ``flat``, in place; returns it.
+
+        The moments are updated in place too, with the rounding of
+        m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+        flat - lr m_hat / (sqrt(v_hat) + eps).  Anything else for
+        ``flat`` (another dtype, a list, a read-only array) is a
+        ValueError, not a silent copy or cast."""
+        if not isinstance(flat, np.ndarray) or flat.dtype != np.float64:
+            raise ValueError("Adam.update writes flat in place: it must be a "
+                             "float64 ndarray")
+        if not flat.flags.writeable:
+            raise ValueError("Adam.update writes flat in place: it is read-only")
+        if flat.shape != self.m.shape:
+            raise ValueError("parameter size mismatch")
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != self.m.shape:
             raise ValueError("gradient size mismatch")
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        term, step = self._work
+        self.m *= self.beta1
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=term)
+        self.v *= self.beta2
+        term = np.multiply(grad, 1.0 - self.beta2, out=term)
+        self.v += np.multiply(term, grad, out=term)
+        denom = np.divide(self.v, 1.0 - self.beta2 ** self.t, out=term)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=step)
+        step *= self.lr
+        step /= denom
+        flat -= step
+        return flat
 
 
 @dataclass(frozen=True)
@@ -116,8 +150,10 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     opt = Adam(p.size, lr=lr, beta1=beta1, beta2=beta2, eps=adam_eps)
     phi_idx = p.phi_indices
     theta_idx = p.theta_indices
-    trace_phi = VarianceTraceEma(trace_decay)
-    trace_theta = VarianceTraceEma(trace_decay)
+    # one trace over the whole batch-mean gradient, read per block
+    trace = VarianceTraceEma(trace_decay)
+    mean = np.zeros(p.size)
+    grad = np.empty(p.size)
 
     # held-out set: one fixed binarization, one fixed noise block
     u = stream_rng(seed, Streams.EVAL_NOISE, _EVAL_BINARIZE_DRAW)
@@ -149,29 +185,25 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
             # blown-up parameters overflow inside exp; the finite check
             # below is the detector, so keep numpy quiet about it
             with np.errstate(over="ignore", invalid="ignore"):
-                ctx = fam.weight_context(p, xb, eps)
-                phi_mean = phi_rows(mode, ctx, alpha).mean(axis=0)
-                theta_mean = theta_rows(mode, ctx).mean(axis=0)
+                ctx = fam.weight_context(p, xb, eps, sums=True)
+                mean[phi_idx] = phi_rows(mode, ctx, alpha)
+                mean[theta_idx] = theta_rows(mode, ctx)
+                mean /= batch_size
                 objective = float(np.mean(getattr(context_weights(ctx), entry.bound)))
-            for name, finite in (("phi gradient", np.isfinite(phi_mean).all()),
-                                 ("theta gradient",
-                                  np.isfinite(theta_mean).all()),
-                                 ("objective", math.isfinite(objective))):
-                if not finite:
-                    raise ValueError(f"non-finite {name}")
+            if not np.isfinite(mean).all():
+                block = "phi" if not np.isfinite(mean[phi_idx]).all() else "theta"
+                raise ValueError(f"non-finite {block} gradient")
+            if not math.isfinite(objective):
+                raise ValueError("non-finite objective")
         except (ValueError, FloatingPointError, OverflowError) as exc:
             diverged, cause = True, str(exc)
             break
-        trace_phi.update(phi_mean)
-        trace_theta.update(theta_mean)
+        trace.update(mean)
         if step % eval_every == 0 or step == steps:
             rows.append(TrainRow(step, objective, heldout_bound(p),
-                                 trace_theta.value, trace_phi.value))
+                                 trace.trace(theta_idx), trace.trace(phi_idx)))
         if step == steps:
             break
-        grad = np.zeros(p.size)
-        grad[phi_idx] = -phi_mean
-        grad[theta_idx] = -theta_mean
-        p = p.with_flat(opt.update(p.flat, grad))
+        opt.update(p.flat, np.negative(mean, out=grad))
         step += 1
     return TrainResult(rows, p, diverged, step if diverged else -1, cause)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -70,6 +71,19 @@ def test_dimension_overflow(tmp_path):
     path.write_bytes(idx3_bytes((2**31, 2**31, 28), b""))
     with pytest.raises(ValueError, match="dimension overflow"):
         read_idx(path)
+
+
+@pytest.mark.parametrize("dims", [(0, 8, 8), (2, 0, 8), (2, 8, 0)])
+def test_empty_image_dimensions_are_named(tmp_path, dims):
+    # a zero IDX dimension is named with the path, not left to NumPy's
+    # reshape or reduction message, and so is the (n, 0) matrix it would give
+    path = tmp_path / "empty.idx"
+    path.write_bytes(idx3_bytes(dims, b""))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: empty IDX image dimensions {dims}")):
+        load_idx(path)
+    images = np.empty((dims[0], dims[1] * dims[2]))
+    with pytest.raises(ValueError, match=r"non-empty \(n, obs\)|at least one pixel, got shape"):
+        Dataset(images=images, source_tag="idx")
 
 
 def test_roundtrip_is_byte_stable(tmp_path):

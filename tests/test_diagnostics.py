@@ -224,7 +224,8 @@ def test_loglog_input_validation():
 def test_trace_constant_stream_is_zero():
     ema = VarianceTraceEma(0.99)
     for _ in range(500):
-        val = ema.update(np.full(7, 3.25))
+        ema.update(np.full(7, 3.25))
+    val = ema.value
     assert abs(val) < 1e-10
 
 
@@ -232,7 +233,8 @@ def test_trace_iid_normal_converges_to_one():
     rng = np.random.default_rng(13)
     ema = VarianceTraceEma(0.99)
     for _ in range(2000):
-        val = ema.update(rng.standard_normal(100))
+        ema.update(rng.standard_normal(100))
+    val = ema.value
     assert abs(val - 1.0) < 0.1
 
 
@@ -260,9 +262,9 @@ def test_trace_fold_matches_class():
     rng = np.random.default_rng(15)
     rows = rng.standard_normal((50, 4))
     ema = VarianceTraceEma(0.9)
-    last = None
     for r in rows:
-        last = ema.update(r)
+        ema.update(r)
+    last = ema.value
     assert fold(iter(rows), 0.9) == last
 
 

@@ -312,6 +312,31 @@ def test_one_context_normalizes_once_for_every_recipe(monkeypatch):
             assert np.array_equal(theta, theta_rows(kind, fam.weight_context(p, x, eps)))
 
 
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("b", [1, 5])
+def test_batch_sums_equal_the_sum_of_the_rows(k, b):
+    # a sums=True VAE context (the one training builds) takes each
+    # contraction's last product with the image index summed; the per-row
+    # route is the one pinned to the tape.  Over 200 draws per case the
+    # two differed by at most 2.8e-15 of the largest row entry, so 1e-14
+    # of it is the bound
+    fam, p, x = vae_batch_fixture()
+    x = x[:b]
+    for draw in range(3):
+        eps = noise_block(17, Streams.MEASURE, (k, b, draw), (b, k, fam.latent))
+        rows = fam.weight_context(p, x, eps)
+        sums = fam.weight_context(p, x, eps, sums=True)
+        for kind in ESTIMATOR_IDS:
+            if k < ESTIMATORS[kind].min_k:
+                continue
+            alpha = 0.3 if kind == "dreg-alpha" else None
+            for want, got in ((phi_rows(kind, rows, alpha), phi_rows(kind, sums, alpha)),
+                              (theta_rows(kind, rows), theta_rows(kind, sums))):
+                assert got.shape == want.shape[1:]
+                np.testing.assert_allclose(got, want.sum(axis=0), rtol=0,
+                                           atol=1e-14 * np.abs(want).max())
+
+
 def test_phi_row_set_equals_each_ids_phi_rows():
     # one contraction per distinct base changes no bit of any id's rows
     for fam, p, x in (toy_fixture(), vae_batch_fixture()):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dreglab.data import synthetic_dataset, split
+from dreglab.diagnostics import VarianceTraceEma
 from dreglab.models import Vae
 from dreglab.training import Adam, TrainRow, train_model
 
@@ -25,6 +26,43 @@ class TestAdam:
         out = opt.update(flat, np.array([4.0, -0.25]))
         # bias correction makes the first step lr * sign(g) up to eps
         assert np.allclose(out, [-1e-3, 1e-3], rtol=1e-6)
+
+    def test_in_place_updates_equal_the_out_of_place_formulas(self):
+        # Adam and the variance traces update their state (and Adam the
+        # parameters) in place; every bit must match the plain formulas
+        rng = np.random.default_rng(23)
+        lr, b1, b2, eps, decay = 1e-3, 0.9, 0.999, 1e-8, 0.99
+        opt, ema = Adam(7, lr, b1, b2, eps), VarianceTraceEma(decay)
+        flat = rng.standard_normal(7)
+        want, m, v, m1, m2 = flat.copy(), np.zeros(7), np.zeros(7), np.zeros(7), np.zeros(7)
+        for t in range(1, 301):
+            grad = rng.standard_normal(7) * 10.0 ** rng.uniform(-6, 2)
+            assert opt.update(flat, grad) is flat
+            ema.update(grad)
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * grad * grad
+            want = want - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            m1 = decay * m1 + (1.0 - decay) * grad
+            m2 = decay * m2 + (1.0 - decay) * grad * grad
+            assert np.array_equal(flat, want)
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+            assert np.array_equal(ema._m1, m1) and np.array_equal(ema._m2, m2)
+        corr = 1.0 - decay**300
+        assert ema.value == max(0.0, float(np.mean(m2 / corr - (m1 / corr) ** 2)))
+
+    @pytest.mark.parametrize("flat, match", [
+        (np.zeros(3, dtype=np.float32), "float64 ndarray"),
+        ([0.0, 0.0, 0.0], "float64 ndarray"),
+        (np.broadcast_to(0.0, (3,)), "read-only"),
+        (np.zeros(4), "parameter size"),
+    ])
+    def test_update_rejects_a_flat_it_cannot_write_in_place(self, flat, match):
+        # update writes flat in place, so a cast or a copy would leave the
+        # caller's array stale; both are refused before any state moves
+        opt = Adam(3)
+        with pytest.raises(ValueError, match=match):
+            opt.update(flat, np.ones(3))
+        assert opt.t == 0 and not opt.m.any()
 
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError, match="lr"):
