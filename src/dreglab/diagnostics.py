@@ -210,9 +210,9 @@ class VarianceTraceEma:
     """Debiased EMA covariance trace over a gradient stream.
 
     Tracks per-coordinate first and second moments with the given decay;
-    the reported value is mean_j(E[g_j^2] - E[g_j]^2) after the standard
-    1 - decay^t correction on both moments, over every coordinate or,
-    from `trace`, over a chosen block of them.
+    `trace` reports mean_j(E[g_j^2] - E[g_j]^2) after the standard
+    1 - decay^t correction on both moments, over every coordinate or
+    over a chosen block of them.
     """
 
     def __init__(self, decay):
@@ -226,7 +226,7 @@ class VarianceTraceEma:
     def update(self, grad):
         """Fold one gradient into the moments, in place, with the
         rounding of m1 = d m1 + (1 - d) g and m2 = d m2 + (1 - d) g g;
-        `value` reads the trace."""
+        `trace` reads the trace."""
         grad = np.asarray(grad, dtype=np.float64)
         if self._m1 is None:
             self._m1 = np.zeros_like(grad)
@@ -239,10 +239,6 @@ class VarianceTraceEma:
         self._m1 += term
         self._m2 *= d
         self._m2 += np.multiply(term, grad, out=term)
-
-    @property
-    def value(self):
-        return self.trace()
 
     def trace(self, idx=slice(None)):
         """The trace over the coordinates ``idx`` (all by default)."""

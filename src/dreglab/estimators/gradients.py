@@ -26,9 +26,10 @@ alpha) mix of iwae-dreg's and rws-dreg's.  The contraction interface
 (``lw``, ``path``, ``score``, ``theta``) is served by the models'
 closed-form weight contexts; the tests' tape reference serves it too,
 and the tests pin the two against each other.  A VAE context's caller
-chooses rows or sums: one built with ``sums=True`` returns from every
-contraction the batch sum (P,) of its per-image rows (n, P), so the
-functions below give training its batch-summed gradients through the
+chooses rows or sums from one grouped product over its layer rows: one
+group per image gives per-image rows (n, P), and on a context built
+with ``sums=True`` one group of all rows gives their batch sum (P,), so
+the functions below give training its batch-summed gradients through the
 same table, while the measurement folds read rows.
 """
 

@@ -81,10 +81,6 @@ class ParamVector:
     def theta_indices(self):
         return self.indices_for_role("theta")
 
-    @property
-    def has_shared(self):
-        return any(r == "shared" for r in self.roles.values())
-
 
 def build_params(layout_triples, values=None):
     """Assemble a ParamVector from (name, length, role) triples."""

@@ -16,13 +16,12 @@ context runs that backward once (`VaeContext._pullback`) and `theta(c)`
 weights each draw's grads by c.  The decoder runs on one flat (B*K, .)
 layout, so each of its products is a single 2-D gemm.
 
-Every contraction ends in one product over per-image factors: the outer
-products seed x input in the encoder, and sum_k (c g_k) x u_k in the
-decoder.  A context built with ``sums=True`` takes that last product
-with the image index summed too (g.T @ (c u) over all B or B*K rows),
-so its contractions return the batch sum (P,) of the per-image rows
-(B, P) that a default context returns.  Training reads batch sums; the
-measurement folds read rows.
+Every contraction ends in one product, sum_i c_i g_i u_i^T over a group
+of layer rows (B*K decoder rows, or B encoder rows).  Per-image rows
+(B, P) take one group per image; a context built with ``sums=True``
+takes all rows as one group, so its contractions return the batch sum
+(P,) of those rows.  Training reads batch sums; the measurement folds
+read rows.
 
 Weight layout is row-major (out, in): W[j, k] multiplies input k into
 output j.  Initialization is uniform +-sqrt(6 / (fan_in + fan_out)) for
@@ -139,38 +138,25 @@ def _backward(layers, h1, h2, seed):
     return g1, g2, seed
 
 
-def _rows(grads, inputs, sums=False, c=None):
-    """W1, b1, W2, b2, W3, b3 rows per image, summed over the K axis.
+def _rows(grads, inputs, groups, c=None):
+    """W1, b1, W2, b2, W3, b3 rows (groups, P) of layer rows cut into
+    ``groups`` runs of consecutive rows.
 
-    grads and inputs are per-layer (B, K, out) and (B, K, in) arrays, and
-    c, if given, the (B, K) coefficients of the draws; the W rows are
-    sum_k c_k g_k in_k^T in row-major (out, in) order and the b rows
-    sum_k c_k g_k.  With a single draw (the encoder's K = 1 axis) each
-    entry is one product, and an outer product runs 2-3x faster than the
-    batched matmul, which wins from K = 8 on.  With ``sums`` the image
-    index is summed in the same last product: g.T @ (c in) and g.T @ c
-    (g.T @ in and the column sums of g without c) over all B*K rows give
-    the one row (P,) of the batch sum.
+    grads and inputs are per-layer (..., out) and (..., in) rows and c,
+    if given, their coefficients.  A run's W row is g.T @ (c u), in
+    row-major (out, in) order, and its b row g.T @ c; without c they are
+    g.T @ u and the column sums of g.
     """
+    if c is not None:
+        c = c.reshape(groups, -1, 1)
     pieces = []
-    if sums:
-        if c is not None:
-            c = c.reshape(-1, 1)
-        for g, u in zip(grads, inputs):
-            g, u = g.reshape(-1, g.shape[-1]), u.reshape(-1, u.shape[-1])
-            if c is None:
-                pieces += [(g.T @ u).reshape(-1), g.sum(axis=0)]
-            else:
-                pieces += [(g.T @ (c * u)).reshape(-1), g.T @ c[:, 0]]
-        return np.concatenate(pieces)
     for g, u in zip(grads, inputs):
-        if c is not None:
-            g = c[:, :, None] * g
-        if g.shape[1] == 1:
-            w = np.einsum("bo,bi->boi", g[:, 0], u[:, 0])
+        g, u = g.reshape(groups, -1, g.shape[-1]), u.reshape(groups, -1, u.shape[-1])
+        gt = g.swapaxes(1, 2)
+        if c is None:
+            pieces += [(gt @ u).reshape(groups, -1), g.sum(axis=1)]
         else:
-            w = g.swapaxes(1, 2) @ u
-        pieces += [w.reshape(len(g), -1), g.sum(axis=1)]
+            pieces += [(gt @ (c * u)).reshape(groups, -1), (gt @ c)[:, :, 0]]
     return np.concatenate(pieces, axis=1)
 
 
@@ -178,12 +164,12 @@ class VaeContext:
     """Batched weight context for a mini-batch of observations.
 
     x has shape (B, obs) with binary entries, or (obs,) for one
-    observation shared by the whole batch; eps has shape (B, K, latent).
-    lw is (B, K); contractions take c of shape (B, K) and return per-image
-    rows (B, P_phi) or (B, P_theta) in layout order, or with ``sums``
-    their sum over the batch, (P_phi,) or (P_theta,).  The decoder's
-    activations d_h1 and d_h2 are flat (B*K, hidden) rows; z and logits
-    are (B, K, .).
+    observation shared by the whole batch; eps has shape (B, K, latent)
+    or (K, latent).  lw is (B, K); contractions take c of shape (B, K)
+    and return `_rows` with one group per image, (B, P_phi) or
+    (B, P_theta) in layout order, or with ``sums`` the one row (P,) of
+    one group of all rows, their batch sum.  The decoder's activations
+    d_h1 and d_h2 are flat (B*K, hidden) rows; z and logits (B, K, .).
     """
 
     def __init__(self, family, p, x, eps, sums=False):
@@ -191,8 +177,10 @@ class VaeContext:
         eps = np.asarray(eps, dtype=np.float64)
         if eps.ndim == 2:
             eps = eps[None, :, :]
+        if eps.ndim != 3 or eps.shape[2] != family.latent:
+            raise ValueError("eps must have shape (B, K, latent) or (K, latent)")
         bsz, k, dz = eps.shape
-        if x.shape not in ((family.obs,), (bsz, family.obs)) or dz != family.latent:
+        if x.shape not in ((family.obs,), (bsz, family.obs)):
             raise ValueError("shape mismatch between x and eps")
         if x.ndim == 1:
             x = np.broadcast_to(x, (bsz, family.obs))
@@ -228,9 +216,9 @@ class VaeContext:
         self.lw = log_px_z.sum(axis=2)
         self.lw += 0.5 * half_sq.sum(axis=2) + self.log_scale.sum(axis=1)[:, None]
 
-    def _flat_rows(self, a):
-        """(B, K, .) view of flat (B*K, .) decoder rows."""
-        return a.reshape(self.eps.shape[:2] + (-1,))
+    def _contract(self, grads, inputs, c=None):
+        rows = _rows(grads, inputs, 1 if self.sums else len(self.x), c)
+        return rows[0] if self.sums else rows
 
     @functools.cached_property
     def _pullback(self):
@@ -242,24 +230,20 @@ class VaeContext:
 
     def dlw_dz(self):
         """dlog w_i / dz_i: prior score + decoder pullback + entropy term."""
-        out = self._flat_rows(self._pullback[0] @ self._dec[0][0])
+        out = (self._pullback[0] @ self._dec[0][0]).reshape(self.z.shape)
         out -= self.z
         out += self.eps / self.scale[:, None, :]
         return out
 
     def theta(self, c):
         """Decoder-parameter rows for sum_i c_i dlog w_i / dtheta."""
-        return _rows([self._flat_rows(g) for g in self._pullback],
-                     [self.z, self._flat_rows(self.d_h1), self._flat_rows(self.d_h2)],
-                     self.sums, c)
+        return self._contract(self._pullback, (self.z, self.d_h1, self.d_h2), c)
 
     def _enc_rows(self, umean, uls):
         """phi rows from seeds (B, latent) at the encoder's outputs."""
         seed = np.concatenate([umean, uls], axis=1)
         grads = _backward(self._enc, self.e_h1, self.e_h2, seed)
-        return _rows([g[:, None, :] for g in grads],
-                     [u[:, None, :] for u in (self.x, self.e_h1, self.e_h2)],
-                     self.sums)
+        return self._contract(grads, (self.x, self.e_h1, self.e_h2))
 
     def path(self, c):
         g = c[:, :, None] * self.dlw_dz()

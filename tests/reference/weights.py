@@ -85,7 +85,7 @@ def log_weights(model, params, x, eps):
     eps is the (K, d) noise array.  Requires disjoint roles; shared
     parameters go through the surrogate route instead.
     """
-    if params.has_shared:
+    if "shared" in params.roles.values():
         raise ValueError("per-sample partial extraction requires disjoint roles")
     k, d = np.shape(eps)
     graph = TapeGraph()

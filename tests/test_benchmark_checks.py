@@ -1,8 +1,8 @@
-"""The benchmark's toy-snr and bias-test output checks pass on their configs.
+"""The benchmark's toy-snr, bias-test and train output checks pass on their configs.
 
 perfbench runs these configs for timing and rejects a run whose outputs
 fail its checks; this runs each once, through `dreglab.cli.main`, so a
-change that breaks them fails here first.  Both take about a second.
+change that breaks them fails here first.  Each takes a second or two.
 """
 
 import importlib.util
@@ -22,9 +22,9 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["toy-snr", "bias-test"])
+@pytest.mark.parametrize("name", ["toy-snr", "bias-test", "train"])
 def test_benchmark_config_passes_its_check(name, tmp_path, capsys):
-    work = _workloads().WORKLOADS[name]  # check: check_toy_snr, check_bias_test
+    work = _workloads().WORKLOADS[name]  # check: check_toy_snr, check_bias_test, check_train
     config = tmp_path / "config.txt"
     config.write_text(work.config, encoding="ascii")
     out = tmp_path / "out"

@@ -41,7 +41,7 @@ def fold(stream, decay):
     ema = VarianceTraceEma(decay)
     for g in stream:
         ema.update(g)
-    return ema.value
+    return ema.trace()
 
 
 def test_stats_constant_samples():
@@ -225,7 +225,7 @@ def test_trace_constant_stream_is_zero():
     ema = VarianceTraceEma(0.99)
     for _ in range(500):
         ema.update(np.full(7, 3.25))
-    val = ema.value
+    val = ema.trace()
     assert abs(val) < 1e-10
 
 
@@ -234,7 +234,7 @@ def test_trace_iid_normal_converges_to_one():
     ema = VarianceTraceEma(0.99)
     for _ in range(2000):
         ema.update(rng.standard_normal(100))
-    val = ema.value
+    val = ema.trace()
     assert abs(val - 1.0) < 0.1
 
 
@@ -244,7 +244,7 @@ def test_trace_debias_negligible_after_thousand_steps():
     for _ in range(1000):
         ema.update(rng.standard_normal(20))
     raw = float(np.mean(ema._m2 - ema._m1 * ema._m1))
-    assert abs(ema.value - raw) / abs(ema.value) < 1e-4
+    assert abs(ema.trace() - raw) / abs(ema.trace()) < 1e-4
 
 
 def test_trace_validation():
@@ -253,7 +253,7 @@ def test_trace_validation():
     with pytest.raises(ValueError):
         VarianceTraceEma(0.0)
     with pytest.raises(ValueError):
-        VarianceTraceEma(0.5).value
+        VarianceTraceEma(0.5).trace()
     with pytest.raises(ValueError):
         fold(iter(()), 0.5)
 
@@ -264,7 +264,7 @@ def test_trace_fold_matches_class():
     ema = VarianceTraceEma(0.9)
     for r in rows:
         ema.update(r)
-    last = ema.value
+    last = ema.trace()
     assert fold(iter(rows), 0.9) == last
 
 

@@ -195,8 +195,8 @@ def test_param_vector_roles_and_views():
     assert p.view("b").tolist() == [0.5, 1.0]
     assert p.phi_indices.tolist() == list(range(2, 8))
     assert p.theta_indices.tolist() == [0, 1]
-    assert not p.has_shared
-    assert Toy(2, shared=True).init_params([1.0, 2.0]).has_shared
+    assert "shared" not in p.roles.values()
+    assert "shared" in Toy(2, shared=True).init_params([1.0, 2.0]).roles.values()
 
 
 def test_param_vector_validates_layout():
@@ -398,20 +398,51 @@ def test_vae_context_contractions_match_finite_differences():
 
 
 @pytest.mark.parametrize("k", [1, 8])
-def test_vae_rows_equal_the_batched_matmul(k):
-    # a single draw takes the outer-product form; each W entry is then
-    # one product, so the rows are bit-equal to the matmul's
+def test_vae_rows_are_one_grouped_product(k):
+    # one group per image gives the batched matmul and the K-axis sums;
+    # one group of all B*K rows gives the flat 2-D products that training
+    # reads, bit for bit
     from dreglab.models.vae import _rows
 
     rng = np.random.default_rng(21)
     grads = [rng.standard_normal((16, k, n)) for n in (20, 20, 20)]
     inputs = [rng.standard_normal((16, k, n)) for n in (64, 20, 20)]
-    want = np.concatenate(
+    c = rng.standard_normal((16, k))
+    flat = [(g.reshape(16 * k, -1), u.reshape(16 * k, -1)) for g, u in zip(grads, inputs)]
+    per_image = np.concatenate(
         [piece for g, u in zip(grads, inputs)
          for piece in ((g.swapaxes(1, 2) @ u).reshape(16, -1), g.sum(axis=1))],
         axis=1,
     )
-    assert np.array_equal(_rows(grads, inputs), want)
+    assert np.array_equal(_rows([g for g, _ in flat], [u for _, u in flat], 16), per_image)
+    cf = c.reshape(-1, 1)
+    batch_sum = np.concatenate(
+        [piece for g, u in flat for piece in ((g.T @ (cf * u)).reshape(-1), g.T @ cf[:, 0])])
+    got = _rows(grads, inputs, 1, c)
+    assert got.shape == (1, batch_sum.size)
+    assert np.array_equal(got[0], batch_sum)
+
+    fam = Vae(latent=10, hidden=20, obs=64)
+    p = fam.init_params(seed=3)
+    x = (rng.random((1, 64)) < 0.5).astype(float)
+    eps = rng.standard_normal((1, k, 10))
+    rows, sums = (fam.weight_context(p, x, eps, sums=s) for s in (False, True))
+    for got_rows, got_sum in ((rows.path(c[:1]), sums.path(c[:1])),
+                              (rows.score(c[:1]), sums.score(c[:1])),
+                              (rows.theta(c[:1]), sums.theta(c[:1]))):
+        assert got_rows.shape == (1,) + got_sum.shape
+        assert np.array_equal(got_rows[0], got_sum)
+
+
+@pytest.mark.parametrize("ndim", [1, 4])
+@pytest.mark.parametrize("family", [Toy(2), Vae(latent=2, hidden=3, obs=5)],
+                         ids=["toy", "vae"])
+def test_eps_of_a_bad_rank_is_named(family, ndim):
+    p = family.init_params([1.0, 2.0] if isinstance(family, Toy) else 1)
+    x = np.zeros(2 if isinstance(family, Toy) else 5)
+    eps = np.zeros((2,) * (ndim - 1) + (family.latent,))
+    with pytest.raises(ValueError, match=r"eps must have shape \(\w+, K, \w+\) or \(K, \w+\)"):
+        family.weight_context(p, x, eps)
 
 
 def test_vae_smoke_desk_scale():

@@ -48,7 +48,7 @@ class TestAdam:
             assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
             assert np.array_equal(ema._m1, m1) and np.array_equal(ema._m2, m2)
         corr = 1.0 - decay**300
-        assert ema.value == max(0.0, float(np.mean(m2 / corr - (m1 / corr) ** 2)))
+        assert ema.trace() == max(0.0, float(np.mean(m2 / corr - (m1 / corr) ** 2)))
 
     @pytest.mark.parametrize("flat, match", [
         (np.zeros(3, dtype=np.float32), "float64 ndarray"),
