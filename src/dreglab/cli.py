@@ -38,9 +38,8 @@ from .training import train_model
 EXPERIMENTS = ("toy-snr", "train", "bias-test")
 
 # each testable estimator against an unbiased reference for the same
-# expectation, and each reference as a weight map over table ids, in
-# `phi_row_set`'s form (alpha-mix is the (1 - alpha, alpha) mix of the
-# iwae and wake gradients that dreg-alpha targets)
+# expectation: a table id, or alpha-mix, the (1 - alpha, alpha) mix of
+# the iwae and wake gradients that dreg-alpha targets
 REFERENCE_PAIR = {
     "stl": "iwae",
     "iwae-dreg": "iwae",
@@ -48,8 +47,6 @@ REFERENCE_PAIR = {
     "rws-dreg": "rws-wake",
     "jvi1-dreg": "jvi1",
 }
-REFERENCES = {ref: {ref: 1.0} for ref in ("iwae", "rws-wake", "jvi1")}
-REFERENCES["alpha-mix"] = {"iwae": lambda a: 1.0 - a, "rws-wake": lambda a: a}
 
 BIAS_ALPHA = 0.01
 
@@ -103,7 +100,8 @@ _BETA = (lambda v: 0.0 <= v < 1.0), "must lie in [0, 1)"
 KEYS = {
     "experiment": Key(str, None, None, _ALL),  # the subcommand's name
     "seed": Key(int, 0, _at_least(0), _ALL),
-    "out": Key(str, {e: os.path.join("runs", e) for e in _ALL}, None, _ALL),
+    "out": Key(str, {e: os.path.join("runs", e) for e in _ALL},
+               (bool, "must not be empty"), _ALL),
     "model": Key(str, {"toy-snr": "toy", "bias-test": "toy", "train": "vae"},
                  None, _ALL),
     "d": Key(int, 4, _POSITIVE, _TOY),
@@ -270,10 +268,6 @@ def _prepare_out(cfg):
                  manifest_text(cfg).encode("ascii"))
 
 
-def _phi_alpha(cfg, kinds):
-    return cfg.alpha if "dreg-alpha" in kinds else None
-
-
 def _trial_point(cfg, fam, trial):
     """Per-trial operating point: perturbed params and one observation."""
     theta = stream_rng(cfg.seed, Streams.TRIAL_THETA, trial).standard_normal(
@@ -285,11 +279,13 @@ def _trial_point(cfg, fam, trial):
     return p, x
 
 
-def _difference(est, ref):
-    """The weight map of ``est``'s rows less those of the `REFERENCES`
-    map ``ref``, so that `phi_row_set` cancels their shared terms."""
-    return {est: 1.0, **{kind: (lambda a, w=w: -w(a)) if callable(w) else -w
-                         for kind, w in REFERENCES[ref].items()}}
+def _difference(est, ref, alpha):
+    """The weight map of ``est``'s rows less those of its reference
+    ``ref`` (a `REFERENCE_PAIR` value) at ``alpha``, so that
+    `phi_row_set` cancels their shared terms."""
+    mix = ({"iwae": 1.0 - alpha, "rws-wake": alpha} if ref == "alpha-mix"
+           else {ref: 1.0})
+    return {est: 1.0, **{kind: -w for kind, w in mix.items()}}
 
 
 def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
@@ -303,10 +299,8 @@ def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
     pairs, and a `_difference` map's rows are its two sides' paired
     difference with their shared terms cancelled.
     """
-    alpha = _phi_alpha(cfg, {kind for m in maps.values() for kind in m})
-
     def rows_of(ctx):
-        return phi_row_set(maps, ctx, alpha).items()
+        return phi_row_set(maps, ctx, cfg.alpha).items()
 
     return fold_rows(fam, p, x, k, n, rows_of, seed=cfg.seed, stream=stream,
                      draw_prefix=(trial, k), chunk_size=cfg.chunk_size)
@@ -338,7 +332,7 @@ def run_toy_snr(cfg):
             ref = _paired_fold(cfg, fam, p, x, trial, k, Streams.REFERENCE,
                                cfg.reference_samples,
                                {"iwae": {"iwae": 1.0}})["iwae"].mean
-            diffs = {(est, k): _difference(est, "iwae")
+            diffs = {(est, k): _difference(est, "iwae", cfg.alpha)
                      for est in live if est != "iwae"}
             moments = _paired_fold(cfg, fam, p, x, trial, k, Streams.MEASURE,
                                    cfg.samples,
@@ -389,7 +383,8 @@ def run_bias_test(cfg):
     p, x = _trial_point(cfg, fam, 0)
     diffs = _paired_fold(cfg, fam, p, x, 0, cfg.k, Streams.MEASURE,
                          cfg.samples, {
-                             est: _difference(est, REFERENCE_PAIR[est])
+                             est: _difference(est, REFERENCE_PAIR[est],
+                                              cfg.alpha)
                              for est in cfg.estimators})
     t_rows = []
     verdicts = []
@@ -429,7 +424,7 @@ def _load_training_data(cfg):
     else:
         try:
             full = load_idx(cfg.data_source)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(
                 f"cannot read dataset {cfg.data_source}: {exc}") from exc
         if full.obs != cfg.obs:
@@ -449,16 +444,15 @@ def run_train(cfg):
     the rows logged so far and the last finite parameters are still
     written, and the exit code is 2.
     """
-    _prepare_out(cfg)
     train, valid, _ = _load_training_data(cfg)
+    _prepare_out(cfg)
     fam = Vae(cfg.latent, cfg.hidden, cfg.obs)
     result = train_model(
         fam, train, valid, cfg.estimator, cfg.k,
         steps=cfg.steps, batch_size=cfg.batch_size, lr=cfg.lr,
         beta1=cfg.beta1, beta2=cfg.beta2, adam_eps=cfg.adam_eps,
         eval_every=cfg.eval_every, eval_k=cfg.eval_k,
-        trace_decay=cfg.trace_decay, alpha=_phi_alpha(cfg, (cfg.estimator,)),
-        seed=cfg.seed)
+        trace_decay=cfg.trace_decay, alpha=cfg.alpha, seed=cfg.seed)
     rows = [(r.step, cfg.estimator, cfg.k, r.train_objective,
              r.heldout_bound, r.var_trace_theta, r.var_trace_phi)
             for r in result.rows]

@@ -7,16 +7,17 @@ Each coefficient is built from the same four named bases of a context's
 `ChunkWeights`: w-tilde (``wt``), w-tilde^2 (``wt2``) and the jackknife
 pair (``c``, ``c2``).  `ESTIMATORS` below is that table: an entry's path
 and score terms map bases to weights (dreg-alpha's are functions of
-alpha), and its theta term names one base.  Contractions are linear, so
-the phi rows of an entry are the weighted sum of its contracted bases,
-and so are those of any weight map over ids, such as an estimator less
-its reference: `phi_row_set` adds a map's weights per contracted base
-before it sums, so shared terms cancel in the coefficients, and it
-contracts each distinct base once for all the maps it is given on one
-context; the recipes run against one context also normalize its log
-weights once.  Each entry also names, as a `ChunkWeights`
-attribute just as its theta base is named, the bound its theta
-coefficient differentiates (``iwae_bound`` for w-tilde rows,
+alpha, which only they read: callers pass alpha to every row, and the
+other rows ignore it), and its theta term names one base.  Contractions
+are linear, so the phi rows of an entry are the weighted sum of its
+contracted bases, and so are those of any weight map over ids, such as
+an estimator less its reference: `phi_row_set` adds a map's weights, all
+numbers, per contracted base before it sums, so shared terms cancel in
+the coefficients, and it contracts each distinct base once for all the
+maps it is given on one context; the recipes run against one context
+also normalize its log weights once.  Each entry also names, as a
+`ChunkWeights` attribute just as its theta base is named, the bound its
+theta coefficient differentiates (``iwae_bound`` for w-tilde rows,
 ``jvi1_bound`` for c rows), and gives the smallest K its coefficients
 are defined at.  Every row is an ascent direction: theta rows on the
 entry's bound, and phi rows too, except those of the wake-phase ids
@@ -77,19 +78,20 @@ def _entry(kind):
     return ESTIMATORS[kind]
 
 
-def _check_alpha(needs, alpha):
-    if (alpha is not None) != needs:
-        raise ValueError("alpha must be given exactly when a weight is a "
-                         "function of it, as dreg-alpha's are")
+def _check_alpha(entries, alpha):
+    if alpha is None and any(callable(w) for r in entries
+                             for w in (*r.path.values(), *r.score.values())):
+        raise ValueError("alpha must be given to weights that are functions "
+                         "of it, as dreg-alpha's are")
     if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ValueError("dreg-alpha needs alpha in [0, 1]")
+        raise ValueError(f"weights take alpha in [0, 1], got {alpha!r}")
 
 
 def recipe(kind, alpha=None):
-    """The table entry of ``kind``; alpha, in [0, 1], is given exactly
-    for dreg-alpha."""
+    """The table entry of ``kind``; alpha, in [0, 1], is needed when its
+    weights are functions of it, and ignored otherwise."""
     entry = _entry(kind)
-    _check_alpha(kind == "dreg-alpha", alpha)
+    _check_alpha((entry,), alpha)
     return entry
 
 
@@ -102,12 +104,10 @@ def _terms_at(term, alpha):
 
 
 def _weighted_sum(terms, value_of):
-    """sum weight * value_of(key) over the (key, weight) pairs, in order;
-    None for no pairs.  A sum of more than one value is built in place
-    on a fresh array, so no value is written to and each weighted
-    temporary dies in the statement that makes it."""
-    if not terms:
-        return None
+    """sum weight * value_of(key) over the (key, weight) pairs, in order.
+    A sum of more than one value is built in place on a fresh array, so
+    no value is written to and each weighted temporary dies in the
+    statement that makes it."""
     (key, weight), *rest = terms
     total = value_of(key)
     if rest or weight != 1.0:
@@ -130,21 +130,19 @@ def phi_row_set(maps, ctx, alpha=None):
     ids for one weight context, as {name: rows}.
 
     A map {id: weight} stands for sum weight * rows(id); an id alone is
-    {id: 1.0}, and a weight is a number or a function of alpha.  Each
-    (side, base) contraction's weights are added across a map's ids
-    before the contractions are summed, in one fixed order, so terms
-    that cancel do so in the coefficients: rws-dreg - rws-wake is
-    -(iwae-dreg - iwae) bit for bit, and a map whose weights all cancel
-    gives exact-zero rows.  Each distinct (side,
-    base) pair is contracted once for all maps: the eight ids take four
-    path and two score contractions.  alpha, in [0, 1], is given exactly
-    when some weight is a function of it (dreg-alpha's are).  Maps whose
-    sum is one contraction of weight 1 (iwae-dreg, and dreg-alpha at
-    alpha = 0) share that contraction's array.
+    {id: 1.0}, and a weight is a number.  Each (side, base)
+    contraction's weights are added across a map's ids before the
+    contractions are summed, in one fixed order, so terms that cancel do
+    so in the coefficients: rws-dreg - rws-wake is -(iwae-dreg - iwae)
+    bit for bit, and a map whose weights all cancel gives exact-zero
+    rows.  Each distinct (side, base) pair is contracted once for all
+    maps: the eight ids take four path and two score contractions.
+    alpha, in [0, 1], is read only by weights that are functions of it
+    (dreg-alpha's), which need it.  Maps whose sum is one contraction of
+    weight 1 (iwae-dreg, and dreg-alpha at alpha = 0) share its array.
     """
     entries = {kind: _entry(kind) for m in maps.values() for kind in m}
-    _check_alpha("dreg-alpha" in entries or any(
-        callable(w) for m in maps.values() for w in m.values()), alpha)
+    _check_alpha(entries.values(), alpha)
     coefs = {}
     for name, weights in maps.items():
         coef = coefs[name] = {}

@@ -15,6 +15,7 @@ from dreglab.estimators import (
 )
 from dreglab.gaussian import Streams, noise_block
 from dreglab.models import Toy
+from reference.support import write_idx
 from dreglab.cli import (
     KEYS,
     ConfigError,
@@ -85,6 +86,7 @@ READ_KEYS = {
 # one out-of-range value per checked key, for an experiment that reads it
 RANGE_CASES = [
     ("toy-snr", "seed", "-1"),
+    ("train", "out", ""),
     ("toy-snr", "d", "0"),
     ("bias-test", "q_variance", "0.0"),
     ("train", "latent", "0"),
@@ -481,7 +483,7 @@ class TestBiasTestCommand:
     def _differences(cfg, fam, p, x):
         return cli._paired_fold(cfg, fam, p, x, 0, cfg.k, Streams.MEASURE,
                                 cfg.samples, {
-                                    est: cli._difference(est, ref)
+                                    est: cli._difference(est, ref, cfg.alpha)
                                     for est, ref in cli.REFERENCE_PAIR.items()})
 
     def test_fold_memory_does_not_grow_with_chunk_size(self):
@@ -531,11 +533,10 @@ class TestBiasTestCommand:
             rows = {kind: phi_rows(kind, ctx, a if kind == "dreg-alpha"
                                    else None) for kind in ESTIMATOR_IDS}
             for est, ref in cli.REFERENCE_PAIR.items():
-                ref_map = cli.REFERENCES[ref]
                 ref_rows = (1.0 - a) * rows["iwae"] + a * rows["rws-wake"] \
                     if ref == "alpha-mix" else rows[ref]
                 scale = max(np.abs(rows[kind]).max()
-                            for kind in (est, *ref_map))
+                            for kind in cli._difference(est, ref, a))
                 assert np.abs(hand[est] - (rows[est] - ref_rows)).max() \
                     <= 1e-15 * scale, (est, alpha)
                 yield est, hand[est]
@@ -555,8 +556,9 @@ class TestBiasTestCommand:
         ctx = fam.weight_context(p, np.array([1.3, 0.0, -0.7]), noise_block(
             2, Streams.MEASURE, 0, (50, 8, 3)))
         for alpha, ref in ((0.0, "iwae"), (1.0, "rws-wake")):
-            rows = phi_row_set({"mix": cli.REFERENCES["alpha-mix"],
-                                ref: {ref: 1.0}}, ctx, alpha)
+            mix = {kind: -w for kind, w in cli._difference(
+                "dreg-alpha", "alpha-mix", alpha).items() if kind != "dreg-alpha"}
+            rows = phi_row_set({"mix": mix, ref: {ref: 1.0}}, ctx, alpha)
             assert np.array_equal(rows["mix"], rows[ref]), ref
 
     def test_wake_and_dreg_differences_fold_the_same_bits(self):
@@ -685,6 +687,39 @@ class TestTrainCommand:
                            TRAIN_SMOKE + "data_source = /nope/x.idx\n")
         assert main(["train", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("case, cause", [
+        ("missing", "No such file or directory"),
+        ("truncated", "truncated IDX header"),
+        ("width", "dataset width 9 does not match obs = 16"),
+        ("empty-split", "empty split from fractions"),
+        ("empty-out", "out must not be empty"),
+    ], ids=["missing", "truncated", "width", "empty-split", "empty-out"])
+    def test_config_error_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                         case, cause):
+        # the data are loaded and split before the output directory is
+        # made, so a bad dataset leaves no manifest of a run that never ran
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "data.idx"
+        if case == "truncated":
+            data.write_bytes(b"\x00\x00\x08")
+        elif case == "width":
+            write_idx(data, np.zeros((12, 3, 3), dtype=np.uint8))
+        text = TRAIN_SMOKE + {
+            "missing": f"data_source = {data}\n",
+            "truncated": f"data_source = {data}\n",
+            "width": f"data_source = {data}\n",
+            "empty-split": "split_fractions = 0.9, 0.004, 0.006\n",
+            "empty-out": ""}[case]
+        cfg = write_config(tmp_path, text)
+        before = sorted(os.listdir(tmp_path))
+        out = "" if case == "empty-out" else str(tmp_path / "o")
+        assert main(["train", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cause in err, err
+        if case in ("missing", "truncated"):
+            assert f"cannot read dataset {data}" in err
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

@@ -1,5 +1,6 @@
 """README's library snippet runs as written against the installed API,
-and its estimator table states the coefficients of `ESTIMATORS`."""
+its estimator table states the coefficients of `ESTIMATORS`, and it
+states the package's version."""
 
 import contextlib
 import io
@@ -9,6 +10,7 @@ import re
 
 import numpy as np
 
+from dreglab import __version__
 from dreglab.estimators import ESTIMATORS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -66,3 +68,9 @@ def test_readme_estimator_table_matches_the_code():
                 assert math.isclose(_evaluate(cell, values),
                                     _coefficient(term, values),
                                     rel_tol=1e-12, abs_tol=1e-15), (kind, cell)
+
+
+def test_readme_states_the_code_version():
+    stated = re.findall(r"The code version is (\d+(?:\.\d+)*)",
+                        README.read_text(encoding="utf-8"))
+    assert stated == [__version__]

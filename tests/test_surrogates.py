@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dreglab.estimators import ESTIMATOR_IDS, phi_rows, theta_rows
+from dreglab.estimators import ESTIMATOR_IDS, ESTIMATORS, phi_rows, theta_rows
 from dreglab.gaussian import Streams, noise_block
 from dreglab.models import perturb_params
 from reference.models import Toy
@@ -34,8 +34,26 @@ def test_kind_validation():
         surrogate_loss("dreg-alpha", fam, p, x, eps)
     with pytest.raises(ValueError):
         surrogate_loss("dreg-alpha", fam, p, x, eps, alpha=1.2)
-    with pytest.raises(ValueError):
-        surrogate_loss("iwae", fam, p, x, eps, alpha=0.5)
+
+
+@pytest.mark.parametrize("fixture", [toy_fixture, vae_image_fixture], ids=["toy", "vae"])
+def test_an_unread_alpha_changes_no_bit(fixture):
+    # only weights that are functions of alpha read it, so the seven ids
+    # whose weights are all numbers give the same bits with and without it
+    numeric = [kind for kind, r in ESTIMATORS.items()
+               if not any(map(callable, (*r.path.values(), *r.score.values())))]
+    assert len(numeric) == 7
+    fam, p, x = fixture()
+    eps = noise_block(4, Streams.MEASURE, 3, (4, fam.latent))
+
+    def calls(kind, alpha):
+        ctx = fam.weight_context(p, x, eps)
+        return (phi_rows(kind, ctx, alpha), theta_rows(kind, ctx),
+                surrogate_loss(kind, fam, p, x, eps, alpha=alpha).gradient())
+
+    for kind in numeric:
+        for got, want in zip(calls(kind, 0.3), calls(kind, None)):
+            assert np.array_equal(got, want), kind
 
 
 def test_toy_surrogates_match_direct_estimators():

@@ -125,9 +125,15 @@ class TestTrainModel:
         res = train_model(fam, train, valid, "dreg-alpha", 4, steps=30,
                           batch_size=8, seed=5, alpha=0.3)
         assert not res.diverged
-        with pytest.raises(ValueError, match="alpha"):
-            train_model(fam, train, valid, "iwae", 4, steps=30,
-                        batch_size=8, seed=5, alpha=0.3)
+
+    def test_an_unread_alpha_changes_no_bit(self):
+        # iwae's weights are numbers, so an alpha given to it is not read
+        fam, train, valid = tiny_problem()
+        given, plain = (train_model(fam, train, valid, "iwae", 4, steps=30,
+                                    batch_size=8, seed=5, alpha=alpha)
+                        for alpha in (0.3, None))
+        assert given.rows == plain.rows
+        assert np.array_equal(given.params.flat, plain.params.flat)
 
     @pytest.mark.parametrize("eval_k", [0, -3])
     def test_eval_k_below_one_is_named(self, eval_k):
