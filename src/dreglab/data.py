@@ -17,16 +17,11 @@ from .models.vae import Vae
 IDX_IMAGES_MAGIC = 0x00000803
 _MAX_ELEMENTS = 2**40  # dimension-overflow guard for hostile headers
 
-SPLIT_IDS = ("train", "valid", "test")
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """n x obs matrix of intensities in [0, 1] plus provenance tags."""
+    """n x obs matrix of intensities in [0, 1]."""
 
     images: np.ndarray
-    source_tag: str
-    split_id: str = None
 
     def __post_init__(self):
         img = self.images
@@ -38,8 +33,6 @@ class Dataset:
             raise ValueError("pixel intensities must be finite")
         if img.min() < 0.0 or img.max() > 1.0:
             raise ValueError("pixel intensities must lie in [0, 1]")
-        if self.split_id is not None and self.split_id not in SPLIT_IDS:
-            raise ValueError(f"unknown split id {self.split_id!r}")
 
     @property
     def n(self):
@@ -83,7 +76,7 @@ def load_idx(path):
     raw = read_idx(path)
     n = raw.shape[0]
     images = raw.reshape(n, -1).astype(np.float64) / 255.0
-    return Dataset(images=images, source_tag="idx")
+    return Dataset(images=images)
 
 
 def dynamic_binarize(d, seed, epoch):
@@ -109,14 +102,11 @@ def synthetic_dataset(n, obs_dim, latent_dim, seed, hidden=20, weight_scale=2.0)
         raise ValueError("all sizes must be positive")
     fam = Vae(latent=latent_dim, hidden=hidden, obs=obs_dim)
     p = fam.init_params(seed=seed)
-    flat = p.flat.copy()
     for name in ("dec_w1", "dec_w2", "dec_w3"):
-        off, length = p.layout[name]
-        flat[off : off + length] *= weight_scale
-    p = p.with_flat(flat)
+        p.view(name)[:] *= weight_scale
     z = stream_rng(seed, Streams.DATA, 0).standard_normal((n, latent_dim))
     images = 1.0 / (1.0 + np.exp(-fam.decode(p, z)[2]))
-    return Dataset(images=images, source_tag="synthetic")
+    return Dataset(images=images)
 
 
 def split(d, fractions, seed=None):
@@ -140,9 +130,5 @@ def split(d, fractions, seed=None):
     if seed is not None:
         order = stream_rng(seed, Streams.DATA, 1).permutation(d.n)
     bounds = np.cumsum([0] + sizes)
-    out = []
-    for split_id, lo, hi in zip(SPLIT_IDS, bounds[:-1], bounds[1:]):
-        out.append(
-            Dataset(images=d.images[order[lo:hi]], source_tag=d.source_tag, split_id=split_id)
-        )
-    return tuple(out)
+    return tuple(Dataset(images=d.images[order[lo:hi]])
+                 for lo, hi in zip(bounds[:-1], bounds[1:]))

@@ -135,8 +135,9 @@ def phi_row_set(maps, ctx, alpha=None):
     contractions are summed, in one fixed order, so terms that cancel do
     so in the coefficients: rws-dreg - rws-wake is -(iwae-dreg - iwae)
     bit for bit, and a map whose weights all cancel gives exact-zero
-    rows.  Each distinct (side, base) pair is contracted once for all
-    maps: the eight ids take four path and two score contractions.
+    rows, while a map with no nonzero weight is a ValueError.  Each
+    distinct (side, base) pair is contracted once for all maps: the
+    eight ids take four path and two score contractions.
     alpha, in [0, 1], is read only by weights that are functions of it
     (dreg-alpha's), which need it.  Maps whose sum is one contraction of
     weight 1 (iwae-dreg, and dreg-alpha at alpha = 0) share its array.
@@ -149,6 +150,8 @@ def phi_row_set(maps, ctx, alpha=None):
         for kind, weight in _terms_at(weights, alpha):
             for key, c in phi_terms(entries[kind], alpha):
                 coef[key] = coef.get(key, 0.0) + weight * c
+        if not coef:
+            raise ValueError(f"weight map {name!r} has no nonzero weight")
     w = context_weights(ctx)
     parts = {(side, base): getattr(ctx, side)(getattr(w, base))
              for side, base in dict.fromkeys(key for c in coefs.values()

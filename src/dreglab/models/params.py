@@ -1,14 +1,17 @@
-"""Flat parameter vectors with named slices and optimization roles.
+"""Flat parameter vectors with named slices in two role blocks.
 
 A ParamVector is the single source of truth for a model's parameters:
-one float64 array, a layout table mapping names to index ranges, and a
-role per name.  A role says whether a slice belongs to the
-inference-network gradient (phi), the generative gradient (theta), or
-both (shared, which only the tests' reference toy uses).
+one float64 array and a layout table mapping names to index ranges.  A
+family's `template()` states the layout once, as (name, length, role)
+triples, and `build_params` is its only reader: each role, "phi" for
+the inference network and "theta" for the generative model, is one
+block of adjacent slices, so its coordinates are one `slice` of the
+flat array (`phi_indices`, `theta_indices`).
 
 Checkpoints are external artifacts: a plain-text layout table (name,
 offset, length per line), a blank line, then the flat array as raw
-little-endian float64 bytes.
+little-endian float64 bytes.  A checkpoint loads against a family, and
+its table must be that family's layout line for line.
 """
 
 import os
@@ -20,44 +23,30 @@ import numpy as np
 from .. import gaussian
 from ..gaussian import Streams
 
-ROLES = ("phi", "theta", "shared")
-
-
-def _check_role(roles, name):
-    if roles.get(name) not in ROLES:
-        raise ValueError(f"missing or invalid role for {name!r}")
-
 
 @dataclass
 class ParamVector:
+    """A flat array and its layout, as `build_params` assembles them."""
+
     flat: np.ndarray
     layout: dict  # name -> (offset, length), insertion order defines flat order
-    roles: dict  # name -> role
+    phi_indices: slice  # the inference network's coordinates
+    theta_indices: slice  # the generative model's coordinates
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64)
-        if self.flat.ndim != 1:
-            raise ValueError("flat parameter array must be 1-d")
-        covered = 0
-        cursor = 0
-        for name, (off, length) in self.layout.items():
-            if off != cursor:
-                raise ValueError(f"slice {name!r} starts at {off}, expected {cursor}")
-            if length <= 0:
-                raise ValueError(f"slice {name!r} has non-positive length")
-            cursor = off + length
-            covered += length
-        if covered != self.flat.size:
-            raise ValueError(f"layout covers {covered} of {self.flat.size} coordinates")
-        for name in self.layout:
-            _check_role(self.roles, name)
+        covered = sum(length for _, length in self.layout.values())
+        if self.flat.shape != (covered,):
+            raise ValueError(f"layout covers {covered} coordinates, the flat "
+                             f"array has shape {self.flat.shape}")
 
     def view(self, name):
         off, length = self.layout[name]
         return self.flat[off : off + length]
 
     def with_flat(self, new_flat):
-        return ParamVector(np.array(new_flat, dtype=np.float64), self.layout, self.roles)
+        return ParamVector(np.array(new_flat, dtype=np.float64), self.layout,
+                           self.phi_indices, self.theta_indices)
 
     def copy(self):
         return self.with_flat(self.flat.copy())
@@ -66,33 +55,32 @@ class ParamVector:
     def size(self):
         return self.flat.size
 
-    def indices_for_role(self, role):
-        idx = []
-        for name, (off, length) in self.layout.items():
-            if self.roles[name] == role:
-                idx.extend(range(off, off + length))
-        return np.array(idx, dtype=np.intp)
 
-    @property
-    def phi_indices(self):
-        return self.indices_for_role("phi")
-
-    @property
-    def theta_indices(self):
-        return self.indices_for_role("theta")
-
-
-def build_params(layout_triples, values=None):
-    """Assemble a ParamVector from (name, length, role) triples."""
+def build_params(template, values=None):
+    """Assemble a ParamVector from a template's (name, length, role)
+    triples, zeros unless ``values`` are given.  A role is "phi" or
+    "theta", and the slices of one role must be adjacent."""
     layout = {}
-    roles = {}
+    blocks = {"phi": None, "theta": None}
     cursor = 0
-    for name, length, role in layout_triples:
-        layout[name] = (cursor, int(length))
-        roles[name] = role
-        cursor += int(length)
+    for name, length, role in template:
+        length = int(length)
+        if role not in blocks:
+            raise ValueError(f"slice {name!r} has role {role!r}, "
+                             f"not 'phi' or 'theta'")
+        if length <= 0:
+            raise ValueError(f"slice {name!r} has non-positive length")
+        block = blocks[role]
+        if block is not None and block.stop != cursor:
+            raise ValueError(f"{role} slice {name!r} is not adjacent to the "
+                             f"other {role} slices")
+        layout[name] = (cursor, length)
+        blocks[role] = slice(cursor if block is None else block.start,
+                             cursor + length)
+        cursor += length
     flat = np.zeros(cursor) if values is None else np.asarray(values, dtype=np.float64)
-    return ParamVector(flat, layout, roles)
+    return ParamVector(flat, layout, blocks["phi"] or slice(0, 0),
+                       blocks["theta"] or slice(0, 0))
 
 
 def perturb_params(p, sigma, seed, draw=0):
@@ -136,36 +124,46 @@ def save_checkpoint(p, path):
     write_atomic(path, (header + "\n").encode("ascii") + payload)
 
 
-def load_checkpoint(path, roles):
-    """Inverse of save_checkpoint; the caller supplies the role map.
+def load_checkpoint(path, family):
+    """Inverse of save_checkpoint for a checkpoint of ``family``: each
+    header line must be the line of ``family.template()``'s layout that
+    save_checkpoint writes.  Returns a ParamVector on a writeable copy of
+    the payload.
 
     A malformed file is a ValueError that names the path, and a
-    malformed header line also its number and text.
+    malformed or mismatched header line also its number, text and slice.
     """
+    like = build_params(family.template())
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise ValueError(f"{path}: checkpoint layout header has no "
                          f"blank-line terminator")
-    layout = {}
-    for lineno, line in enumerate(blob[:sep].splitlines(), 1):
+    want = [(name, off, length) for name, (off, length) in like.layout.items()]
+    lines = blob[:sep].splitlines()
+    seen = set()
+    for lineno, line in enumerate(lines, 1):
         try:
             name, off, length = line.decode("ascii").split()
-            if name in layout:
+            if name in seen:
                 raise ValueError(f"slice {name!r} repeats")
-            layout[name] = (int(off), int(length))
-            _check_role(roles, name)
+            seen.add(name)
+            if lineno > len(want):
+                raise ValueError(f"slice {name!r} is not in the layout")
+            if (name, int(off), int(length)) != want[lineno - 1]:
+                raise ValueError(f"slice {name!r} does not match the layout's "
+                                 f"line {'%s %d %d' % want[lineno - 1]!r}")
         except ValueError as exc:  # a UnicodeDecodeError too
             raise ValueError(f"{path}: checkpoint header line {lineno} "
                              f"{line.decode('latin-1')!a}: {exc}") from exc
+    if len(lines) < len(want):
+        raise ValueError(f"{path}: checkpoint header lacks slice "
+                         f"{want[len(lines)][0]!r}, line {len(lines) + 1} "
+                         f"of the layout")
     payload = blob[sep + 2 :]
-    expected = 8 * sum(length for _, length in layout.values())
+    expected = 8 * like.size
     if len(payload) != expected:
         raise ValueError(f"{path}: checkpoint payload should hold {expected} "
                          f"bytes, found {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    try:
-        return ParamVector(flat, layout, dict(roles))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return like.with_flat(np.frombuffer(payload, dtype="<f8"))

@@ -43,9 +43,6 @@ class Toy:
         d = self.d
         return [("theta", d, "theta"), ("a", d * d, "phi"), ("b", d, "phi")]
 
-    def roles(self):
-        return {name: role for name, _, role in self.template()}
-
     def init_params(self, theta):
         """ParamVector at the optimal inference map for the given theta."""
         theta = [float(t) for t in theta]

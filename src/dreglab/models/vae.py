@@ -80,9 +80,6 @@ class Vae:
             ("dec_b3", dx, "theta"),
         ]
 
-    def roles(self):
-        return {name: role for name, _, role in self.template()}
-
     def init_params(self, seed):
         rng = gaussian.stream_rng(seed, Streams.INIT)
         h, dz, dx = self.hidden, self.latent, self.obs

@@ -9,9 +9,10 @@ floats and must agree with the closed-form contexts to near machine
 precision.
 
 The toy's shared mode ties the inference map to the generative mean by
-A = diag(theta) with a free bias, giving every theta coordinate both
-roles at once; it exists for the stop-gradient placement tests and has
-no closed-form context.
+A = diag(theta) with a free bias, so every theta coordinate also moves
+q.  Its template still tags theta "theta": the sharing is the model's
+(`shared`), not a role of the layout.  It exists for the stop-gradient
+placement tests and has no closed-form context.
 """
 
 import math
@@ -65,7 +66,7 @@ class Toy(models.Toy):
 
     def template(self):
         if self.shared:
-            return [("theta", self.d, "shared"), ("b", self.d, "phi")]
+            return [("theta", self.d, "theta"), ("b", self.d, "phi")]
         return super().template()
 
     def init_params(self, theta):
@@ -102,7 +103,7 @@ class Toy(models.Toy):
 
     def weight_context(self, p, x, eps):
         if self.shared:
-            raise ValueError("closed-form context requires disjoint roles")
+            raise ValueError("closed-form context requires an unshared toy")
         return super().weight_context(p, x, eps)
 
 

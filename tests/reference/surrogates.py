@@ -76,9 +76,9 @@ def surrogate_loss(kind, model, params, x, eps, alpha=None, stops_from=None):
     ``model`` is a family of `reference.models`, whose generic route
     the surrogate runs; eps is the plain (K, d) noise array that weight
     contexts take.  Returns a SurrogateLoss; its `.gradient()` is the
-    estimator for all parameters at once.  Works for disjoint and shared
-    role masks alike, which is the point: the freeze placements, not the
-    role bookkeeping, decide where gradients flow.
+    estimator for all parameters at once.  Works for the shared toy as
+    for disjoint models, which is the point: the freeze placements, not
+    the role bookkeeping, decide where gradients flow.
     """
     r = recipe(kind, alpha)
     frozen = params if stops_from is None else stops_from

@@ -82,17 +82,17 @@ def log_weights(model, params, x, eps):
     adjoints give dlog w_i/dz_i, theta leaves give dlog w_i/dtheta),
     from each z-stopped log q_i (phi leaves give the score partial), and
     from each encoder output (phi jacobians of mean and log-scale).
-    eps is the (K, d) noise array.  Requires disjoint roles; shared
-    parameters go through the surrogate route instead.
+    eps is the (K, d) noise array.  Requires a model whose phi and theta
+    are disjoint; a shared toy goes through the surrogate route instead.
     """
-    if "shared" in params.roles.values():
-        raise ValueError("per-sample partial extraction requires disjoint roles")
+    if getattr(model, "shared", False):
+        raise ValueError("per-sample partial extraction requires an unshared model")
     k, d = np.shape(eps)
     graph = TapeGraph()
     lp = lift(graph, params)
     q = model.inference(lp, x)
-    phi_ids = [lp.node_ids[i] for i in params.phi_indices]
-    theta_ids = [lp.node_ids[i] for i in params.theta_indices]
+    phi_ids = list(lp.node_ids[params.phi_indices])
+    theta_ids = list(lp.node_ids[params.theta_indices])
 
     z_nodes = []
     lw_nodes = []

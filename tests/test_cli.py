@@ -14,7 +14,8 @@ from dreglab.estimators import (
     phi_rows,
 )
 from dreglab.gaussian import Streams, noise_block
-from dreglab.models import Toy
+from dreglab.models import Toy, Vae, load_checkpoint, save_checkpoint
+from dreglab.training import Adam
 from reference.support import write_idx
 from dreglab.cli import (
     KEYS,
@@ -644,6 +645,23 @@ class TestTrainCommand:
             os.path.join(out2, "train.csv"))
         assert read(os.path.join(out1, "checkpoint.bin")) == read(
             os.path.join(out2, "checkpoint.bin"))
+
+    def test_checkpoint_loads_back_under_the_manifest_sizes(self, tmp_path):
+        cfg = write_config(tmp_path, TRAIN_SMOKE)
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        m = cli.load_config(str(out / "manifest.txt"), "train")
+        path = out / "checkpoint.bin"
+        p = load_checkpoint(path, Vae(m.latent, m.hidden, m.obs))
+        save_checkpoint(p, tmp_path / "again.bin")
+        assert read(tmp_path / "again.bin") == read(path)
+        # the loaded array is one an optimizer can step in place
+        before = p.flat.copy()
+        Adam(p.size).update(p.flat, np.ones(p.size))
+        assert not np.array_equal(p.flat, before)
+        with pytest.raises(ValueError, match=r"checkpoint.bin: checkpoint header "
+                           r"line 5 'enc_w3 .*': slice 'enc_w3' does not match"):
+            load_checkpoint(path, Vae(m.latent + 1, m.hidden, m.obs))
 
     def test_csv_schema(self, tmp_path):
         cfg = write_config(tmp_path, TRAIN_SMOKE)

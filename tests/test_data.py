@@ -25,7 +25,6 @@ def test_load_hand_built_idx3(tmp_path):
     path.write_bytes(idx3_bytes((2, 28, 28), payload))
     d = load_idx(path)
     assert d.images.shape == (2, 784)
-    assert d.source_tag == "idx" and d.split_id is None
     assert d.images[0, 0] == 0.0
     assert d.images[0, 255] == 1.0
     assert d.images[0, 128] == 128.0 / 255.0
@@ -83,7 +82,7 @@ def test_empty_image_dimensions_are_named(tmp_path, dims):
         load_idx(path)
     images = np.empty((dims[0], dims[1] * dims[2]))
     with pytest.raises(ValueError, match=r"non-empty \(n, obs\)|at least one pixel, got shape"):
-        Dataset(images=images, source_tag="idx")
+        Dataset(images=images)
 
 
 def test_roundtrip_is_byte_stable(tmp_path):
@@ -100,21 +99,19 @@ def test_roundtrip_is_byte_stable(tmp_path):
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="0, 1"):
-        Dataset(images=np.array([[1.5]]), source_tag="t")
+        Dataset(images=np.array([[1.5]]))
     with pytest.raises(ValueError, match="non-empty"):
-        Dataset(images=np.empty((0, 3)), source_tag="t")
-    with pytest.raises(ValueError, match="split id"):
-        Dataset(images=np.array([[0.5]]), source_tag="t", split_id="holdout")
+        Dataset(images=np.empty((0, 3)))
 
 
 def test_dataset_rejects_non_finite_intensities():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            Dataset(images=np.array([[0.2, bad]]), source_tag="t")
+            Dataset(images=np.array([[0.2, bad]]))
 
 
 def test_binarize_endpoints():
-    d = Dataset(images=np.array([[0.0, 1.0, 0.3]]), source_tag="t")
+    d = Dataset(images=np.array([[0.0, 1.0, 0.3]]))
     for epoch in range(20):
         b = dynamic_binarize(d, seed=5, epoch=epoch)
         assert b[0, 0] == 0.0 and b[0, 1] == 1.0
@@ -122,14 +119,14 @@ def test_binarize_endpoints():
 
 
 def test_binarize_determinism():
-    d = Dataset(images=np.full((4, 6), 0.5), source_tag="t")
+    d = Dataset(images=np.full((4, 6), 0.5))
     assert np.array_equal(dynamic_binarize(d, 3, 7), dynamic_binarize(d, 3, 7))
     assert not np.array_equal(dynamic_binarize(d, 3, 7), dynamic_binarize(d, 3, 8))
     assert not np.array_equal(dynamic_binarize(d, 3, 7), dynamic_binarize(d, 4, 7))
 
 
 def test_binarize_half_pixel_long_run_mean():
-    d = Dataset(images=np.array([[0.5]]), source_tag="t")
+    d = Dataset(images=np.array([[0.5]]))
     hits = sum(dynamic_binarize(d, 11, epoch)[0, 0] for epoch in range(10_000))
     assert 0.48 <= hits / 10_000 <= 0.52
 
@@ -137,7 +134,7 @@ def test_binarize_half_pixel_long_run_mean():
 def test_binarize_marginals_track_intensities():
     rng = np.random.default_rng(1)
     probs = 0.05 + 0.9 * rng.random((1, 40))
-    d = Dataset(images=probs, source_tag="t")
+    d = Dataset(images=probs)
     n = 4000
     acc = np.zeros_like(probs)
     for epoch in range(n):
@@ -151,7 +148,6 @@ def test_synthetic_shape_and_determinism():
     b = synthetic_dataset(100, 64, 10, seed=7)
     c = synthetic_dataset(100, 64, 10, seed=8)
     assert a.images.shape == (100, 64)
-    assert a.source_tag == "synthetic"
     assert a.images.min() >= 0.0 and a.images.max() <= 1.0
     assert np.array_equal(a.images, b.images)
     assert not np.array_equal(a.images, c.images)
@@ -175,19 +171,17 @@ def test_synthetic_rejects_bad_sizes():
 
 def test_split_contiguous():
     images = np.linspace(0.0, 1.0, 100)[:, None]
-    d = Dataset(images=images, source_tag="idx")
+    d = Dataset(images=images)
     train, valid, test = split(d, (0.8, 0.1, 0.1))
     assert (train.n, valid.n, test.n) == (80, 10, 10)
     assert np.array_equal(train.images, images[:80])
     assert np.array_equal(valid.images, images[80:90])
     assert np.array_equal(test.images, images[90:])
-    assert (train.split_id, valid.split_id, test.split_id) == ("train", "valid", "test")
-    assert train.source_tag == "idx"
 
 
 def test_split_shuffled_partition():
     images = np.arange(100)[:, None] / 99.0
-    d = Dataset(images=images, source_tag="synthetic")
+    d = Dataset(images=images)
     train, valid, test = split(d, (0.8, 0.1, 0.1), seed=3)
     combined = np.concatenate([train.images, valid.images, test.images]).ravel()
     assert np.array_equal(np.sort(combined), images.ravel())
@@ -199,7 +193,7 @@ def test_split_shuffled_partition():
 
 
 def test_split_errors():
-    d = Dataset(images=np.full((100, 2), 0.5), source_tag="t")
+    d = Dataset(images=np.full((100, 2), 0.5))
     with pytest.raises(ValueError, match="empty split"):
         split(d, (0.001, 0.5, 0.4))
     with pytest.raises(ValueError, match="sum"):

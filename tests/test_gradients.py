@@ -155,7 +155,7 @@ def test_decompose_sums_to_standard_grad():
     wt = ChunkWeights(lwb.lw).wt
     score_terms = -(wt[:, None] * lwb.dlogq_dphi)
     path_terms = np.array([lwb.path(wt * (np.arange(6) == i)) for i in range(6)])
-    assert score_terms.shape == path_terms.shape == (6, p.phi_indices.size)
+    assert score_terms.shape == path_terms.shape == (6, p.flat[p.phi_indices].size)
     total = score_terms.sum(axis=0) + path_terms.sum(axis=0)
     assert np.allclose(total, phi_rows("iwae", lwb), rtol=1e-12, atol=1e-12)
     cross, _ = one_draw(fam, p, x, eps, "iwae")
@@ -354,7 +354,7 @@ def test_phi_row_set_agrees_with_the_tape_route():
     tape = phi_row_set(each_alone(*ESTIMATOR_IDS), log_weights(fam, p, x, eps), 0.3)
     bulk = phi_row_set(each_alone(*ESTIMATOR_IDS), fam.weight_context(p, x, eps), 0.3)
     for kind in ESTIMATOR_IDS:
-        assert tape[kind].shape == (p.phi_indices.size,)
+        assert tape[kind].shape == (p.flat[p.phi_indices].size,)
         assert np.allclose(tape[kind], bulk[kind][0], rtol=1e-9, atol=1e-11), kind
 
 
@@ -371,6 +371,19 @@ def test_phi_row_set_takes_alpha_exactly_with_dreg_alpha():
     assert set(phi_row_set(mix, ctx, alpha=0.3)) == {"mix"}
     assert set(phi_row_set(each_alone("stl", "dreg-alpha"), ctx, alpha=0.3)) == {"stl", "dreg-alpha"}
     assert phi_row_set({}, ctx) == {}
+
+
+def test_phi_row_set_names_a_map_without_a_nonzero_weight():
+    fam, p, x = toy_fixture()
+    ctx = fam.weight_context(p, x, noise_block(1, Streams.MEASURE, 12, (4, 3)))
+    for name, weights in (("zero", {"iwae": 0.0}), ("empty", {}),
+                          ("zeros", {"stl": 0.0, "dreg-alpha": 0.0})):
+        with pytest.raises(ValueError, match=f"weight map '{name}' has no nonzero weight"):
+            phi_row_set({"live": {"iwae": 1.0}, name: weights}, ctx, alpha=0.3)
+    # weights that cancel in the coefficients still give exact-zero rows
+    rows = phi_row_set({"cancel": {"iwae-dreg": 1.0, "dreg-alpha": -1.0}}, ctx, alpha=0.0)
+    assert rows["cancel"].shape == phi_rows("iwae-dreg", ctx).shape
+    assert not rows["cancel"].any()
 
 
 def _identity_contexts():

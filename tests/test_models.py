@@ -193,10 +193,12 @@ def test_param_vector_roles_and_views():
     p = fam.init_params([1.0, 2.0])
     assert list(p.layout) == ["theta", "a", "b"]
     assert p.view("b").tolist() == [0.5, 1.0]
-    assert p.phi_indices.tolist() == list(range(2, 8))
-    assert p.theta_indices.tolist() == [0, 1]
-    assert "shared" not in p.roles.values()
-    assert "shared" in Toy(2, shared=True).init_params([1.0, 2.0]).roles.values()
+    assert p.phi_indices == slice(2, 8)
+    assert p.theta_indices == slice(0, 2)
+    assert not fam.shared
+    shared = Toy(2, shared=True)
+    assert shared.shared
+    assert shared.init_params([1.0, 2.0]).theta_indices == slice(0, 2)
 
 
 def test_param_vector_validates_layout():
@@ -210,11 +212,12 @@ def test_checkpoint_roundtrip(tmp_path):
     fam, p, _ = toy_fixture(d=4)
     path = tmp_path / "params.ckpt"
     save_checkpoint(p, path)
-    q = load_checkpoint(path, fam.roles())
+    q = load_checkpoint(path, fam)
     assert q.layout == p.layout
+    assert (q.phi_indices, q.theta_indices) == (p.phi_indices, p.theta_indices)
     assert np.array_equal(q.flat, p.flat)
     save_checkpoint(p, path)
-    assert load_checkpoint(path, fam.roles()).flat.tolist() == p.flat.tolist()
+    assert load_checkpoint(path, fam).flat.tolist() == p.flat.tolist()
 
 
 def test_checkpoint_bytes_stable(tmp_path):
@@ -254,7 +257,7 @@ def test_truncated_checkpoint_is_named(tmp_path, cut):
     path.write_bytes(blob[:-cut])
     expected = 8 * p.size
     with pytest.raises(ValueError, match=f"params.ckpt.*{expected} bytes, found {expected - cut}"):
-        load_checkpoint(path, fam.roles())
+        load_checkpoint(path, fam)
 
 
 def test_checkpoint_cut_inside_header_is_named(tmp_path):
@@ -263,16 +266,18 @@ def test_checkpoint_cut_inside_header_is_named(tmp_path):
     save_checkpoint(p, path)
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(ValueError, match="params.ckpt.*layout header has no blank-line terminator"):
-        load_checkpoint(path, fam.roles())
+        load_checkpoint(path, fam)
 
 
 @pytest.mark.parametrize("line, message", [
     (b"theta 0", r"checkpoint header line 1 'theta 0': not enough values to unpack"),
     (b"theta x0 4", r"checkpoint header line 1 'theta x0 4': invalid literal for int\(\)"),
     (b"th\xe9ta 0 4", r"checkpoint header line 1 'th\\xe9ta 0 4': 'ascii' codec can't decode"),
-    (b"thetaX 0 4", r"checkpoint header line 1 'thetaX 0 4': missing or invalid role for 'thetaX'"),
-    (b"a 0 4", r"checkpoint header line 2 'a 4 16': slice 'a' repeats"),
-    (b"theta 1 4", r"slice 'theta' starts at 1, expected 0"),
+    (b"thetaX 0 4", r"checkpoint header line 1 'thetaX 0 4': slice 'thetaX' does not "
+                    r"match the layout's line 'theta 0 4'"),
+    (b"theta 0 4\ntheta 0 4", r"checkpoint header line 2 'theta 0 4': slice 'theta' repeats"),
+    (b"theta 1 4", r"checkpoint header line 1 'theta 1 4': slice 'theta' does not "
+                   r"match the layout's line 'theta 0 4'"),
 ], ids=["two-fields", "bad-offset", "non-ascii", "unknown-slice", "repeated-slice",
         "misplaced-slice"])
 def test_malformed_checkpoint_header_line_is_named(tmp_path, line, message):
@@ -282,7 +287,39 @@ def test_malformed_checkpoint_header_line_is_named(tmp_path, line, message):
     blob = path.read_bytes()
     path.write_bytes(line + blob[blob.index(b"\n"):])  # header line 1 replaced
     with pytest.raises(ValueError, match=f"params.ckpt: {message}"):
-        load_checkpoint(path, fam.roles())
+        load_checkpoint(path, fam)
+
+
+@pytest.mark.parametrize("saved, message", [
+    (Vae(2, 3, 5), r"line 1 'enc_w1 0 15': slice 'enc_w1' does not match the "
+                   r"layout's line 'enc_w1 0 1280'"),
+    (build_params([("theta", 4, "theta"), ("a", 15, "phi"), ("b", 5, "phi")]),
+     r"line 2 'a 4 15': slice 'a' does not match the layout's line 'a 4 16'"),
+    (build_params([("theta", 4, "theta"), ("a", 16, "phi")]),
+     r"lacks slice 'b', line 3 of the layout"),
+    (build_params([("theta", 4, "theta"), ("a", 16, "phi"), ("b", 4, "phi"), ("c", 1, "phi")]),
+     r"line 4 'c 24 1': slice 'c' is not in the layout"),
+], ids=["other-vae-sizes", "wrong-length", "missing-slice", "extra-slice"])
+def test_checkpoint_of_another_layout_is_named_at_load(tmp_path, saved, message):
+    # each file is well formed and its payload fits its own header
+    path = tmp_path / "params.ckpt"
+    if isinstance(saved, Vae):
+        fam, saved = Vae(10, 20, 64), saved.init_params(seed=0)
+    else:
+        fam = Toy(4)
+    save_checkpoint(saved, path)
+    with pytest.raises(ValueError, match=f"params.ckpt: checkpoint header {message}"):
+        load_checkpoint(path, fam)
+
+
+def test_build_params_gives_each_role_one_slice():
+    p = build_params([("u", 2, "phi"), ("v", 3, "phi"), ("w", 1, "theta")])
+    assert (p.phi_indices, p.theta_indices) == (slice(0, 5), slice(5, 6))
+    assert build_params([("w", 3, "phi")]).theta_indices == slice(0, 0)
+    with pytest.raises(ValueError, match="slice 'w' has role 'shared', not 'phi' or 'theta'"):
+        build_params([("w", 2, "shared")])
+    with pytest.raises(ValueError, match="phi slice 'c' is not adjacent to the other phi slices"):
+        build_params([("a", 1, "phi"), ("b", 1, "theta"), ("c", 1, "phi")])
 
 
 def test_vae_dead_network_log_joint():
@@ -377,8 +414,8 @@ def test_vae_context_contractions_match_finite_differences():
         return float(np.sum(c * ctx2.lw))
 
     step = 1e-6
-    phi_idx = p.phi_indices
-    theta_idx = p.theta_indices
+    phi_idx = np.arange(p.size)[p.phi_indices]
+    theta_idx = np.arange(p.size)[p.theta_indices]
     probe_phi = rng.choice(len(phi_idx), size=10, replace=False)
     probe_theta = rng.choice(len(theta_idx), size=10, replace=False)
     for local in probe_theta:
@@ -453,8 +490,8 @@ def test_vae_smoke_desk_scale():
     eps = rng.standard_normal((4, 8, 10))
     ctx = fam.weight_context(p, x, eps)
     assert np.all(np.isfinite(ctx.lw))
-    assert ctx.theta(np.ones((4, 8))).shape == (4, len(p.theta_indices))
-    assert ctx.path(np.ones((4, 8))).shape == (4, len(p.phi_indices))
+    assert ctx.theta(np.ones((4, 8))).shape == (4, p.flat[p.theta_indices].size)
+    assert ctx.path(np.ones((4, 8))).shape == (4, p.flat[p.phi_indices].size)
 
 
 def test_shared_toy_ties_inference_to_theta():
