@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_idx, split, synthetic_dataset
-from .diagnostics import fold_rows, stats_from_moments, t_test_from_moments
+from .diagnostics import fold_rows, t_test_from_moments
 from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
@@ -244,8 +244,6 @@ def _fmt(value):
         return ", ".join(_fmt(v) for v in value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -306,17 +304,26 @@ def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
                      draw_prefix=(trial, k), chunk_size=cfg.chunk_size)
 
 
+def _t_tests(moments):
+    """The one-sample t-test against zero of each coordinate of a fold's
+    moments, in coordinate order."""
+    return [t_test_from_moments(mean, variance, moments.n)
+            for mean, variance in zip(moments.mean, moments.variance)]
+
+
 def run_toy_snr(cfg):
     """Bias, variance, and SNR of every estimator over a K grid.
 
-    Writes ``stats.csv`` with one row per (estimator, K, trial,
-    coordinate) and ``ttests.csv`` with per-coordinate paired t-tests of
-    each estimator against the standard recipe pooled over trials.  Per
-    (trial, K) it makes two `_paired_fold`s: the bias reference, iwae
-    alone over ``reference_samples`` draws on the reference stream, and
-    the measurement, every live id alone and, past iwae, less iwae over
-    ``samples`` draws.  Each estimator skips the K below its recipe's
-    min_k, and a K that no estimator reaches is not measured.
+    Per (trial, K) it makes two `_paired_fold`s: the bias reference,
+    iwae alone over ``reference_samples`` draws on the reference stream,
+    and the measurement, every live id alone and, past iwae, less iwae
+    over ``samples`` draws.  ``stats.csv`` has one row per (estimator,
+    K, trial, coordinate) of the measurement moments: their mean,
+    variance and `RunningMoments.snr`, and bias2, the squared distance
+    of the mean from the reference's.  ``ttests.csv`` has per-coordinate
+    paired t-tests of each estimator against iwae, pooled over trials.
+    Each estimator skips the K below its recipe's min_k, and a K that no
+    estimator reaches is not measured.
     """
     _prepare_out(cfg)
     fam = Toy(cfg.d, cfg.q_variance)
@@ -339,11 +346,11 @@ def run_toy_snr(cfg):
                                    {**{est: {est: 1.0} for est in live},
                                     **diffs})
             for est in live:
-                st = stats_from_moments(moments[est], ref)
-                for coord in range(st.mean.size):
-                    stat_rows.append((est, k, trial, coord,
-                                      st.mean[coord], st.variance[coord],
-                                      st.bias_sq[coord], st.snr[coord]))
+                mom = moments[est]
+                stat_rows += [(est, k, trial, coord, *cells)
+                              for coord, cells in enumerate(zip(
+                                  mom.mean, mom.variance,
+                                  (mom.mean - ref) ** 2, mom.snr))]
             for key in diffs:
                 pooled[key] = moments[key] if key not in pooled \
                     else pooled[key].merge(moments[key])
@@ -352,13 +359,9 @@ def run_toy_snr(cfg):
               ("estimator", "K", "trial", "coordinate",
                "mean", "variance", "bias2", "snr"),
               stat_rows)
-    t_rows = []
-    for (est, k), dmom in pooled.items():
-        for coord in range(dmom.mean.size):
-            res = t_test_from_moments(dmom.mean[coord],
-                                      dmom.variance[coord], dmom.n)
-            t_rows.append((est, k, coord, res.t_statistic, res.p_value,
-                           res.n))
+    t_rows = [(est, k, coord, res.t_statistic, res.p_value, dmom.n)
+              for (est, k), dmom in pooled.items()
+              for coord, res in enumerate(_t_tests(dmom))]
     t_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     write_csv(os.path.join(cfg.out, "ttests.csv"),
               ("estimator", "K", "coordinate", "t_statistic", "p_value",
@@ -390,10 +393,8 @@ def run_bias_test(cfg):
     verdicts = []
     for est in sorted(cfg.estimators):
         dmom, ref = diffs[est], REFERENCE_PAIR[est]
-        results = [t_test_from_moments(dmom.mean[c], dmom.variance[c],
-                                       dmom.n)
-                   for c in range(dmom.mean.size)]
-        t_rows += [(est, ref, c, res.t_statistic, res.p_value, res.n)
+        results = _t_tests(dmom)
+        t_rows += [(est, ref, c, res.t_statistic, res.p_value, dmom.n)
                    for c, res in enumerate(results)]
         worst = min(range(len(results)), key=lambda c: results[c].p_value)
         p_min = results[worst].p_value

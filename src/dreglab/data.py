@@ -3,7 +3,9 @@
 Images are stored as real intensities in [0, 1]; binarization is not
 baked into a dataset but re-drawn per epoch from a counter-based key,
 so the Bernoulli noise for (image i, pixel j) depends only on
-(seed, epoch, i, j) and never on mini-batch order.
+(seed, epoch, i, j) and never on mini-batch order.  Training reads each
+row under its own epoch's draw, also in a mini-batch that wraps past
+the end of the split.
 """
 
 import struct

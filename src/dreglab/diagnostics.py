@@ -72,42 +72,21 @@ class RunningMoments:
             raise ValueError("variance needs at least two samples")
         return self.m2 / (self.n - 1)
 
-
-@dataclass
-class EstimatorStats:
-    """Per-coordinate summary of one estimator's gradient samples."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-    bias_sq: np.ndarray
-    snr: np.ndarray  # NaN where the variance is exactly 0
-
-
-def stats_from_moments(moments, reference_mean):
-    """Summary statistics of one estimator's folded gradient samples.
-
-    Variance is the unbiased sample variance; SNR_j = |mean_j| / sd_j,
-    undefined (NaN) where the variance is exactly zero; bias is squared
-    distance to the declared reference mean.
-    """
-    reference_mean = np.asarray(reference_mean, dtype=np.float64)
-    variance = moments.variance
-    defined = variance > 0.0
-    snr = np.full_like(variance, np.nan)
-    snr[defined] = np.abs(moments.mean[defined]) / np.sqrt(variance[defined])
-    return EstimatorStats(
-        mean=moments.mean,
-        variance=variance,
-        bias_sq=(moments.mean - reference_mean) ** 2,
-        snr=snr,
-    )
+    @property
+    def snr(self):
+        """|mean| / sd per coordinate from the unbiased variance, NaN
+        where the variance is exactly 0."""
+        variance = self.variance
+        defined = variance > 0.0
+        snr = np.full_like(variance, np.nan)
+        snr[defined] = np.abs(self.mean[defined]) / np.sqrt(variance[defined])
+        return snr
 
 
 @dataclass
 class TTestResult:
     t_statistic: float
     p_value: float
-    n: int
 
 
 def _log_gamma_ratio(a):
@@ -200,10 +179,10 @@ def t_test_from_moments(mean, variance, n):
     sd = math.sqrt(variance)
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(0.0, 1.0, n)
-        return TTestResult(math.copysign(math.inf, mean), 0.0, n)
+            return TTestResult(0.0, 1.0)
+        return TTestResult(math.copysign(math.inf, mean), 0.0)
     t = mean / (sd / math.sqrt(n))
-    return TTestResult(t, _t_tail(t, n - 1), n)
+    return TTestResult(t, _t_tail(t, n - 1))
 
 
 class VarianceTraceEma:

@@ -120,7 +120,10 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     """Optimize a model on binarized data, logging bound and traces.
 
     ``train`` and ``valid`` are intensity Datasets; binarization happens
-    here, per epoch for training and once (fixed) for evaluation.  Rows
+    here, once (fixed) for evaluation and per epoch for training.  The
+    batches read the training split in order, epoch after epoch, and
+    each row takes its own epoch's draw, also in a batch that wraps past
+    the end of the split into the next epoch.  Rows
     are appended every ``eval_every`` steps plus a final row at
     ``steps``; each reflects the parameters before that step's update,
     with variance traces over the batch-mean gradients seen so far.
@@ -169,16 +172,16 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     rows = []
     epoch = -1
     binarized = None
-    step = 0
-    cause = ""
-    diverged = False
-    while step <= steps:
-        step_epoch = (step * batch_size) // n
-        if step_epoch != epoch:
-            epoch = step_epoch
-            binarized = dynamic_binarize(train, seed, epoch)
-        start = (step * batch_size) % n
-        xb = binarized[np.arange(start, start + batch_size) % n]
+    xb = np.empty((batch_size, train.obs))
+    for step in range(steps + 1):
+        # the run reads the split in order, epoch after epoch: its row g
+        # is image g % n under epoch g // n's draw, made once per epoch
+        first = step * batch_size
+        for e in range(first // n, (first + batch_size - 1) // n + 1):
+            if e != epoch:
+                epoch, binarized = e, dynamic_binarize(train, seed, e)
+            lo, hi = max(first, e * n), min(first + batch_size, (e + 1) * n)
+            xb[lo - first:hi - first] = binarized[lo - e * n:hi - e * n]
         eps = noise_block(seed, Streams.TRAIN_NOISE, step,
                           (batch_size, k, fam.latent))
         try:
@@ -196,14 +199,11 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
             if not math.isfinite(objective):
                 raise ValueError("non-finite objective")
         except (ValueError, FloatingPointError, OverflowError) as exc:
-            diverged, cause = True, str(exc)
-            break
+            return TrainResult(rows, p, True, step, str(exc))
         trace.update(mean)
         if step % eval_every == 0 or step == steps:
             rows.append(TrainRow(step, objective, heldout_bound(p),
                                  trace.trace(theta_idx), trace.trace(phi_idx)))
-        if step == steps:
-            break
-        opt.update(p.flat, np.negative(mean, out=grad))
-        step += 1
-    return TrainResult(rows, p, diverged, step if diverged else -1, cause)
+        if step < steps:
+            opt.update(p.flat, np.negative(mean, out=grad))
+    return TrainResult(rows, p, False)

@@ -358,7 +358,7 @@ def test_phi_row_set_agrees_with_the_tape_route():
         assert np.allclose(tape[kind], bulk[kind][0], rtol=1e-9, atol=1e-11), kind
 
 
-def test_phi_row_set_takes_alpha_exactly_with_dreg_alpha():
+def test_phi_row_set_checks_alpha_and_estimator_ids():
     fam, p, x = toy_fixture()
     ctx = fam.weight_context(p, x, noise_block(1, Streams.MEASURE, 11, (4, 3)))
     with pytest.raises(ValueError, match="alpha must be given"):

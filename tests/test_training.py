@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dreglab.data import synthetic_dataset, split
+from dreglab.data import dynamic_binarize, split, synthetic_dataset
 from dreglab.diagnostics import VarianceTraceEma
 from dreglab.models import Vae
 from dreglab.training import Adam, TrainRow, train_model
@@ -134,6 +134,32 @@ class TestTrainModel:
                         for alpha in (0.3, None))
         assert given.rows == plain.rows
         assert np.array_equal(given.params.flat, plain.params.flat)
+
+    @pytest.mark.parametrize("batch_size", [8, 200])
+    def test_each_row_takes_its_own_epochs_draw(self, batch_size):
+        # 77 training images: batches of 8 wrap past the end of the split,
+        # and a batch of 200 spans three or four epochs
+        class RecordingVae(Vae):
+            batches = []
+
+            def weight_context(self, p, x, eps, sums=False):
+                if sums:  # a training batch, not the held-out set
+                    self.batches.append(np.array(x))
+                return super().weight_context(p, x, eps, sums)
+
+        _, train, valid = tiny_problem()
+        fam = RecordingVae(latent=2, hidden=4, obs=16)
+        steps, n = 30, train.n
+        res = train_model(fam, train, valid, "iwae", 2, steps=steps,
+                          batch_size=batch_size, seed=5)
+        assert not res.diverged and len(fam.batches) == steps + 1
+        draws = {}
+        for step, batch in enumerate(fam.batches):
+            for i, row in enumerate(batch):
+                epoch, image = divmod(step * batch_size + i, n)
+                if epoch not in draws:
+                    draws[epoch] = dynamic_binarize(train, 5, epoch)
+                assert np.array_equal(row, draws[epoch][image]), (step, i)
 
     @pytest.mark.parametrize("eval_k", [0, -3])
     def test_eval_k_below_one_is_named(self, eval_k):
