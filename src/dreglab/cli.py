@@ -7,7 +7,9 @@ it; any other known key is a config error for that experiment.  Every
 run writes a manifest holding the resolved value of each key its
 experiment reads (file values, flag overrides and defaults), so the
 manifest is itself a config file and replaying it reproduces the output
-bytes within a code version.
+bytes within a code version.  No key chooses what has one value per
+experiment: toy-snr and bias-test run on the toy and train on the VAE,
+and every toy fold draws its noise in chunks of `diagnostics.CHUNK`.
 
     dreg-lab toy-snr   --config cfg.txt [--seed N] [--out DIR]
     dreg-lab train     --config cfg.txt [--seed N] [--out DIR]
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_idx, split, synthetic_dataset
-from .diagnostics import fold_rows, t_test_from_moments
+from .diagnostics import fold_rows
 from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
@@ -102,8 +104,6 @@ KEYS = {
     "seed": Key(int, 0, _at_least(0), _ALL),
     "out": Key(str, {e: os.path.join("runs", e) for e in _ALL},
                (bool, "must not be empty"), _ALL),
-    "model": Key(str, {"toy-snr": "toy", "bias-test": "toy", "train": "vae"},
-                 None, _ALL),
     "d": Key(int, 4, _POSITIVE, _TOY),
     "q_variance": Key(_finite, 2.0 / 3.0, _above(0.0), _TOY),
     "latent": Key(int, 10, _POSITIVE, _TRAIN),
@@ -125,7 +125,6 @@ KEYS = {
     "samples": Key(int, {"toy-snr": 1000, "bias-test": 100000}, _at_least(2),
                    _TOY),
     "reference_samples": Key(int, 100000, _at_least(2), _SNR),
-    "chunk_size": Key(int, 16384, _POSITIVE, _TOY),
     "param_sigma": Key(_finite, 0.1, _at_least(0.0), _TOY),
     "data_source": Key(str, "synthetic", None, _TRAIN),
     "data_n": Key(int, 512, _at_least(10), _TRAIN),
@@ -212,9 +211,6 @@ def resolve_config(raw, experiment, seed=None, out=None):
 def _validate(cfg):
     """The checks that span several keys."""
     train = cfg.experiment == "train"
-    model = "vae" if train else "toy"
-    if cfg.model != model:
-        raise ConfigError(f"{cfg.experiment} runs on the {model} model")
     # toy-snr skips the K below an estimator's min_k, but not all of them
     name, ks = (("k_grid", cfg.k_grid) if cfg.experiment == "toy-snr"
                 else ("k", (cfg.k,)))
@@ -301,14 +297,7 @@ def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
         return phi_row_set(maps, ctx, cfg.alpha).items()
 
     return fold_rows(fam, p, x, k, n, rows_of, seed=cfg.seed, stream=stream,
-                     draw_prefix=(trial, k), chunk_size=cfg.chunk_size)
-
-
-def _t_tests(moments):
-    """The one-sample t-test against zero of each coordinate of a fold's
-    moments, in coordinate order."""
-    return [t_test_from_moments(mean, variance, moments.n)
-            for mean, variance in zip(moments.mean, moments.variance)]
+                     draw_prefix=(trial, k))
 
 
 def run_toy_snr(cfg):
@@ -359,9 +348,9 @@ def run_toy_snr(cfg):
               ("estimator", "K", "trial", "coordinate",
                "mean", "variance", "bias2", "snr"),
               stat_rows)
-    t_rows = [(est, k, coord, res.t_statistic, res.p_value, dmom.n)
+    t_rows = [(est, k, coord, *cells, dmom.n)
               for (est, k), dmom in pooled.items()
-              for coord, res in enumerate(_t_tests(dmom))]
+              for coord, cells in enumerate(zip(*dmom.t_test()))]
     t_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     write_csv(os.path.join(cfg.out, "ttests.csv"),
               ("estimator", "K", "coordinate", "t_statistic", "p_value",
@@ -393,11 +382,11 @@ def run_bias_test(cfg):
     verdicts = []
     for est in sorted(cfg.estimators):
         dmom, ref = diffs[est], REFERENCE_PAIR[est]
-        results = _t_tests(dmom)
-        t_rows += [(est, ref, c, res.t_statistic, res.p_value, dmom.n)
-                   for c, res in enumerate(results)]
-        worst = min(range(len(results)), key=lambda c: results[c].p_value)
-        p_min = results[worst].p_value
+        t, pv = dmom.t_test()
+        t_rows += [(est, ref, c, *cells, dmom.n)
+                   for c, cells in enumerate(zip(t, pv))]
+        worst = int(np.argmin(pv))
+        p_min = pv[worst]
         if p_min < BIAS_ALPHA:
             verdicts.append(
                 f"{est} vs {ref}: bias detected (min p = "

@@ -107,7 +107,10 @@ def synthetic_dataset(n, obs_dim, latent_dim, seed, hidden=20, weight_scale=2.0)
     for name in ("dec_w1", "dec_w2", "dec_w3"):
         p.view(name)[:] *= weight_scale
     z = stream_rng(seed, Streams.DATA, 0).standard_normal((n, latent_dim))
-    images = 1.0 / (1.0 + np.exp(-fam.decode(p, z)[2]))
+    # exp overflows for logits below about -709 (a large weight_scale);
+    # those intensities are exactly 0 either way
+    with np.errstate(over="ignore"):
+        images = 1.0 / (1.0 + np.exp(-fam.decode(p, z)[2]))
     return Dataset(images=images)
 
 

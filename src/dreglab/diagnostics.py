@@ -37,6 +37,9 @@ SLAB = 1 << 18
 # rows per merge block at most: the rows a `fold_rows` row buffer holds,
 # whatever the chunk size
 MERGE_ROWS = 1024
+# rows per noise chunk, the key unit, in every CLI fold (perfbench
+# counts toy steps in chunks of this size)
+CHUNK = 16384
 
 
 @dataclass
@@ -82,11 +85,22 @@ class RunningMoments:
         snr[defined] = np.abs(self.mean[defined]) / np.sqrt(variance[defined])
         return snr
 
+    def t_test(self):
+        """One-sample two-sided t-test against zero per coordinate: (t, p)
+        arrays.
 
-@dataclass
-class TTestResult:
-    t_statistic: float
-    p_value: float
+        p is exact at every n: the two-sided Student t tail of |t| on
+        n - 1 degrees of freedom (`_t_tail`, a continued fraction for the
+        incomplete beta function).  Where the variance is exactly 0, a
+        zero mean gives t = 0, p = 1, and any other mean an infinite t
+        of its sign and p = 0; a NaN variance gives t = p = NaN.
+        """
+        sd = np.sqrt(self.variance)
+        # a nonzero mean over sd = 0 is already an infinite t of its sign
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = self.mean / (sd / math.sqrt(self.n))
+        t[(sd == 0.0) & (self.mean == 0.0)] = 0.0
+        return t, np.array([_t_tail(float(v), self.n - 1) for v in t])
 
 
 def _log_gamma_ratio(a):
@@ -162,29 +176,6 @@ def _t_tail(t, nu):
     return 1.0 - front * _bfrac(0.5, a, y, x, -lam)
 
 
-def t_test_from_moments(mean, variance, n):
-    """One-sample two-sided t-test against zero, from summary moments.
-
-    p is exact at every n: the two-sided Student t tail of |t| on n - 1
-    degrees of freedom (`_t_tail`, a continued fraction for the
-    incomplete beta function).  Degenerate inputs do not raise: zero
-    mean with zero variance gives (t=0, p=1), and zero variance with
-    nonzero mean gives p=0 with an infinite statistic.
-    """
-    if n < 2:
-        raise ValueError("t-test needs n >= 2")
-    if variance < 0.0:
-        raise ValueError("variance must be non-negative")
-    mean = float(mean)
-    sd = math.sqrt(variance)
-    if sd == 0.0:
-        if mean == 0.0:
-            return TTestResult(0.0, 1.0)
-        return TTestResult(math.copysign(math.inf, mean), 0.0)
-    t = mean / (sd / math.sqrt(n))
-    return TTestResult(t, _t_tail(t, n - 1))
-
-
 class VarianceTraceEma:
     """Debiased EMA covariance trace over a gradient stream.
 
@@ -231,12 +222,13 @@ class VarianceTraceEma:
 
 
 def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
-              draw_prefix=(), chunk_size):
+              draw_prefix=(), chunk_size=CHUNK):
     """Moments of n draws of every named row stream, folded block by block.
 
-    Chunk c reads noise_block(seed, stream, (*draw_prefix, c), (m, k,
-    model.latent)).  Its rows come from weight contexts on ``x`` (one
-    observation, which a context shares across its rows), and each
+    Chunk c, of m = chunk_size rows (CHUNK by default; the last chunk
+    takes the rest), reads noise_block(seed, stream, (*draw_prefix, c),
+    (m, k, model.latent)).  Its rows come from weight contexts on ``x``
+    (one observation, which a context shares across its rows), and each
     (name, rows) pair that ``rows_of(ctx)`` yields is folded into that
     name's RunningMoments, one `RunningMoments.from_samples` per block,
     merged in block order.  A chunk's blocks are the fewest even blocks

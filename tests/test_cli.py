@@ -43,7 +43,6 @@ seed = 3
 trials = 2
 samples = 60
 reference_samples = 80
-chunk_size = 32
 k_grid = 1, 4
 d = 2
 """
@@ -63,7 +62,6 @@ eval_every = 20
 BIAS_SMOKE = """
 seed = 11
 samples = 2000
-chunk_size = 512
 k = 8
 d = 2
 """
@@ -71,13 +69,12 @@ d = 2
 
 # the keys each runner reads, in manifest order
 READ_KEYS = {
-    "toy-snr": ["experiment", "seed", "out", "model", "d", "q_variance",
+    "toy-snr": ["experiment", "seed", "out", "d", "q_variance",
                 "estimators", "alpha", "k_grid", "trials", "samples",
-                "reference_samples", "chunk_size", "param_sigma"],
-    "bias-test": ["experiment", "seed", "out", "model", "d", "q_variance",
-                  "estimators", "alpha", "k", "samples", "chunk_size",
-                  "param_sigma"],
-    "train": ["experiment", "seed", "out", "model", "latent", "hidden", "obs",
+                "reference_samples", "param_sigma"],
+    "bias-test": ["experiment", "seed", "out", "d", "q_variance",
+                  "estimators", "alpha", "k", "samples", "param_sigma"],
+    "train": ["experiment", "seed", "out", "latent", "hidden", "obs",
               "estimator", "alpha", "k", "data_source", "data_n",
               "weight_scale", "split_fractions", "steps", "batch_size", "lr",
               "beta1", "beta2", "adam_eps", "eval_every", "eval_k",
@@ -100,7 +97,6 @@ RANGE_CASES = [
     ("toy-snr", "trials", "0"),
     ("bias-test", "samples", "1"),
     ("toy-snr", "reference_samples", "1"),
-    ("bias-test", "chunk_size", "0"),
     ("toy-snr", "param_sigma", "-0.1"),
     ("train", "data_n", "9"),
     ("train", "weight_scale", "0.0"),
@@ -269,12 +265,6 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("config error: seed must")
         assert not out.exists()
 
-    def test_train_requires_vae_model(self):
-        with pytest.raises(ConfigError, match="vae"):
-            resolve_config({"model": "toy"}, "train")
-        with pytest.raises(ConfigError, match="toy"):
-            resolve_config({"model": "vae"}, "bias-test")
-
     def test_manifest_round_trips(self):
         for experiment, raw in (
                 ("train", {"seed": "7", "lr": "0.0005"}),
@@ -370,8 +360,8 @@ class TestToySnrCommand:
                 refs[trial, k] = fold_rows(
                     fam, p, x, k, 80,
                     lambda ctx: [("iwae", phi_rows("iwae", ctx))],
-                    seed=3, stream=Streams.REFERENCE, draw_prefix=(trial, k),
-                    chunk_size=32)["iwae"].mean
+                    seed=3, stream=Streams.REFERENCE,
+                    draw_prefix=(trial, k))["iwae"].mean
         rows = [line.split(",")
                 for line in read(out / "stats.csv").decode().splitlines()[1:]]
         assert len(rows) == 2 * 6 * 8 + 2 * 6 * 6  # jvi1 ids skip K = 1
@@ -492,15 +482,19 @@ class TestBiasTestCommand:
         # merge blocks of at most 1024 rows, one 16384-row chunk peaks
         # where sixteen 1024-row chunks do (whole-chunk row buffers
         # would add 5 x 16384 x 20 doubles, 13 MB)
+        cfg = resolve_config({"samples": "16384"}, "bias-test")
+        fam = Toy(cfg.d, cfg.q_variance)
+        p, x = cli._trial_point(cfg, fam, 0)
+        maps = {est: cli._difference(est, ref, cfg.alpha)
+                for est, ref in cli.REFERENCE_PAIR.items()}
         peaks = []
-        for chunk_size in ("16384", "1024"):
-            cfg = resolve_config({"samples": "16384", "chunk_size": chunk_size},
-                                 "bias-test")
-            fam = Toy(cfg.d, cfg.q_variance)
-            p, x = cli._trial_point(cfg, fam, 0)
+        for chunk_size in (16384, 1024):
             tracemalloc.start()
             try:
-                self._differences(cfg, fam, p, x)
+                fold_rows(fam, p, x, cfg.k, cfg.samples,
+                          lambda ctx: phi_row_set(maps, ctx, cfg.alpha).items(),
+                          seed=cfg.seed, stream=Streams.MEASURE,
+                          draw_prefix=(0, cfg.k), chunk_size=chunk_size)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -510,9 +504,9 @@ class TestBiasTestCommand:
     def test_paired_fold_diffs_match_hand_built_references(self, alpha):
         # each difference map folds the bits of its base-level sum written
         # out by hand (its weights added per base, zero weights dropped),
-        # and each row is within rounding of est - ref as two ids' rows
-        cfg, fam, p, x = self._bias_cfg(alpha, samples="300",
-                                        chunk_size="128")
+        # and each row is within rounding of est - ref as two ids' rows;
+        # 20000 samples span two noise chunks
+        cfg, fam, p, x = self._bias_cfg(alpha, samples="20000")
         diffs = self._differences(cfg, fam, p, x)
         a = alpha
 
@@ -544,7 +538,7 @@ class TestBiasTestCommand:
 
         want = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of,
                          seed=cfg.seed, stream=Streams.MEASURE,
-                         draw_prefix=(0, cfg.k), chunk_size=cfg.chunk_size)
+                         draw_prefix=(0, cfg.k))
         assert list(diffs) == list(cli.REFERENCE_PAIR)
         for est, got in diffs.items():
             assert got.n == want[est].n == cfg.samples

@@ -164,6 +164,14 @@ def test_synthetic_scale_raises_contrast():
     assert hi.images.std() > lo.images.std()
 
 
+def test_synthetic_large_scale_saturates_without_a_warning():
+    # at weight_scale = 400 some logits pass -709, where exp overflows;
+    # the suite turns a RuntimeWarning into an error
+    d = synthetic_dataset(512, 64, 10, 0, weight_scale=400.0)
+    assert (d.images == 0.0).any()
+    assert np.all((d.images >= 0.0) & (d.images <= 1.0))
+
+
 def test_synthetic_rejects_bad_sizes():
     with pytest.raises(ValueError):
         synthetic_dataset(0, 64, 10, seed=1)

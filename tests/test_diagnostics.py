@@ -17,7 +17,6 @@ from dreglab.diagnostics import (
     RunningMoments,
     VarianceTraceEma,
     fold_rows,
-    t_test_from_moments,
 )
 from dreglab.estimators import phi_rows, theta_rows
 from dreglab.gaussian import Streams, noise_block, noise_slabs
@@ -25,10 +24,20 @@ from dreglab.models import Toy, Vae, perturb_params
 from reference.support import loglog_slope
 
 
+def t_test(mean, variance, n):
+    """`RunningMoments.t_test` of one coordinate with these moments, as
+    floats (t, p)."""
+    mom = RunningMoments(n, np.array([mean], dtype=float),
+                         np.array([variance * (n - 1)], dtype=float))
+    t, p = mom.t_test()
+    return float(t[0]), float(p[0])
+
+
 def paired(a, b):
-    """Paired t-test of a against b on their per-pair differences."""
-    diff = a - b
-    return t_test_from_moments(diff.mean(), diff.var(ddof=1), diff.size)
+    """Paired t-test of a against b on their per-pair differences, as
+    floats (t, p)."""
+    t, p = RunningMoments.from_samples((a - b)[:, None]).t_test()
+    return float(t[0]), float(p[0])
 
 
 def fold(stream, decay):
@@ -97,27 +106,27 @@ def test_running_moments_merge_matches_whole():
 
 def test_paired_t_identical_inputs():
     a = np.random.default_rng(5).standard_normal(64)
-    res = paired(a, a.copy())
-    assert res.t_statistic == 0.0 and res.p_value == 1.0
+    t, p = paired(a, a.copy())
+    assert t == 0.0 and p == 1.0
 
 
 def test_paired_t_degenerate_offset():
-    res = paired(np.full(32, 2.5), np.full(32, 1.5))
-    assert math.isinf(res.t_statistic) and res.t_statistic > 0
-    assert res.p_value == 0.0
+    t, p = paired(np.full(32, 2.5), np.full(32, 1.5))
+    assert math.isinf(t) and t > 0
+    assert p == 0.0
     # near-degenerate float differences still collapse to p ~ 0
     a = np.random.default_rng(6).standard_normal(32)
-    assert paired(a + 1.0, a).p_value == 0.0
+    assert paired(a + 1.0, a)[1] == 0.0
 
 
 def test_paired_t_matches_library_small_n():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(50)
     b = rng.standard_normal(50)
-    mine = paired(a, b)
+    t, p = paired(a, b)
     ref = sps.ttest_rel(a, b)
-    assert mine.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
-    assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+    assert t == pytest.approx(ref.statistic, rel=1e-10)
+    assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
 
 def test_paired_t_matches_library_large_n():
@@ -126,10 +135,10 @@ def test_paired_t_matches_library_large_n():
     n = 20_000
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)
-    mine = paired(a, b)
+    t, p = paired(a, b)
     ref = sps.ttest_rel(a, b)
-    assert mine.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
-    assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+    assert t == pytest.approx(ref.statistic, rel=1e-10)
+    assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
 
 # nu from 1 to 1e7, each side of the complement switch at |t| = 1 and of
@@ -148,29 +157,40 @@ def test_t_tail_matches_mpmath_betainc():
     half = mpmath.mpf(1) / 2
     with mpmath.workdps(30):
         for nu, t in T_TAIL_GRID:
-            res = t_test_from_moments(t, nu + 1, nu + 1)
-            assert res.t_statistic == t
+            stat, p = t_test(t, nu + 1, nu + 1)
+            assert stat == t
             x = mpmath.mpf(nu) / (nu + mpmath.mpf(t) ** 2)
             exact = mpmath.betainc(mpmath.mpf(nu) / 2, half, 0, x, regularized=True)
-            assert float(abs(res.p_value - exact) / exact) <= 1e-13, (nu, t)
-            assert t_test_from_moments(-t, nu + 1, nu + 1).p_value == res.p_value
+            assert float(abs(p - exact) / exact) <= 1e-13, (nu, t)
+            assert t_test(-t, nu + 1, nu + 1)[1] == p
     assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("n", [2, 129, 10**7])
 def test_t_tail_limits(n):
-    assert t_test_from_moments(0.0, 1.0, n).p_value == 1.0
-    assert t_test_from_moments(math.inf, 1.0, n).p_value == 0.0
-    assert t_test_from_moments(-math.inf, 1.0, n).p_value == 0.0
-    assert math.isnan(t_test_from_moments(math.nan, 1.0, n).p_value)
+    assert t_test(0.0, 1.0, n)[1] == 1.0
+    assert t_test(math.inf, 1.0, n)[1] == 0.0
+    assert t_test(-math.inf, 1.0, n)[1] == 0.0
+    assert math.isnan(t_test(math.nan, 1.0, n)[1])
+
+
+def test_t_test_degenerate_coordinates():
+    # zero variance: zero mean reads t = 0, p = 1, any other mean an
+    # infinite t of its sign and p = 0; a NaN variance stays NaN
+    mom = RunningMoments(5, np.array([0.0, -0.0, 2.0, -3.0, 1.0, 1.0]),
+                         np.array([0.0, 0.0, 0.0, 0.0, math.nan, 4.0]))
+    t, p = mom.t_test()
+    assert list(t[:4]) == [0.0, 0.0, math.inf, -math.inf]
+    assert list(p[:4]) == [1.0, 1.0, 0.0, 0.0]
+    assert math.isnan(t[4]) and math.isnan(p[4])
+    assert t[5] == 1.0 / math.sqrt(1.0 / 5) and 0.0 < p[5] < 1.0
 
 
 def test_paired_t_power_at_ten_se():
     rng = np.random.default_rng(9)
     n = 10_000
     b = rng.standard_normal(n)
-    res = paired(b + 0.1 + rng.standard_normal(n), b)
-    assert res.p_value < 1e-3
+    assert paired(b + 0.1 + rng.standard_normal(n), b)[1] < 1e-3
 
 
 def test_paired_t_shift_invariance():
@@ -179,7 +199,7 @@ def test_paired_t_shift_invariance():
     b = rng.standard_normal(200)
     base = paired(a, b)
     shifted = paired(a + 3.7, b + 3.7)
-    assert shifted.t_statistic == pytest.approx(base.t_statistic, rel=1e-9)
+    assert shifted[0] == pytest.approx(base[0], rel=1e-9)
 
 
 def test_paired_t_null_calibration():
@@ -188,7 +208,7 @@ def test_paired_t_null_calibration():
     for _ in range(300):
         a = rng.standard_normal(400)
         b = rng.standard_normal(400)
-        ps.append(paired(a, b).p_value)
+        ps.append(paired(a, b)[1])
     assert sps.kstest(ps, "uniform").pvalue > 0.01
 
 

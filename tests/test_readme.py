@@ -1,6 +1,7 @@
 """README's library snippet runs as written against the installed API,
-its estimator table states the coefficients of `ESTIMATORS`, and it
-states the package's version."""
+its estimator table states the coefficients of `ESTIMATORS`, its config
+table states the keys of `cli.KEYS`, and it states the package's
+version."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ import re
 
 import numpy as np
 
-from dreglab import __version__
+from dreglab import __version__, cli
 from dreglab.estimators import ESTIMATORS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -28,7 +29,7 @@ def test_readme_python_block_runs():
 
 def _table():
     """{id: (c_path, c_score, c_theta, min K)} as README's table writes them."""
-    rows = re.findall(r"^\| `([\w-]+)`\s*\|([^|]*)\|([^|]*)\|([^|]*)\|([^|]*)\|",
+    rows = re.findall(r"^\| `([\w-]+)`\s*\|([^|\n]*)\|([^|\n]*)\|([^|\n]*)\|([^|\n]*)\|",
                       README.read_text(encoding="utf-8"), re.MULTILINE)
     return {kind: tuple(cell.strip() for cell in cells) for kind, *cells in rows}
 
@@ -68,6 +69,30 @@ def test_readme_estimator_table_matches_the_code():
                 assert math.isclose(_evaluate(cell, values),
                                     _coefficient(term, values),
                                     rel_tol=1e-12, abs_tol=1e-15), (kind, cell)
+
+
+def test_readme_config_table_matches_the_keys():
+    # a row per key, in manifest order: its readers, and a default per
+    # reader, either one `value` for all or "experiment: `value`" parts
+    # split by ";"; a value that names a key follows that key
+    rows = re.findall(r"^\| `(\w+)` \| ([\w, -]+) \| (.+) \|$",
+                      README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert [name for name, _, _ in rows] == list(cli.KEYS)
+    resolved = {e: vars(cli.resolve_config({}, e)) for e in cli.EXPERIMENTS}
+    for name, reads, cell in rows:
+        assert tuple(reads.split(", ")) == cli.KEYS[name].reads, name
+        stated = {}
+        for part in cell.split("; "):
+            experiment, _, value = part.rpartition(": ")
+            for e in [experiment] if experiment else cli.KEYS[name].reads:
+                stated[e] = value
+        assert list(stated) == list(cli.KEYS[name].reads), name
+        for e, value in stated.items():
+            value, got = value.strip("`"), resolved[e][name]
+            if value in cli.KEYS:
+                assert got == resolved[e][value], (name, e, value)
+            else:
+                assert value == cli._fmt(got), (name, e, value)
 
 
 def test_readme_states_the_code_version():
