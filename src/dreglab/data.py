@@ -114,13 +114,9 @@ def synthetic_dataset(n, obs_dim, latent_dim, seed, hidden=20, weight_scale=2.0)
     return Dataset(images=images)
 
 
-def split(d, fractions, seed=None):
-    """(train, valid, test) by fractions; contiguous, or shuffled by seed.
-
-    Contiguous order-preserving ranges suit pre-shuffled corpora whose
-    conventional splits are positional; synthetic data should pass a
-    seed so the split is an explicit part of the experiment key.
-    """
+def split(d, fractions, seed):
+    """(train, valid, test) by fractions, shuffled by seed, so the split
+    is an explicit part of the experiment key."""
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ValueError("need three positive fractions")
@@ -131,9 +127,7 @@ def split(d, fractions, seed=None):
         sizes[2] = d.n - sizes[0] - sizes[1]
     if any(s <= 0 for s in sizes):
         raise ValueError(f"empty split from fractions {fractions} on n={d.n}")
-    order = np.arange(d.n)
-    if seed is not None:
-        order = stream_rng(seed, Streams.DATA, 1).permutation(d.n)
+    order = stream_rng(seed, Streams.DATA, 1).permutation(d.n)
     bounds = np.cumsum([0] + sizes)
     return tuple(Dataset(images=d.images[order[lo:hi]])
                  for lo, hi in zip(bounds[:-1], bounds[1:]))

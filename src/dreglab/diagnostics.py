@@ -6,19 +6,15 @@ rows, and the rows fold into RunningMoments.  `fold_rows` is that
 pipeline, written once, for any row stream; the CLI experiments and the
 acceptance gate call it with their own keys and estimator rows.  The
 chunk is the key unit: its noise comes from one Philox stream.  The
-block, at most MERGE_ROWS rows of a chunk, is the merge unit: its rows
-fold into moments at once, in block order.  The slab, at most SLAB
-normals of a block (2 MiB), is the memory and pipeline unit: one worker
-thread draws up to two slabs ahead while the calling thread contracts
-the current one.  A fold allocates its memory once and reuses it for
-every block: the noise is drawn in place into a ring of three slab
-buffers, and each slab's rows are copied into block-sized row buffers
-(a ragged slab or block uses their leading part).  So a fold of many
-chunks does not fault fresh pages in for each, it never holds more than
-three slabs of noise, and its row buffers do not grow with the chunk.
-Rows are per sample, so the moments are those of whole-block contexts,
-and a fixed chunk schedule gives bit-stable results whatever the thread
-timing or SLAB (on the VAE, while k * latent <= SLAB / 3).
+slab, at most MERGE_ROWS rows and SLAB normals (2 MiB) of a chunk, is
+the merge, memory and pipeline unit: its rows fold into moments at
+once, in slab order, and one worker thread draws up to two slabs ahead
+while the calling thread contracts the current one.  The noise is drawn
+in place into a ring of three slab slots, one array allocated once per
+fold (a ragged slab uses a slot's leading part), so a fold of many
+chunks does not fault fresh pages in for each, and it never holds more
+than three slabs of noise or one slab of rows.  A fixed chunk schedule
+gives bit-stable results whatever the thread timing.
 """
 
 import math
@@ -31,11 +27,10 @@ import numpy as np
 
 from .gaussian import noise_slabs
 
-# normals per slab (2 MiB of float64), the unit in which `fold_rows`
-# draws noise and builds weight contexts
+# normals per slab (2 MiB of float64) at most, the unit in which
+# `fold_rows` draws noise, builds weight contexts and merges moments
 SLAB = 1 << 18
-# rows per merge block at most: the rows a `fold_rows` row buffer holds,
-# whatever the chunk size
+# rows per slab at most, whatever k * latent
 MERGE_ROWS = 1024
 # rows per noise chunk, the key unit, in every CLI fold (perfbench
 # counts toy steps in chunks of this size)
@@ -223,39 +218,31 @@ class VarianceTraceEma:
 
 def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
               draw_prefix=(), chunk_size=CHUNK):
-    """Moments of n draws of every named row stream, folded block by block.
+    """Moments of n draws of every named row stream, folded slab by slab.
 
     Chunk c, of m = chunk_size rows (CHUNK by default; the last chunk
     takes the rest), reads noise_block(seed, stream, (*draw_prefix, c),
-    (m, k, model.latent)).  Its rows come from weight contexts on ``x``
-    (one observation, which a context shares across its rows), and each
-    (name, rows) pair that ``rows_of(ctx)`` yields is folded into that
-    name's RunningMoments, one `RunningMoments.from_samples` per block,
-    merged in block order.  A chunk's blocks are the fewest even blocks
-    of at most MERGE_ROWS rows, so a chunk of at most MERGE_ROWS rows is
-    one block.  Every name in a chunk reads the same noise, so
-    differences of rows are common-random-number pairs.  Returns
-    {name: RunningMoments}; they depend on chunk_size and MERGE_ROWS,
-    never on the thread timing, and on SLAB only as said below.
+    (m, k, model.latent)).  A chunk is cut into the fewest even slabs of
+    at most max(1, min(MERGE_ROWS, SLAB // (k * latent))) rows, and each
+    slab gets one weight context on ``x`` (one observation, which a
+    context shares across its rows).  Each (name, rows) pair that
+    ``rows_of(ctx)`` yields is folded with `RunningMoments.from_samples`
+    and merged into that name's moments in slab order.  Every name in a
+    chunk reads the same noise, so differences of rows are
+    common-random-number pairs.  Returns {name: RunningMoments}; they
+    depend on chunk_size, MERGE_ROWS and SLAB, never on the thread
+    timing.
 
-    The chunk is the key unit, the block the merge unit and the slab the
-    memory and pipeline unit.  A chunk's noise is drawn from its one
-    generator (`noise_slabs`); each block is cut into the fewest even
-    slabs of at most max(1, SLAB // (k * latent)) rows, and each slab
-    gets its own context, whose rows are copied into one buffer per
-    name.  Slab s is drawn in place into slot s mod 3 of a ring of three
-    flat slab buffers, as a C-contiguous view of its leading entries;
-    the ring's order runs on across block and chunk boundaries.  The
-    ring and the row buffers are allocated once per fold, at the largest
-    slab and block sizes, and reused by every block; a smaller block
-    fills and folds the row buffers' leading rows, a C-contiguous view.
-    That needs the fold contract: row i depends on noise row i alone,
-    and every slab yields the same names, each with rows of the shape it
-    had in the first slab; a slab that breaks it raises ValueError,
-    naming its rows within the chunk.  Under it, the buffers hold the
-    rows that one whole-block context would give, bit for bit: always on
-    the toy, and on the VAE while k * latent <= SLAB / 3 (past that, a
-    block of odd rows takes a one-row slab; see `_even_cut`).
+    The chunk is the key unit, and the slab the merge, memory and
+    pipeline unit.  A chunk's noise is drawn from its one generator
+    (`noise_slabs`).  Slab s is drawn in place into slot s mod 3 of a
+    ring, the three rows of one array allocated once per fold at the
+    largest slab size, as a C-contiguous view of its leading entries;
+    the ring's order runs on across chunk boundaries.  The fold needs
+    its contract: row i depends on noise row i alone, and every slab
+    yields the same names, each with (rows, d) rows of the d it had in
+    the first slab; a slab that breaks it raises ValueError, naming its
+    rows within the chunk.
 
     While slab s is contracted, one worker thread draws up to two slabs
     ahead (NumPy's normal fill releases the GIL), into the two slots
@@ -264,53 +251,49 @@ def fold_rows(model, params, x, k, n, rows_of, *, seed, stream,
     most, whatever the thread timing.  The results cannot depend on that
     overlap: a chunk's Philox stream is keyed by its index alone
     (counter-based, Salmon et al. 2011), only the worker draws, and the
-    merges run on the calling thread in block order.  A one-slab fold
+    merges run on the calling thread in slab order.  A one-slab fold
     starts no thread, and the worker is joined before this returns or
     raises.
     """
     sizes = [min(chunk_size, n - done) for done in range(0, n, chunk_size)]
-    step = max(1, SLAB // (k * model.latent))
-    # every slab, in draw order: its chunk, its block's first row in the
-    # chunk and rows, and its own first row in the block and rows
-    plan = [(chunk, first, b, at, m)
+    step = max(1, min(MERGE_ROWS, SLAB // (k * model.latent)))
+    # every slab, in draw order: its chunk, its first row in the chunk and rows
+    plan = [(chunk, first, m)
             for chunk, size in enumerate(sizes)
-            for first, b in _spans(_even_cut(size, MERGE_ROWS))
-            for at, m in _spans(_even_cut(b, step))]
+            for first, m in _spans(_even_cut(size, step))]
     depth = 3 if len(plan) > 1 else 0  # slab s and the two after it
     # the noise ring: slab s is drawn into slot s % 3 (a one-slab fold
-    # has one slot), so a fold never holds more than three slabs of noise
+    # has one slot), so a fold never holds more than three slabs of noise.
+    # One array, not one per slot: glibc trims a free heap top past twice
+    # the largest mmapped block freed, a slab's temporaries swing it by
+    # about two slots, and 1-slot blocks refaulted every warm bias-test slab
     slot = max((m for *_, m in plan), default=0) * k * model.latent
-    ring = cycle([np.empty(slot) for _ in range(max(depth, 1))])
+    ring = cycle(np.empty((max(depth, 1), slot)))
     draws = (eps for chunk, slabs in groupby(plan, key=lambda slab: slab[0])
              for eps in noise_slabs(seed, stream, (*draw_prefix, chunk),
                                     (sizes[chunk], k, model.latent),
                                     [m for *_, m in slabs], ring))
-    block = max((b for _, _, b, _, _ in plan), default=0)
-    moments = {}
-    buffers = {}  # name -> row buffer, made in the first slab and reused by every block
+    moments = {}  # name -> RunningMoments, named by the first slab
 
-    def fold(chunk, first, b, at, m, eps):
-        where = f"chunk {chunk}, rows {first + at}:{first + at + m}"
-        named = set()
+    def fold(chunk, first, m, eps):
+        where = f"chunk {chunk}, rows {first}:{first + m}"
+        parts = {}
         for name, rows in rows_of(model.weight_context(params, x, eps)):
             rows = np.asarray(rows)
-            if chunk == first == at == 0 and name not in buffers:
-                buffers[name] = np.empty((block, *rows.shape[1:]))
-            if name not in buffers or name in named:
+            if name in parts or not (name in moments or chunk == first == 0):
                 raise _contract_error(f"{where}: {name!r} is new or repeated")
-            want = (m, *buffers[name].shape[1:])
-            if rows.shape != want:
+            d = (moments[name].mean.size if name in moments
+                 else rows.shape[1] if rows.ndim == 2 else "d")
+            # without it, (m, 1) rows would broadcast into (d,) moments
+            if rows.shape != (m, d):
                 raise _contract_error(f"{where}: {name!r} rows have shape "
-                                      f"{rows.shape}, not {want}")
-            buffers[name][at:at + m] = rows
-            named.add(name)
-        if len(named) != len(buffers):
-            missing = sorted(map(repr, buffers.keys() - named))
+                                      f"{rows.shape}, not ({m}, {d})")
+            parts[name] = RunningMoments.from_samples(rows)
+        missing = sorted(map(repr, moments.keys() - parts.keys()))
+        if missing:
             raise _contract_error(f"{where}: no rows for {', '.join(missing)}")
-        if at + m == b:
-            for name, rows in buffers.items():
-                part = RunningMoments.from_samples(rows[:b])
-                moments[name] = part if name not in moments else moments[name].merge(part)
+        for name, part in parts.items():
+            moments[name] = part if name not in moments else moments[name].merge(part)
 
     # at iteration s the worker is sent slab s + 2, whose slot held slab
     # s - 1, folded at iteration s - 1: no slot is refilled while in use
@@ -330,14 +313,12 @@ def _spans(cut):
 
 def _even_cut(m, step):
     """Row counts of the fewest parts of at most ``step`` rows that cover
-    ``m`` rows, differing by at most one: a chunk's blocks, or a block's
-    slabs.
+    ``m`` rows, differing by at most one: a chunk's slabs.
 
-    Even cuts keep a one-row block out of any chunk of two or more rows,
-    and a one-row slab out of any block of two or more rows while step
-    >= 3 (at step 2, out of a block of even rows): a one-row batch sends
-    `VaeContext`'s 2-D matmuls through BLAS gemv instead of gemm, whose
-    sums round differently.
+    Even cuts keep a one-row slab out of any chunk of two or more rows
+    while step >= 3 (at step 2, out of a chunk of even rows), so no slab
+    folds a single row, and none sends `VaeContext`'s 2-D matmuls
+    through BLAS gemv, which a one-row batch does.
     """
     count = -(-m // step)
     return [m // count + (i < m % count) for i in range(count)]
@@ -346,5 +327,5 @@ def _even_cut(m, step):
 def _contract_error(detail):
     return ValueError("rows_of broke the fold contract (row i depends on "
                       "noise row i alone; every slab yields the same "
-                      f"names, each with rows of one shape): {detail}")
+                      f"names, each with 2-D rows of one shape): {detail}")
 

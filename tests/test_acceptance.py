@@ -61,8 +61,7 @@ def test_criterion_1_snr_and_variance_scaling():
                         lambda ctx: [(est, phi_rows(est, ctx)) for est in ("iwae", "iwae-dreg")],
                         seed=seed, stream=Streams.MEASURE, draw_prefix=(0, k), chunk_size=chunk)
         for est, mo in mom.items():
-            snr = np.abs(mo.mean) / np.sqrt(mo.variance)
-            snr_pts[est].append((k, float(np.median(snr))))
+            snr_pts[est].append((k, float(np.median(mo.snr))))
         var_pts.append((k, float(np.median(mom["iwae-dreg"].variance))))
 
     std_slope = loglog_slope(snr_pts["iwae"]).slope

@@ -479,9 +479,9 @@ class TestBiasTestCommand:
 
     def test_fold_memory_does_not_grow_with_chunk_size(self):
         # bias-test's five difference maps at its K = 64 and d = 4: with
-        # merge blocks of at most 1024 rows, one 16384-row chunk peaks
-        # where sixteen 1024-row chunks do (whole-chunk row buffers
-        # would add 5 x 16384 x 20 doubles, 13 MB)
+        # slabs of at most 1024 rows, one 16384-row chunk peaks where
+        # sixteen 1024-row chunks do (whole-chunk row buffers would add
+        # 5 x 16384 x 20 doubles, 13 MB)
         cfg = resolve_config({"samples": "16384"}, "bias-test")
         fam = Toy(cfg.d, cfg.q_variance)
         p, x = cli._trial_point(cfg, fam, 0)

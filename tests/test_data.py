@@ -177,16 +177,6 @@ def test_synthetic_rejects_bad_sizes():
         synthetic_dataset(0, 64, 10, seed=1)
 
 
-def test_split_contiguous():
-    images = np.linspace(0.0, 1.0, 100)[:, None]
-    d = Dataset(images=images)
-    train, valid, test = split(d, (0.8, 0.1, 0.1))
-    assert (train.n, valid.n, test.n) == (80, 10, 10)
-    assert np.array_equal(train.images, images[:80])
-    assert np.array_equal(valid.images, images[80:90])
-    assert np.array_equal(test.images, images[90:])
-
-
 def test_split_shuffled_partition():
     images = np.arange(100)[:, None] / 99.0
     d = Dataset(images=images)
@@ -203,8 +193,8 @@ def test_split_shuffled_partition():
 def test_split_errors():
     d = Dataset(images=np.full((100, 2), 0.5))
     with pytest.raises(ValueError, match="empty split"):
-        split(d, (0.001, 0.5, 0.4))
+        split(d, (0.001, 0.5, 0.4), seed=0)
     with pytest.raises(ValueError, match="sum"):
-        split(d, (0.8, 0.3, 0.3))
+        split(d, (0.8, 0.3, 0.3), seed=0)
     with pytest.raises(ValueError, match="three"):
-        split(d, (0.5, 0.5))
+        split(d, (0.5, 0.5), seed=0)

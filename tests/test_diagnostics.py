@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import accumulate
 
 import mpmath
@@ -18,7 +19,7 @@ from dreglab.diagnostics import (
     VarianceTraceEma,
     fold_rows,
 )
-from dreglab.estimators import phi_rows, theta_rows
+from dreglab.estimators import phi_row_set, phi_rows, theta_rows
 from dreglab.gaussian import Streams, noise_block, noise_slabs
 from dreglab.models import Toy, Vae, perturb_params
 from reference.support import loglog_slope
@@ -366,23 +367,19 @@ def test_fold_rows_counts_a_ragged_tail():
     assert {name: mom.n for name, mom in folded.items()} == {"phi": 1000, "theta": 1000}
 
 
-def block_fold(fam, p, x, seed, blocks):
-    """The fold of `fold_rows` by hand: one context per whole merge
-    block, ``blocks`` listing each chunk's block rows."""
+def slab_fold(fam, p, x, seed, slabs, rows_of=phi_and_theta, draw_prefix=(2, 4)):
+    """The fold of `fold_rows` by hand: one context per listed slab,
+    ``slabs`` listing each chunk's slab rows, merged in order."""
     want = {}
-    for chunk, cut in enumerate(blocks):
-        eps = noise_block(seed, Streams.MEASURE, (2, 4, chunk), (sum(cut), 4, fam.latent))
-        for first, b in zip(accumulate(cut, initial=0), cut):
-            ctx = fam.weight_context(p, x, eps[first:first + b])
-            for name, rows in phi_and_theta(ctx):
+    for chunk, cut in enumerate(slabs):
+        eps = noise_block(seed, Streams.MEASURE, (*draw_prefix, chunk),
+                          (sum(cut), 4, fam.latent))
+        for first, m in zip(accumulate(cut, initial=0), cut):
+            ctx = fam.weight_context(p, x, eps[first:first + m])
+            for name, rows in rows_of(ctx):
                 part = RunningMoments.from_samples(rows)
                 want[name] = want[name].merge(part) if name in want else part
     return want
-
-
-def whole_chunk_fold(fam, p, x, seed, sizes):
-    """The fold of `fold_rows` by hand: one context per whole chunk."""
-    return block_fold(fam, p, x, seed, [(m,) for m in sizes])
 
 
 def assert_same_moments(folded, want):
@@ -397,7 +394,7 @@ def test_fold_rows_reads_each_chunks_noise():
     fam, p, x = fold_fixture()
     folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
                        stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
-    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+    assert_same_moments(folded, slab_fold(fam, p, x, 31, [(384,), (384,), (232,)]))
 
 
 def vae_fold_fixture():
@@ -405,15 +402,18 @@ def vae_fold_fixture():
     return fam, fam.init_params(seed=4), np.array([1.0, 0.0, 0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("merge_rows", [1024, 128])
 @pytest.mark.parametrize("family, slab_rows", [
     ("toy", 1), ("toy", 7), ("toy", 100), ("toy", 384),
     ("vae", 2), ("vae", 7), ("vae", 100), ("vae", 384),
 ])
-def test_fold_rows_in_slabs_equals_the_whole_chunk_fold(monkeypatch, family, slab_rows):
+def test_fold_rows_merges_slab_by_slab(monkeypatch, family, slab_rows, merge_rows):
     # 7 and 100 cut the chunks into slabs of unequal sizes; 1 gives one
     # context per draw (the VAE's one-row batches run gemv, not gemm, so
-    # it starts at 2); 384 leaves one slab per chunk
+    # it starts at 2); 384 leaves one slab per chunk at MERGE_ROWS = 1024
+    # and cuts the chunks into 3, 3 and 2 slabs at 128
     fam, p, x = fold_fixture() if family == "toy" else vae_fold_fixture()
+    monkeypatch.setattr("dreglab.diagnostics.MERGE_ROWS", merge_rows)
     monkeypatch.setattr("dreglab.diagnostics.SLAB", slab_rows * 4 * fam.latent)
     slabs = []
 
@@ -424,71 +424,19 @@ def test_fold_rows_in_slabs_equals_the_whole_chunk_fold(monkeypatch, family, sla
     before = threading.active_count()
     folded = fold_rows(fam, p, x, 4, 1000, rows_of, seed=31,
                        stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
-    assert len(slabs) == sum(-(-m // slab_rows) for m in (384, 384, 232))
-    assert max(m for m, _ in slabs) <= slab_rows
+    step = min(slab_rows, merge_rows)
+    rows = [m for m, _ in slabs]
+    assert len(rows) == sum(-(-m // step) for m in (384, 384, 232))
+    assert max(rows) <= step
+    # each chunk's slabs, in draw order (no slab spans two chunks)
+    ends = [0, *accumulate(rows)]
+    cuts = [rows[ends.index(lo):ends.index(hi)] for lo, hi in ((0, 384), (384, 768), (768, 1000))]
     # even cuts: no one-row slab (232 rows in slabs of 7 would end in one)
-    assert min(m for m, _ in slabs) >= min(2, slab_rows)
+    assert all(max(cut) - min(cut) <= 1 for cut in cuts)
+    assert min(rows) >= min(2, step)
     assert {workers for _, workers in slabs} == {1}
     assert threading.active_count() == before
-    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
-
-
-# merge blocks of at most 128 rows: chunks of 384, 384 and 232 rows
-# fold as 3, 3 and 2 even blocks (of even rows, so that slabs of at
-# most 2 rows are all 2-row slabs)
-SMALL_BLOCKS = ((128,) * 3, (128,) * 3, (116, 116))
-
-
-@pytest.mark.parametrize("family, slab_rows", [
-    ("toy", 1), ("toy", 7), ("toy", 100), ("toy", 384),
-    ("vae", 2), ("vae", 7), ("vae", 100), ("vae", 384),
-])
-def test_fold_rows_merges_block_by_block(monkeypatch, family, slab_rows):
-    # slabs are cut inside each block, so 384 leaves one slab per block,
-    # and 7 cuts 128 rows into 6s and 7s and 116 rows likewise
-    fam, p, x = fold_fixture() if family == "toy" else vae_fold_fixture()
-    monkeypatch.setattr("dreglab.diagnostics.MERGE_ROWS", 128)
-    monkeypatch.setattr("dreglab.diagnostics.SLAB", slab_rows * 4 * fam.latent)
-    slabs = []
-
-    def rows_of(ctx):
-        slabs.append(ctx.lw.shape[0])
-        yield from phi_and_theta(ctx)
-
-    folded = fold_rows(fam, p, x, 4, 1000, rows_of, seed=31,
-                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
-    blocks = [b for cut in SMALL_BLOCKS for b in cut]
-    assert len(slabs) == sum(-(-b // slab_rows) for b in blocks)
-    assert max(slabs) <= min(slab_rows, 128)
-    assert min(slabs) >= min(2, slab_rows)
-    assert_same_moments(folded, block_fold(fam, p, x, 31, SMALL_BLOCKS))
-
-
-@pytest.mark.parametrize("chunk_size, blocks", [
-    (96, [(96,)] * 10 + [(40,)]),
-    (384, SMALL_BLOCKS),
-    (1000, [(125,) * 8]),
-])
-def test_fold_rows_row_buffers_hold_one_block(monkeypatch, chunk_size, blocks):
-    fam, p, x = fold_fixture()
-    monkeypatch.setattr("dreglab.diagnostics.MERGE_ROWS", 128)
-    empty, shapes = np.empty, []
-
-    def counted(shape, *args, **kwargs):
-        shapes.append(shape)
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "empty", counted)
-    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
-                       stream=Streams.MEASURE, draw_prefix=(2, 4),
-                       chunk_size=chunk_size)
-    monkeypatch.undo()
-    rows = [s[0] for s in shapes if np.ndim(s) == 1 and len(s) == 2]
-    largest = max(b for cut in blocks for b in cut)
-    assert sorted(s for s in shapes if np.ndim(s) == 1 and len(s) == 2
-                  and s[1] in (3, 12)) == [(largest, 3), (largest, 12)]
-    assert max(rows) <= 128
-    assert_same_moments(folded, block_fold(fam, p, x, 31, blocks))
+    assert_same_moments(folded, slab_fold(fam, p, x, 31, cuts))
 
 
 def renamed_at_the_third_slab(ctx, calls):
@@ -525,8 +473,8 @@ def test_fold_rows_rejects_names_that_change_across_slabs(monkeypatch, rows_of, 
 
 
 def test_fold_rows_rejects_rows_whose_shape_changes_across_chunks():
-    # without the check, reused buffers would broadcast the (384, 1) rows
-    # of chunk 1 into moments of 768 rows of the chunk-0 shape
+    # without the check, chunk 1's (1,) moments would broadcast into the
+    # (12,) moments of chunk 0
     fam, p, x = fold_fixture()
     calls = []
 
@@ -543,25 +491,6 @@ def test_fold_rows_rejects_rows_whose_shape_changes_across_chunks():
     assert len(calls) == 2
 
 
-def test_fold_rows_allocates_each_buffer_once(monkeypatch):
-    fam, p, x = fold_fixture()
-    monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * 3)
-    empty, shapes = np.empty, []
-
-    def counted(shape, *args, **kwargs):
-        shapes.append(shape)
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "empty", counted)
-    folded = fold_rows(fam, p, x, 4, 1000, phi_and_theta, seed=31,
-                       stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
-    monkeypatch.undo()
-    buffers = [s for s in shapes if np.ndim(s) == 1 and len(s) == 2
-               and s[0] in (384, 232)]
-    assert sorted(buffers) == [(384, 3), (384, 12)]
-    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
-
-
 def eps_rows(ctx):
     yield "eps", ctx.eps.reshape(len(ctx.eps), -1)
 
@@ -569,17 +498,14 @@ def eps_rows(ctx):
 def test_fold_rows_ring_wrap_is_bit_exact(monkeypatch):
     # slabs of at most 100 rows: chunks of 4, 4 and 3 slabs in the ring's
     # slots 0 1 2 0 | 1 2 0 1 | 2 0 1, so slot 0 is refilled mid-chunk and
-    # the ragged chunk's 77-row slabs fill the leading part of 96-row slots
+    # the ragged chunk's 78- and 77-row slabs fill the leading part of
+    # 96-row slots
     fam, p, x = fold_fixture()
     monkeypatch.setattr("dreglab.diagnostics.SLAB", 100 * 4 * fam.latent)
     folded = fold_rows(fam, p, x, 4, 1000, eps_rows, seed=40,
                        stream=Streams.MEASURE, draw_prefix=(2,), chunk_size=384)
-    want = None
-    for chunk, m in enumerate((384, 384, 232)):
-        eps = noise_block(40, Streams.MEASURE, (2, chunk), (m, 4, fam.latent))
-        part = RunningMoments.from_samples(eps.reshape(m, -1))
-        want = part if want is None else want.merge(part)
-    assert_same_moments(folded, {"eps": want})
+    slabs = [(96,) * 4, (96,) * 4, (78, 77, 77)]
+    assert_same_moments(folded, slab_fold(fam, p, x, 40, slabs, eps_rows, (2,)))
 
 
 def test_fold_rows_holds_at_most_three_slabs_and_overwrites_none_in_use(monkeypatch):
@@ -601,8 +527,9 @@ def test_fold_rows_holds_at_most_three_slabs_and_overwrites_none_in_use(monkeypa
     folded = fold_rows(fam, p, x, 4, 1000, rows_of, seed=31,
                        stream=Streams.MEASURE, draw_prefix=(2, 4), chunk_size=384)
     assert len(slabs) == 21
-    assert len(bases) <= 3
-    assert_same_moments(folded, whole_chunk_fold(fam, p, x, 31, (384, 384, 232)))
+    assert sum(base.nbytes for base in bases) <= 3 * 48 * 4 * fam.latent * 8
+    cuts = [(48,) * 8, (48,) * 8, (47, 47, 46, 46, 46)]
+    assert_same_moments(folded, slab_fold(fam, p, x, 31, cuts))
 
 
 def test_fold_rows_rejects_rows_that_are_not_one_per_noise_row(monkeypatch):
@@ -616,6 +543,38 @@ def test_fold_rows_rejects_rows_that_are_not_one_per_noise_row(monkeypatch):
                                          r"chunk 0, rows 0:96: 'phi' rows have shape \(50, "):
         fold_rows(fam, p, x, 4, 1000, rows_of, seed=38,
                   stream=Streams.MEASURE, chunk_size=384)
+
+
+def test_fold_rows_names_rows_that_are_not_two_dimensional():
+    fam, p, x = fold_fixture()
+
+    def rows_of(ctx):
+        yield "lw0", ctx.lw[:, 0]
+
+    with pytest.raises(ValueError, match="every slab yields the same names") as info:
+        fold_rows(fam, p, x, 4, 1000, rows_of, seed=38,
+                  stream=Streams.MEASURE, chunk_size=384)
+    assert str(info.value).endswith(
+        "chunk 0, rows 0:384: 'lw0' rows have shape (384,), not (384, d)")
+
+
+def test_fold_rows_holds_one_slab_of_rows_per_name():
+    # a VAE fold's rows (P_phi = 2140 columns) are its largest arrays: a
+    # fold that kept 1024-row buffers per name peaked at 114.4 MiB here,
+    # and one that folds each slab's rows as they come at 88.3 MiB
+    fam = Vae(10, 20, 64)
+    p = fam.init_params(seed=4)
+    x = (np.random.default_rng(5).random(64) < 0.5).astype(float)
+    maps = {"iwae": {"iwae": 1.0}, "iwae-dreg": {"iwae-dreg": 1.0}}
+    tracemalloc.start()
+    try:
+        folded = fold_rows(fam, p, x, 64, 4096, lambda ctx: phi_row_set(maps, ctx).items(),
+                           seed=1, stream=Streams.MEASURE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert folded["iwae"].mean.shape == (2140,)
+    assert peak <= 100 << 20, peak / 2**20
 
 
 def test_fold_rows_draw_prefix_separates_streams():

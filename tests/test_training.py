@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dreglab.data import dynamic_binarize, split, synthetic_dataset
+from dreglab.data import Dataset, dynamic_binarize, synthetic_dataset
 from dreglab.diagnostics import VarianceTraceEma
 from dreglab.models import Vae
 from dreglab.training import Adam, TrainRow, train_model
@@ -75,8 +75,9 @@ class TestAdam:
 
 def tiny_problem(seed=5):
     fam = Vae(latent=2, hidden=4, obs=16)
-    d = synthetic_dataset(96, 16, 2, seed=3, hidden=4)
-    train, valid, _ = split(d, (0.8, 0.1, 0.1))
+    images = synthetic_dataset(96, 16, 2, seed=3, hidden=4).images
+    # the leading 80% and the next 10% of the images, in order
+    train, valid = Dataset(images=images[:77]), Dataset(images=images[77:87])
     return fam, train, valid
 
 
