@@ -9,6 +9,6 @@ config-driven CLI.  The scalar-tape reference that checks the bulk
 route lives with the tests, in ``tests/reference``.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = ["__version__"]

@@ -31,24 +31,13 @@ import numpy as np
 from . import __version__
 from .data import load_idx, split, synthetic_dataset
 from .diagnostics import fold_rows
-from .estimators import ESTIMATOR_IDS, ESTIMATORS, phi_row_set
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, difference, phi_row_set
 from .gaussian import Streams, stream_rng
 from .models import Toy, Vae, perturb_params, save_checkpoint
 from .models.params import write_atomic
 from .training import train_model
 
 EXPERIMENTS = ("toy-snr", "train", "bias-test")
-
-# each testable estimator against an unbiased reference for the same
-# expectation: a table id, or alpha-mix, the (1 - alpha, alpha) mix of
-# the iwae and wake gradients that dreg-alpha targets
-REFERENCE_PAIR = {
-    "stl": "iwae",
-    "iwae-dreg": "iwae",
-    "dreg-alpha": "alpha-mix",
-    "rws-dreg": "rws-wake",
-    "jvi1-dreg": "jvi1",
-}
 
 BIAS_ALPHA = 0.01
 
@@ -110,10 +99,10 @@ KEYS = {
     "hidden": Key(int, 20, _POSITIVE, _TRAIN),
     "obs": Key(int, 64, _POSITIVE, _TRAIN),
     "estimator": Key(str, "iwae", None, _TRAIN),
-    "estimators": Key(_list(str), {"toy-snr": ESTIMATOR_IDS,
-                                   "bias-test": tuple(REFERENCE_PAIR)},
-                      (lambda v: len(set(v)) == len(v), "must not repeat"),
-                      _TOY),
+    "estimators": Key(_list(str), {
+        "toy-snr": ESTIMATOR_IDS,
+        "bias-test": tuple(e for e, r in ESTIMATORS.items() if r.reference)},
+        (lambda v: len(set(v)) == len(v), "must not repeat"), _TOY),
     "alpha": Key(_finite, 0.5,
                  (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"), _ALL),
     "k": Key(int, {"bias-test": 64, "train": 8}, _POSITIVE,
@@ -217,7 +206,7 @@ def _validate(cfg):
     for est in (cfg.estimator,) if train else cfg.estimators:
         if est not in ESTIMATOR_IDS:
             raise ConfigError(f"unknown estimator {est!r}")
-        if cfg.experiment == "bias-test" and est not in REFERENCE_PAIR:
+        if cfg.experiment == "bias-test" and not ESTIMATORS[est].reference:
             raise ConfigError(
                 f"{est!r} has no unbiased reference to test against")
         min_k = ESTIMATORS[est].min_k
@@ -273,15 +262,6 @@ def _trial_point(cfg, fam, trial):
     return p, x
 
 
-def _difference(est, ref, alpha):
-    """The weight map of ``est``'s rows less those of its reference
-    ``ref`` (a `REFERENCE_PAIR` value) at ``alpha``, so that
-    `phi_row_set` cancels their shared terms."""
-    mix = ({"iwae": 1.0 - alpha, "rws-wake": alpha} if ref == "alpha-mix"
-           else {ref: 1.0})
-    return {est: 1.0, **{kind: -w for kind, w in mix.items()}}
-
-
 def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
     """Folded phi-gradient moments of n draws of each named weight map
     over table ids (`phi_row_set`'s maps) on ``stream`` at (trial, K),
@@ -290,8 +270,8 @@ def _paired_fold(cfg, fam, p, x, trial, k, stream, n, maps):
     Every toy measurement is one of these folds: toy-snr's reference
     and measurement and bias-test's differences.  One `phi_row_set` per
     context serves every map, so the maps are common-random-number
-    pairs, and a `_difference` map's rows are its two sides' paired
-    difference with their shared terms cancelled.
+    pairs, and a map of an id less another, such as a `difference`
+    map, gives their paired difference with the shared terms cancelled.
     """
     def rows_of(ctx):
         return phi_row_set(maps, ctx, cfg.alpha).items()
@@ -306,7 +286,8 @@ def run_toy_snr(cfg):
     Per (trial, K) it makes two `_paired_fold`s: the bias reference,
     iwae alone over ``reference_samples`` draws on the reference stream,
     and the measurement, every live id alone and, past iwae, less iwae
-    over ``samples`` draws.  ``stats.csv`` has one row per (estimator,
+    ({id: 1, iwae: -1}, whatever the id's table reference) over
+    ``samples`` draws.  ``stats.csv`` has one row per (estimator,
     K, trial, coordinate) of the measurement moments: their mean,
     variance and `RunningMoments.snr`, and bias2, the squared distance
     of the mean from the reference's.  ``ttests.csv`` has per-coordinate
@@ -328,7 +309,7 @@ def run_toy_snr(cfg):
             ref = _paired_fold(cfg, fam, p, x, trial, k, Streams.REFERENCE,
                                cfg.reference_samples,
                                {"iwae": {"iwae": 1.0}})["iwae"].mean
-            diffs = {(est, k): _difference(est, "iwae", cfg.alpha)
+            diffs = {(est, k): {est: 1.0, "iwae": -1.0}
                      for est in live if est != "iwae"}
             moments = _paired_fold(cfg, fam, p, x, trial, k, Streams.MEASURE,
                                    cfg.samples,
@@ -360,13 +341,13 @@ def run_toy_snr(cfg):
 
 
 def run_bias_test(cfg):
-    """Paired test of each estimator mean against its unbiased baseline.
+    """Paired test of each estimator mean against its table reference.
 
     The same `_paired_fold` as ``toy-snr`` at trial 0 and K = ``k``, of
-    each id's `_difference` from its `REFERENCE_PAIR` map alone, so it
-    reads the noise ``toy-snr`` folds there.  A difference whose weights
-    cancel (dreg-alpha's at alpha = 1/2) has exact-zero rows, which the
-    t-test reports as t = 0, p = 1.  Writes ``ttests.csv``
+    each id's `difference` from its reference alone, so it reads the
+    noise ``toy-snr`` folds there, and each line names the reference by
+    its label.  A difference whose weights cancel has exact-zero rows,
+    which the t-test reports as t = 0, p = 1.  Writes ``ttests.csv``
     (per-coordinate statistics) and ``report.txt`` with one verdict line
     per estimator; the verdict text also goes to stdout.
     """
@@ -374,14 +355,12 @@ def run_bias_test(cfg):
     fam = Toy(cfg.d, cfg.q_variance)
     p, x = _trial_point(cfg, fam, 0)
     diffs = _paired_fold(cfg, fam, p, x, 0, cfg.k, Streams.MEASURE,
-                         cfg.samples, {
-                             est: _difference(est, REFERENCE_PAIR[est],
-                                              cfg.alpha)
-                             for est in cfg.estimators})
+                         cfg.samples, {est: difference(est, cfg.alpha)
+                                       for est in cfg.estimators})
     t_rows = []
     verdicts = []
     for est in sorted(cfg.estimators):
-        dmom, ref = diffs[est], REFERENCE_PAIR[est]
+        dmom, ref = diffs[est], ESTIMATORS[est].reference[0]
         t, pv = dmom.t_test()
         t_rows += [(est, ref, c, *cells, dmom.n)
                    for c, cells in enumerate(zip(t, pv))]

@@ -1,6 +1,7 @@
 from .gradients import (
     ESTIMATOR_IDS,
     ESTIMATORS,
+    difference,
     phi_row_set,
     phi_rows,
     recipe,
@@ -18,6 +19,7 @@ __all__ = [
     "ESTIMATORS",
     "ESTIMATOR_IDS",
     "context_weights",
+    "difference",
     "jvi1_coefficients",
     "normalized_log_weights",
     "phi_row_set",

@@ -18,12 +18,14 @@ maps it is given on one context; the recipes run against one context
 also normalize its log weights once.  Each entry also names, as a
 `ChunkWeights` attribute just as its theta base is named, the bound its
 theta coefficient differentiates (``iwae_bound`` for w-tilde rows,
-``jvi1_bound`` for c rows), and gives the smallest K its coefficients
-are defined at.  Every row is an ascent direction: theta rows on the
-entry's bound, and phi rows too, except those of the wake-phase ids
-(rws-wake, rws-dreg), which ascend E_p(z|x)[log q(z)], the wake phase's
-KL(p || q) minimization; dreg-alpha's phi rows are the (1 - alpha,
-alpha) mix of iwae-dreg's and rws-dreg's.  The contraction interface
+``jvi1_bound`` for c rows), gives the smallest K its coefficients are
+defined at, and may give its reference, a labelled weight map over the
+ids whose rows are unbiased for what it targets (`difference`).  Every
+row is an ascent direction: theta rows on the entry's bound, and phi
+rows too, except those of the wake-phase ids (rws-wake, rws-dreg),
+which ascend E_p(z|x)[log q(z)], the wake phase's KL(p || q)
+minimization; dreg-alpha's phi rows are the (1 - alpha, alpha) mix of
+iwae-dreg's and rws-dreg's.  The contraction interface
 (``lw``, ``path``, ``score``, ``theta``) is served by the models'
 closed-form weight contexts; the tests' tape reference serves it too,
 and the tests pin the two against each other.  A VAE context's caller
@@ -48,25 +50,34 @@ class Recipe:
     ``path`` and ``score`` map a base name to its weight, a number or a
     function of alpha, and their coefficients are sum weight * base (an
     empty map marks an absent term); ``theta`` names a single base, and
-    ``bound`` the `ChunkWeights` attribute its theta rows ascend."""
+    ``bound`` the `ChunkWeights` attribute its theta rows ascend.
+    ``reference`` is a (label, {id: weight}) pair, weighted as ``path``
+    is, for the unbiased rows the entry is tested against, or None."""
 
     path: dict
     score: dict
     theta: str
     bound: str = "iwae_bound"  # the objective the theta rows ascend
     min_k: int = 1  # the smallest K the coefficients are defined at
+    reference: tuple = None  # (label, weight map over ids), or None
 
+
+_IWAE = ("iwae", {"iwae": 1.0})
 
 ESTIMATORS = {
     "iwae": Recipe({"wt": 1.0}, {"wt": 1.0}, "wt"),
-    "stl": Recipe({"wt": 1.0}, {}, "wt"),
-    "iwae-dreg": Recipe({"wt2": 1.0}, {}, "wt"),
+    "stl": Recipe({"wt": 1.0}, {}, "wt", reference=_IWAE),
+    "iwae-dreg": Recipe({"wt2": 1.0}, {}, "wt", reference=_IWAE),
     "rws-wake": Recipe({}, {"wt": -1.0}, "wt"),
-    "rws-dreg": Recipe({"wt": 1.0, "wt2": -1.0}, {}, "wt"),
+    "rws-dreg": Recipe({"wt": 1.0, "wt2": -1.0}, {}, "wt",
+                       reference=("rws-wake", {"rws-wake": 1.0})),
     "dreg-alpha": Recipe({"wt": lambda a: a, "wt2": lambda a: 1.0 - 2.0 * a},
-                         {}, "wt"),
+                         {}, "wt", reference=("alpha-mix", {
+                             "iwae": lambda a: 1.0 - a,
+                             "rws-wake": lambda a: a})),
     "jvi1": Recipe({"c": 1.0}, {"c": 1.0}, "c", "jvi1_bound", min_k=2),
-    "jvi1-dreg": Recipe({"c2": 1.0}, {}, "c", "jvi1_bound", min_k=2),
+    "jvi1-dreg": Recipe({"c2": 1.0}, {}, "c", "jvi1_bound", min_k=2,
+                        reference=("jvi1", {"jvi1": 1.0})),
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
@@ -115,6 +126,17 @@ def _weighted_sum(terms, value_of):
     for key, weight in rest:
         total += value_of(key) if weight == 1.0 else weight * value_of(key)
     return total
+
+
+def difference(kind, alpha=None):
+    """The weight map of ``kind``'s rows less those of its reference at
+    ``alpha``, {kind: 1, ref: -weight, ...}, so that `phi_row_set`
+    cancels their shared terms; a zero reference weight drops its id."""
+    reference = recipe(kind, alpha).reference
+    if reference is None:
+        raise ValueError(f"estimator id {kind!r} has no unbiased reference")
+    return {kind: 1.0,
+            **{ref: -w for ref, w in _terms_at(reference[1], alpha)}}
 
 
 def phi_terms(r, alpha):

@@ -52,12 +52,6 @@ class Toy:
         values = theta + [v for row in a_opt for v in row] + b_opt
         return build_params(self.template(), values)
 
-    def log_marginal(self, p, x):
-        """log N(x; theta, 2I), exact."""
-        x = np.asarray(x, dtype=np.float64)
-        return float(-0.5 * self.d * math.log(4.0 * math.pi)
-                     - 0.25 * np.sum((x - p.view("theta")) ** 2))
-
     def weight_context(self, p, x, eps):
         return ToyContext(self, p, x, eps)
 

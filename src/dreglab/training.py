@@ -28,7 +28,6 @@ import numpy as np
 from .data import Dataset, dynamic_binarize
 from .diagnostics import VarianceTraceEma
 from .estimators import (
-    ESTIMATOR_IDS,
     context_weights,
     phi_rows,
     recipe,
@@ -133,8 +132,6 @@ def train_model(fam, train, valid, mode, k, *, steps, batch_size,
     the failing step with ``diverged`` set and ``cause`` naming the
     non-finite value or quoting the kernel.
     """
-    if mode not in ESTIMATOR_IDS:
-        raise ValueError(f"unknown training mode {mode!r}")
     entry = recipe(mode, alpha)
     if not isinstance(train, Dataset) or not isinstance(valid, Dataset):
         raise ValueError("train and valid must be Datasets")

@@ -6,7 +6,8 @@ generic route: `inference` and `log_joint` run element by element on a
 parameter source whose `view(name)` gives floats (a `ParamVector`) or
 TapeScalars (`LiftedParams`), so the tape runs the same code as plain
 floats and must agree with the closed-form contexts to near machine
-precision.
+precision.  `Toy` also gives the exact `log_marginal`, log N(x; theta,
+2I), which the tests check weights and bounds against.
 
 The toy's shared mode ties the inference map to the generative mean by
 A = diag(theta) with a free bias, so every theta coordinate also moves
@@ -74,6 +75,12 @@ class Toy(models.Toy):
             return super().init_params(theta)
         theta = [float(t) for t in theta]
         return build_params(self.template(), theta + toy_optimal_inference(theta)[1])
+
+    def log_marginal(self, p, x):
+        """log N(x; theta, 2I), exact."""
+        x = np.asarray(x, dtype=np.float64)
+        return float(-0.5 * self.d * math.log(4.0 * math.pi)
+                     - 0.25 * np.sum((x - p.view("theta")) ** 2))
 
     def inference(self, source, x):
         d = self.d

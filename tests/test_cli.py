@@ -9,7 +9,9 @@ from dreglab import __version__, cli
 from dreglab.diagnostics import fold_rows
 from dreglab.estimators import (
     ESTIMATOR_IDS,
+    ESTIMATORS,
     context_weights,
+    difference,
     phi_row_set,
     phi_rows,
 )
@@ -65,6 +67,9 @@ samples = 2000
 k = 8
 d = 2
 """
+
+# the ids with a table reference, bias-test's default estimators
+TESTED = tuple(est for est, r in ESTIMATORS.items() if r.reference)
 
 
 # the keys each runner reads, in manifest order
@@ -471,11 +476,10 @@ class TestBiasTestCommand:
         return cfg, fam, *cli._trial_point(cfg, fam, 0)
 
     @staticmethod
-    def _differences(cfg, fam, p, x):
+    def _diff_moments(cfg, fam, p, x):
         return cli._paired_fold(cfg, fam, p, x, 0, cfg.k, Streams.MEASURE,
-                                cfg.samples, {
-                                    est: cli._difference(est, ref, cfg.alpha)
-                                    for est, ref in cli.REFERENCE_PAIR.items()})
+                                cfg.samples, {est: difference(est, cfg.alpha)
+                                              for est in TESTED})
 
     def test_fold_memory_does_not_grow_with_chunk_size(self):
         # bias-test's five difference maps at its K = 64 and d = 4: with
@@ -485,8 +489,7 @@ class TestBiasTestCommand:
         cfg = resolve_config({"samples": "16384"}, "bias-test")
         fam = Toy(cfg.d, cfg.q_variance)
         p, x = cli._trial_point(cfg, fam, 0)
-        maps = {est: cli._difference(est, ref, cfg.alpha)
-                for est, ref in cli.REFERENCE_PAIR.items()}
+        maps = {est: difference(est, cfg.alpha) for est in TESTED}
         peaks = []
         for chunk_size in (16384, 1024):
             tracemalloc.start()
@@ -507,7 +510,7 @@ class TestBiasTestCommand:
         # and each row is within rounding of est - ref as two ids' rows;
         # 20000 samples span two noise chunks
         cfg, fam, p, x = self._bias_cfg(alpha, samples="20000")
-        diffs = self._differences(cfg, fam, p, x)
+        diffs = self._diff_moments(cfg, fam, p, x)
         a = alpha
 
         def rows_of(ctx):
@@ -527,11 +530,15 @@ class TestBiasTestCommand:
                     + ((1.0 - a) - a) * score("wt")}
             rows = {kind: phi_rows(kind, ctx, a if kind == "dreg-alpha"
                                    else None) for kind in ESTIMATOR_IDS}
-            for est, ref in cli.REFERENCE_PAIR.items():
+            for est in TESTED:
+                ref = ESTIMATORS[est].reference[0]
                 ref_rows = (1.0 - a) * rows["iwae"] + a * rows["rws-wake"] \
                     if ref == "alpha-mix" else rows[ref]
-                scale = max(np.abs(rows[kind]).max()
-                            for kind in cli._difference(est, ref, a))
+                # dreg-alpha's scale spans both mixed ids, also where
+                # one of them has a zero weight
+                scale = max(np.abs(rows[kind]).max() for kind in (
+                    (est, "iwae", "rws-wake") if ref == "alpha-mix"
+                    else (est, ref)))
                 assert np.abs(hand[est] - (rows[est] - ref_rows)).max() \
                     <= 1e-15 * scale, (est, alpha)
                 yield est, hand[est]
@@ -539,7 +546,7 @@ class TestBiasTestCommand:
         want = fold_rows(fam, p, x, cfg.k, cfg.samples, rows_of,
                          seed=cfg.seed, stream=Streams.MEASURE,
                          draw_prefix=(0, cfg.k))
-        assert list(diffs) == list(cli.REFERENCE_PAIR)
+        assert list(diffs) == list(TESTED)
         for est, got in diffs.items():
             assert got.n == want[est].n == cfg.samples
             assert np.array_equal(got.mean, want[est].mean), (est, alpha)
@@ -551,14 +558,14 @@ class TestBiasTestCommand:
         ctx = fam.weight_context(p, np.array([1.3, 0.0, -0.7]), noise_block(
             2, Streams.MEASURE, 0, (50, 8, 3)))
         for alpha, ref in ((0.0, "iwae"), (1.0, "rws-wake")):
-            mix = {kind: -w for kind, w in cli._difference(
-                "dreg-alpha", "alpha-mix", alpha).items() if kind != "dreg-alpha"}
+            mix = {kind: -w for kind, w in difference(
+                "dreg-alpha", alpha).items() if kind != "dreg-alpha"}
             rows = phi_row_set({"mix": mix, ref: {ref: 1.0}}, ctx, alpha)
             assert np.array_equal(rows["mix"], rows[ref]), ref
 
     def test_wake_and_dreg_differences_fold_the_same_bits(self):
         # rws-dreg - rws-wake is -(iwae-dreg - iwae), one sum per base
-        diffs = self._differences(*self._bias_cfg(0.3))
+        diffs = self._diff_moments(*self._bias_cfg(0.3))
         wake, dreg = diffs["rws-dreg"], diffs["iwae-dreg"]
         assert wake.n == dreg.n == 2000
         assert np.array_equal(wake.mean, -dreg.mean)
@@ -567,7 +574,7 @@ class TestBiasTestCommand:
     def test_dreg_alpha_difference_is_exactly_zero_at_one_half(self, tmp_path):
         # at alpha = 1/2 dreg-alpha's weights cancel its reference's, and
         # the t-test's zero-variance branch reads the zero rows as p = 1
-        diff = self._differences(*self._bias_cfg(0.5))["dreg-alpha"]
+        diff = self._diff_moments(*self._bias_cfg(0.5))["dreg-alpha"]
         assert diff.n == 2000
         assert not diff.mean.any() and not diff.m2.any()
         cfg = write_config(tmp_path, BIAS_SMOKE + "alpha = 0.5\n")

@@ -8,6 +8,7 @@ from dreglab.estimators import (
     ESTIMATORS,
     ChunkWeights,
     context_weights,
+    difference,
     phi_row_set,
     phi_rows,
     theta_rows,
@@ -384,6 +385,37 @@ def test_phi_row_set_names_a_map_without_a_nonzero_weight():
     rows = phi_row_set({"cancel": {"iwae-dreg": 1.0, "dreg-alpha": -1.0}}, ctx, alpha=0.0)
     assert rows["cancel"].shape == phi_rows("iwae-dreg", ctx).shape
     assert not rows["cancel"].any()
+
+
+def test_difference_is_an_id_less_its_reference_at_alpha():
+    assert difference("stl") == {"stl": 1.0, "iwae": -1.0}
+    assert difference("rws-dreg", 0.3) == {"rws-dreg": 1.0, "rws-wake": -1.0}
+    assert difference("dreg-alpha", 0.25) == {"dreg-alpha": 1.0, "iwae": -0.75,
+                                              "rws-wake": -0.25}
+    # a zero reference weight drops its id, as phi_row_set drops it
+    assert difference("dreg-alpha", 0.0) == {"dreg-alpha": 1.0, "iwae": -1.0}
+    with pytest.raises(ValueError, match="'iwae' has no unbiased reference"):
+        difference("iwae")
+    with pytest.raises(ValueError, match="alpha must be given"):
+        difference("dreg-alpha")
+    with pytest.raises(ValueError, match="unknown estimator id"):
+        difference("nope")
+
+
+def test_each_reference_targets_its_entrys_objective():
+    # every id in a reference map is a table id with the entry's theta
+    # base and bound, and rows defined wherever the entry's are
+    tested = [kind for kind, r in ESTIMATORS.items() if r.reference]
+    assert tested == ["stl", "iwae-dreg", "rws-dreg", "dreg-alpha", "jvi1-dreg"]
+    for kind in tested:
+        r = ESTIMATORS[kind]
+        label, weights = r.reference
+        assert isinstance(label, str) and weights, kind
+        for ref in weights:
+            assert ref in ESTIMATORS, (kind, ref)
+            entry = ESTIMATORS[ref]
+            assert (entry.theta, entry.bound) == (r.theta, r.bound), (kind, ref)
+            assert entry.min_k <= r.min_k, (kind, ref)
 
 
 def _identity_contexts():

@@ -4,17 +4,17 @@ and the exact phi variance that one fold's variance is checked against."""
 import numpy as np
 import pytest
 
-from dreglab import cli
 from dreglab.diagnostics import fold_rows
-from dreglab.estimators import phi_row_set, phi_rows
+from dreglab.estimators import ESTIMATORS, difference, phi_row_set, phi_rows
 from dreglab.gaussian import Streams
 from dreglab.models import Toy, perturb_params
 from reference.quadrature import exact_means
 
 ALPHA = 0.3
-# each tested id less its unbiased reference, as bias-test folds it;
-# dreg-alpha's reference is the (1 - alpha, alpha) mix of iwae and wake
-NULLS = ("iwae-dreg", "rws-dreg", "jvi1-dreg", "dreg-alpha")
+# each id with a table reference but stl, less that reference, as
+# bias-test folds it: every such map has an exact zero mean
+NULLS = tuple(est for est, r in ESTIMATORS.items()
+              if r.reference and est != "stl")
 # the paper's second-reparameterization estimate of STL's bias
 STL_BIAS = {"stl": 1.0, "iwae-dreg": -1.0}
 # the ids whose phi variance is pinned at K = 2
@@ -28,8 +28,7 @@ def point():
 
 def means(k, m):
     fam, p, x = point()
-    maps = {est: cli._difference(est, cli.REFERENCE_PAIR[est], ALPHA)
-            for est in NULLS}
+    maps = {est: difference(est, ALPHA) for est in NULLS}
     return exact_means(fam, p, x, k, m,
                        lambda ctx: phi_row_set({**maps, "stl": STL_BIAS},
                                                ctx, ALPHA).items())

@@ -1,7 +1,7 @@
 """README's library snippet runs as written against the installed API,
-its estimator table states the coefficients of `ESTIMATORS`, its config
-table states the keys of `cli.KEYS`, and it states the package's
-version."""
+its estimator table states the coefficients and reference labels of
+`ESTIMATORS`, its config table states the keys of `cli.KEYS`, and it
+states the package's version."""
 
 import contextlib
 import io
@@ -28,8 +28,10 @@ def test_readme_python_block_runs():
 
 
 def _table():
-    """{id: (c_path, c_score, c_theta, min K)} as README's table writes them."""
-    rows = re.findall(r"^\| `([\w-]+)`\s*\|([^|\n]*)\|([^|\n]*)\|([^|\n]*)\|([^|\n]*)\|",
+    """{id: (c_path, c_score, c_theta, min K, reference)} as README's
+    table writes them."""
+    rows = re.findall(r"^\| `([\w-]+)`\s*\|([^|\n]*)\|([^|\n]*)\|([^|\n]*)\|([^|\n]*)\|"
+                      r"([^|\n]*)\|",
                       README.read_text(encoding="utf-8"), re.MULTILINE)
     return {kind: tuple(cell.strip() for cell in cells) for kind, *cells in rows}
 
@@ -59,10 +61,11 @@ def test_readme_estimator_table_matches_the_code():
     table = _table()
     assert list(table) == list(ESTIMATORS)
     rng = np.random.default_rng(0)
-    for kind, (c_path, c_score, c_theta, min_k) in table.items():
+    for kind, (c_path, c_score, c_theta, min_k, ref) in table.items():
         r = ESTIMATORS[kind]
         assert c_theta == r.theta, kind
         assert int(min_k) == r.min_k, kind
+        assert ref == (f"`{r.reference[0]}`" if r.reference else "-"), kind
         for _ in range(3):
             values = dict(zip(("wt", "wt2", "c", "c2", "a"), rng.random(5)))
             for cell, term in ((c_path, r.path), (c_score, r.score)):

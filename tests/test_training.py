@@ -226,7 +226,7 @@ class TestTrainModel:
 
     def test_validation(self):
         fam, train, valid = tiny_problem()
-        with pytest.raises(ValueError, match="unknown training mode"):
+        with pytest.raises(ValueError, match="unknown estimator id"):
             train_model(fam, train, valid, "sgd", 4, steps=10, batch_size=8)
         with pytest.raises(ValueError, match="width"):
             wrong = Vae(latent=2, hidden=4, obs=8)
